@@ -1,8 +1,7 @@
 """Exact construction and verification of the Adam-Muratori-Nash
 polynomial sequence and the associated Weyl-Dirac zero modes."""
 
-from .polynomials import IntPoly, RatPoly, poly_eval, primitive_integer_form
-from .rationals import Rational, rational_from_string, rational_to_string
+from .polynomials import IntPoly, RatPoly, primitive_integer_form, rational_to_string
 from .recurrence import (
     AmnPolynomial,
     AnsatzSolution,
@@ -27,9 +26,6 @@ from .roots import (
 from .fields import (
     ZeroModeField,
     enumerate_family,
-    evaluate_h,
-    evaluate_vector_potential,
-    evaluate_zero_mode,
     l2_norm_squared,
     loss_yau_residual,
     spin_density,
@@ -44,7 +40,6 @@ __all__ = [
     "CoeffPair",
     "IntPoly",
     "RatPoly",
-    "Rational",
     "RootSet",
     "ZeroModeField",
     "advance_pair",
@@ -52,19 +47,14 @@ __all__ = [
     "closed_form_extremes",
     "coefficient_polynomials",
     "enumerate_family",
-    "evaluate_h",
-    "evaluate_vector_potential",
-    "evaluate_zero_mode",
     "instantiate_solution",
     "l2_norm_squared",
     "lift_solution",
     "loss_yau_residual",
     "matrix_chain_pair",
     "monotonicity_check",
-    "poly_eval",
     "predicted_roots",
     "primitive_integer_form",
-    "rational_from_string",
     "rational_root_oracle",
     "rational_to_string",
     "seed_pair",

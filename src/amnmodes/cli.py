@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: poly, roots, verify, mode, field, bench.  Exit codes are the
+Subcommands: poly, verify, mode, field, bench.  Exit codes are the
 contract: 0 pass, 1 verification failure, 2 usage error, 3 I/O error.
 Large integers are serialized as decimal strings; native JSON numbers
 lose precision once coefficients pass 2**53.
@@ -9,15 +9,14 @@ lose precision once coefficients pass 2**53.
 from __future__ import annotations
 
 import argparse
+import io
 import json
-import os
+import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import fields, roots
-from .rationals import rational_from_string
 from .recurrence import build_amn_polynomial, instantiate_solution, polynomial_report, solution_report
 
 EXIT_OK = 0
@@ -27,15 +26,6 @@ EXIT_IO = 3
 
 POLY_M_MAX = 500
 FIELD_M_MAX = 50
-
-
-def _thread_count(args) -> int:
-    env = os.environ.get("AMN_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    if args.threads is not None:
-        return max(1, args.threads)
-    return os.cpu_count() or 1
 
 
 def _emit(text: str, path: str | None) -> int:
@@ -55,7 +45,10 @@ def _emit(text: str, path: str | None) -> int:
 
 def _select_b0(args) -> Fraction:
     if args.b0 is not None:
-        return rational_from_string(args.b0)
+        try:
+            return Fraction(args.b0)
+        except ZeroDivisionError:
+            raise ValueError(f"b0 {args.b0!r} has a zero denominator") from None
     if args.designated:
         j, sign = args.m + 1, 1
     else:
@@ -75,25 +68,11 @@ def cmd_poly(args) -> int:
     return _emit(json.dumps(report, indent=2), args.output)
 
 
-def cmd_verify(args, chain: bool) -> int:
+def cmd_verify(args) -> int:
     if not 1 <= args.m <= POLY_M_MAX:
         print(f"error: verification defined for m in 1..{POLY_M_MAX}", file=sys.stderr)
         return EXIT_USAGE
-    chain = chain or getattr(args, "chain", False)
-    threads = _thread_count(args)
-    tamper = getattr(args, "tamper", False)
-
-    if chain and args.m >= 2 and threads > 1:
-        # fan the per-m inclusion checks out to workers, then do the rest serially
-        t0 = time.perf_counter()
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            failures = [f for fs in pool.map(roots.check_inclusion, range(2, args.m + 1)) for f in fs]
-        report = roots.verification_report(args.m, chain=False, tamper=tamper)
-        report["monotonicity_ok"] = not failures
-        report["timings_ms"]["monotonicity_ms"] = (time.perf_counter() - t0) * 1000
-    else:
-        report = roots.verification_report(args.m, chain=chain, tamper=tamper)
-
+    report = roots.verification_report(args.m, chain=args.chain)
     ok = (
         report["oracle_matches"]
         and report["factorization_ok"]
@@ -124,15 +103,20 @@ def cmd_field(args) -> int:
         print(f"error: field operations defined for m in 0..{FIELD_M_MAX}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        if args.grid < 0:
+            raise ValueError("--grid must be >= 0")
+        if not math.isfinite(args.extent):
+            raise ValueError("--extent must be finite")
+        if not 0 < args.step < math.inf:
+            raise ValueError("--step must be positive and finite")
         b0 = _select_b0(args)
         f = fields.ZeroModeField(instantiate_solution(args.m, b0))
+        buf = io.StringIO()
+        # raises where the spinor underflows to zero, far out on a large --extent
+        fields.sample_grid(f, buf, extent=args.extent, n=args.grid, step=args.step)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    import io
-
-    buf = io.StringIO()
-    fields.sample_grid(f, buf, extent=args.extent, n=args.grid, step=args.step)
     return _emit(buf.getvalue(), args.output)
 
 
@@ -165,9 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_b0=False):
         p.add_argument("--output", "-o", default=None, help="output file (default: stdout)")
-        p.add_argument("--format", choices=["json", "csv", "text"], default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker pool size (env AMN_THREADS overrides)")
         if with_b0:
             p.add_argument("--j", type=int, default=None, help="root index, 1..m+1")
             p.add_argument("--sign", choices=["+", "-"], default="+")
@@ -179,14 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     common(p)
 
-    p = sub.add_parser("roots", help="verify the root set of P_m")
-    p.add_argument("--m", type=int, required=True)
-    common(p)
-
     p = sub.add_parser("verify", help="full exact verification for one m")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--chain", action="store_true", help="also check the inclusion chain up to m")
-    p.add_argument("--tamper", action="store_true", help=argparse.SUPPRESS)
+    p.add_argument("--chain", action="store_true",
+                   help="also check the inclusion chain up to m, in up to one worker process per CPU")
     common(p)
 
     p = sub.add_parser("mode", help="emit the coefficient solution for a chosen b0")
@@ -211,10 +188,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "poly":
         return cmd_poly(args)
-    if args.command == "roots":
-        return cmd_verify(args, chain=False)
     if args.command == "verify":
-        return cmd_verify(args, chain=False)
+        return cmd_verify(args)
     if args.command == "mode":
         return cmd_mode(args)
     if args.command == "field":

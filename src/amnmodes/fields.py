@@ -126,18 +126,6 @@ class ZeroModeField:
         return (1.0 + r2) ** (-(3 + 2 * self.m)) * (amp_a**2 + r2 * amp_b**2)
 
 
-def evaluate_zero_mode(f: ZeroModeField, x) -> np.ndarray:
-    return f.evaluate(x)
-
-
-def evaluate_h(f: ZeroModeField, x) -> float:
-    return f.h(x)
-
-
-def evaluate_vector_potential(f: ZeroModeField, x) -> np.ndarray:
-    return f.vector_potential(x)
-
-
 # -- finite-difference residuals ---------------------------------------------
 
 

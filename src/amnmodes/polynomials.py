@@ -12,11 +12,20 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .rationals import Rational, rational_from_string, rational_to_string
+
+def rational_to_string(q: Fraction) -> str:
+    """Format as "num/den", or just "num" when the denominator is 1.
+
+    This is the JSON wire format of every exact rational; `Fraction(s)`
+    parses it back.
+    """
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
 
 
 class RatPoly:
-    """Immutable dense polynomial with Rational coefficients."""
+    """Immutable dense polynomial with Fraction coefficients."""
 
     __slots__ = ("coeffs",)
 
@@ -38,7 +47,7 @@ class RatPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __getitem__(self, n: int) -> Rational:
+    def __getitem__(self, n: int) -> Fraction:
         if 0 <= n < len(self.coeffs):
             return self.coeffs[n]
         return Fraction(0)
@@ -85,7 +94,8 @@ class RatPoly:
             return self
         return RatPoly((Fraction(0),) * n + self.coeffs)
 
-    def __call__(self, x) -> Rational:
+    def __call__(self, x) -> Fraction:
+        """Exact Horner evaluation."""
         x = Fraction(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -94,10 +104,6 @@ class RatPoly:
 
     def coefficient_strings(self) -> list[str]:
         return [rational_to_string(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, strings: Sequence[str]) -> "RatPoly":
-        return cls(rational_from_string(s) for s in strings)
 
     def __repr__(self):
         return f"RatPoly({[str(c) for c in self.coeffs]})"
@@ -140,7 +146,7 @@ class IntPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __call__(self, x) -> Rational:
+    def __call__(self, x) -> Fraction:
         return self.as_ratpoly()(x)
 
     def as_ratpoly(self) -> RatPoly:
@@ -162,12 +168,7 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)})"
 
 
-def poly_eval(p: RatPoly, x) -> Rational:
-    """Exact Horner evaluation."""
-    return p(x)
-
-
-def primitive_integer_form(p: RatPoly) -> tuple[IntPoly, Rational]:
+def primitive_integer_form(p: RatPoly) -> tuple[IntPoly, Fraction]:
     """Unique primitive integer multiple of p, plus the scale applied.
 
     Returns (q, s) with q = s * p, q having content 1 and positive leading

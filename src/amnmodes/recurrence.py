@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import IntPoly, RatPoly, poly_eval, primitive_integer_form
-from .rationals import Rational, rational_to_string
+from .polynomials import IntPoly, RatPoly, primitive_integer_form, rational_to_string
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,7 @@ class AnsatzSolution:
     """Numeric coefficient lists of an order-m ansatz at a chosen b0."""
 
     m: int
-    b0: Rational
+    b0: Fraction
     a: tuple
     b: tuple
 
@@ -123,7 +122,7 @@ class AmnPolynomial:
     m: int
     rational: RatPoly
     integer: IntPoly
-    scale: Rational
+    scale: Fraction
 
 
 def build_amn_polynomial(m: int, pairs: list[CoeffPair] | None = None) -> AmnPolynomial:
@@ -137,7 +136,7 @@ def build_amn_polynomial(m: int, pairs: list[CoeffPair] | None = None) -> AmnPol
     return AmnPolynomial(m, rational, integer, scale)
 
 
-def closed_form_extremes(m: int) -> tuple[Rational, Rational]:
+def closed_form_extremes(m: int) -> tuple[Fraction, Fraction]:
     """(c_m, d_m) by direct product, independent of the recurrence.
 
     c_m = 5*7*9*...*(2m+3) / (2**m * m!) is the constant coefficient of
@@ -171,12 +170,12 @@ def instantiate_solution(
     t = b0 * b0
     if pairs is None:
         pairs = coefficient_polynomials(m)
-    a = tuple(poly_eval(pair.p, t) for pair in pairs)
-    b = tuple(b0 * poly_eval(pair.q, t) for pair in pairs)
+    a = tuple(pair.p(t) for pair in pairs)
+    b = tuple(b0 * pair.q(t) for pair in pairs)
     return AnsatzSolution(m, b0, a, b)
 
 
-def verify_system(s: AnsatzSolution) -> list[Rational]:
+def verify_system(s: AnsatzSolution) -> list[Fraction]:
     """Exact residuals of the 2m+1 coefficient equations.
 
     Ordering: the odd-labelled a-equations for j = 1..m, then the

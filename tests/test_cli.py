@@ -1,20 +1,31 @@
 """CLI contract: subcommands, exit codes, golden JSON/CSV schemas."""
 
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
+from amnmodes import roots
 from amnmodes.cli import main
+from amnmodes.polynomials import RatPoly, primitive_integer_form
+from amnmodes.recurrence import AmnPolynomial, build_amn_polynomial
 
 
 def run(args):
     return main(args)
 
 
+def tampered_build(m, pairs=None):
+    """P_m with its constant term plus 1: no longer has the predicted roots."""
+    bad = build_amn_polynomial(m, pairs).rational + RatPoly([1])
+    return AmnPolynomial(m, bad, *primitive_integer_form(bad))
+
+
 class TestPoly:
     def test_m1_golden(self, tmp_path, capsys):
         out = tmp_path / "p1.json"
-        assert run(["poly", "--m", "1", "--format", "json", "-o", str(out)]) == 0
+        assert run(["poly", "--m", "1", "-o", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["integer_coefficients"] == ["25", "-34", "9"]
         assert set(doc) == {
@@ -50,19 +61,18 @@ class TestVerify:
         assert json.loads(out.read_text())["monotonicity_ok"] is True
 
     def test_chain_parallel(self, tmp_path):
+        # m = 5 gives four inclusion checks, spread over the worker pool
         out = tmp_path / "v.json"
-        assert run(["verify", "--m", "5", "--chain", "--threads", "2", "-o", str(out)]) == 0
+        assert run(["verify", "--m", "5", "--chain", "-o", str(out)]) == 0
         assert json.loads(out.read_text())["monotonicity_ok"] is True
 
-    def test_tamper_hook_fails(self, tmp_path):
+    def test_tamper_hook_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(roots, "build_amn_polynomial", tampered_build)
         out = tmp_path / "t.json"
-        assert run(["verify", "--m", "1", "--tamper", "-o", str(out)]) == 1
-        assert json.loads(out.read_text())["factorization_ok"] is False
-
-    def test_roots_alias(self, tmp_path):
-        out = tmp_path / "r.json"
-        assert run(["roots", "--m", "3", "-o", str(out)]) == 0
-        assert json.loads(out.read_text())["predicted"] == ["1", "25/9", "49/9", "9"]
+        assert run(["verify", "--m", "1", "-o", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["factorization_ok"] is False
+        assert doc["oracle_matches"] is False
 
     def test_bad_m(self, capsys):
         assert run(["verify", "--m", "0"]) == 2
@@ -109,6 +119,19 @@ class TestField:
 
     def test_m_out_of_range(self, capsys):
         assert run(["field", "--m", "51", "--designated"]) == 2
+        # sampling inputs that would crash or print NaN rows are usage errors too
+        for bad in (
+            ["--grid", "-1"],
+            ["--step", "0"],
+            ["--step=-1e-3"],
+            ["--step", "nan"],
+            ["--extent", "nan"],
+            ["--extent", "inf"],
+            ["--extent", "1e8", "--grid", "2"],
+        ):
+            capsys.readouterr()
+            assert run(["field", "--m", "1", "--designated", *bad]) == 2, bad
+            assert capsys.readouterr().err.startswith("error:"), bad
 
 
 class TestBench:
@@ -120,6 +143,79 @@ class TestBench:
         bits = [r["max_coefficient_bits"] for r in rows]
         assert bits == sorted(bits)
         assert all(r["build_ms"] >= 0 for r in rows)
+
+
+class TestGolden:
+    """Output text pinned against documents built here from the closed forms."""
+
+    @staticmethod
+    def expected_poly(m):
+        # P_m = d_m * prod_j (t - ((2j+1)/3)**2), expanded with plain Fraction lists
+        odd = math.prod(range(5, 2 * m + 4, 2))
+        coeffs = [Fraction((-1) ** m * 9**m, odd * 2**m * math.factorial(m))]
+        for j in range(1, m + 2):
+            r = Fraction(2 * j + 1, 3) ** 2
+            coeffs = [s - r * c for s, c in zip([0] + coeffs, coeffs + [0])]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        ints = [int(c * den) for c in coeffs]
+        g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+        return {
+            "m": m,
+            "rational_coefficients": [str(c) for c in coeffs],
+            "integer_coefficients": [str(c // g) for c in ints],
+            "scale": str(Fraction(den, g)),
+            "c_m": str(-coeffs[0]),
+            "d_m": str(coeffs[-1]),
+        }
+
+    def test_poly_text(self, tmp_path):
+        out = tmp_path / "p.json"
+        for m in range(1, 31):
+            assert run(["poly", "--m", str(m), "-o", str(out)]) == 0
+            assert out.read_text() == json.dumps(self.expected_poly(m), indent=2), m
+
+    @pytest.mark.parametrize("chain", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 5, 12])
+    def test_verify_document(self, tmp_path, m, chain):
+        predicted = [str(Fraction(2 * j + 1, 3) ** 2) for j in range(1, m + 2)]
+        stages = ["build_ms", "oracle_ms", "factorization_ms", "system_ms"]
+        if chain and m >= 2:
+            stages.append("monotonicity_ms")
+        expected = {
+            "m": m,
+            "predicted": predicted,
+            "oracle": predicted,
+            "oracle_matches": True,
+            "factorization_ok": True,
+            "factorization_failures": [],
+            "system_ok": True,
+            "monotonicity_ok": True,
+            "timings_ms": dict.fromkeys(stages),
+        }
+        out = tmp_path / "v.json"
+        assert run(["verify", "--m", str(m), *(["--chain"] * chain), "-o", str(out)]) == 0
+        text = out.read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2)
+        assert all(isinstance(v, float) and v >= 0 for v in doc["timings_ms"].values())
+        doc["timings_ms"] = dict.fromkeys(doc["timings_ms"])
+        assert json.dumps(doc) == json.dumps(expected)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--m", "3"],
+        ["poly", "--m", "1", "--format", "json"],
+        ["verify", "--m", "5", "--chain", "--threads", "2"],
+        ["verify", "--m", "1", "--tamper"],
+    ],
+    ids=["roots", "format", "threads", "tamper"],
+)
+def test_removed_surface_is_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
 
 
 def test_usage_error_on_unknown_command():

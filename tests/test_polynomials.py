@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from amnmodes.polynomials import IntPoly, RatPoly, poly_eval, primitive_integer_form
-from amnmodes.rationals import rational_from_string, rational_to_string
+from amnmodes.polynomials import IntPoly, RatPoly, primitive_integer_form, rational_to_string
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -18,13 +17,13 @@ polys = st.lists(rationals, max_size=6).map(RatPoly)
 
 def test_eval_known_roots():
     p = RatPoly([25, -34, 9])  # 9t^2 - 34t + 25
-    assert poly_eval(p, 1) == 0
-    assert poly_eval(p, Fraction(25, 9)) == 0
-    assert poly_eval(p, 0) == 25
+    assert p(1) == 0
+    assert p(Fraction(25, 9)) == 0
+    assert p(0) == 25
 
 
 def test_eval_zero_polynomial():
-    assert poly_eval(RatPoly(), Fraction(7, 3)) == 0
+    assert RatPoly()(Fraction(7, 3)) == 0
 
 
 def test_trailing_zeros_stripped():
@@ -84,9 +83,9 @@ def test_primitive_integer_form_idempotent(p):
 
 @given(polys, polys, rationals)
 def test_eval_is_ring_homomorphism(a, b, x):
-    assert poly_eval(a + b, x) == poly_eval(a, x) + poly_eval(b, x)
-    assert poly_eval(a * b, x) == poly_eval(a, x) * poly_eval(b, x)
-    assert poly_eval(a - b, x) == poly_eval(a, x) - poly_eval(b, x)
+    assert (a + b)(x) == a(x) + b(x)
+    assert (a * b)(x) == a(x) * b(x)
+    assert (a - b)(x) == a(x) - b(x)
 
 
 def test_intpoly_invariants_enforced():
@@ -119,4 +118,4 @@ def test_rational_canonicalization_bulk():
 
 def test_rational_string_round_trip():
     for s in ("5/3", "-9/10", "7", "0"):
-        assert rational_to_string(rational_from_string(s)) == s
+        assert rational_to_string(Fraction(s)) == s

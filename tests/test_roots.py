@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from amnmodes.polynomials import IntPoly, RatPoly
-from amnmodes.recurrence import build_amn_polynomial
+from amnmodes import roots
+from amnmodes.polynomials import IntPoly, RatPoly, primitive_integer_form
+from amnmodes.recurrence import AmnPolynomial, build_amn_polynomial
 from amnmodes.roots import (
     check_root_solutions,
     deflate,
@@ -137,6 +138,12 @@ def test_verification_report_schema():
     assert set(report["timings_ms"]) >= {"build_ms", "oracle_ms", "factorization_ms"}
 
 
-def test_verification_report_tamper_hook():
-    report = verification_report(1, tamper=True)
+def test_verification_report_tamper_hook(monkeypatch):
+    def tampered(m, pairs=None):
+        bad = build_amn_polynomial(m, pairs).rational + RatPoly([1])
+        return AmnPolynomial(m, bad, *primitive_integer_form(bad))
+
+    monkeypatch.setattr(roots, "build_amn_polynomial", tampered)
+    report = verification_report(1)
     assert report["factorization_ok"] is False
+    assert report["oracle_matches"] is False
