@@ -147,7 +147,46 @@ class IntPoly:
         return hash(self.coeffs)
 
     def __call__(self, x) -> Fraction:
-        return self.as_ratpoly()(x)
+        """Exact value, through the integer `homogeneous` form."""
+        x = Fraction(x)
+        return Fraction(self.homogeneous(x.numerator, x.denominator), x.denominator**self.degree)
+
+    def homogeneous(self, n: int, q: int) -> int:
+        """q**D * P(n/q) = sum c_k n**k q**(D-k), D the degree; ints only.
+
+        Zero exactly when n/q is a root (q != 0), so root tests need no
+        Fraction arithmetic.
+        """
+        cs = self.coeffs
+        acc = cs[-1]
+        qk = 1
+        for c in reversed(cs[:-1]):
+            qk *= q
+            acc = acc * n + c * qk
+        return acc
+
+    def divide_linear(self, n: int, q: int) -> "IntPoly":
+        """Exact quotient P / (q*t - n) as a primitive integer polynomial.
+
+        n/q is first put in lowest terms with q > 0, so q*t - n is
+        primitive; by Gauss's lemma the quotient is then integer and
+        primitive with positive leading coefficient.  Raises ValueError
+        when n/q is not a root, like `roots.deflate`.
+        """
+        if q == 0:
+            raise ValueError("divisor q*t - n must have degree 1")
+        g = math.gcd(n, q) if q > 0 else -math.gcd(n, q)
+        n, q = n // g, q // g
+        out = []
+        acc = 0
+        for c in reversed(self.coeffs[1:]):
+            acc, rem = divmod(c + n * acc, q)
+            if rem:
+                raise ValueError(f"{n}/{q} is not a root")
+            out.append(acc)
+        if self.coeffs[0] + n * acc != 0:
+            raise ValueError(f"{n}/{q} is not a root")
+        return IntPoly(reversed(out))
 
     def as_ratpoly(self) -> RatPoly:
         return RatPoly(self.coeffs)

@@ -192,6 +192,36 @@ def verify_system(s: AnsatzSolution) -> list[Fraction]:
     return res
 
 
+def system_polynomials(m: int, pairs: list[CoeffPair]) -> list[RatPoly]:
+    """The 2m+1 equations of `verify_system` as polynomials in t = b0**2.
+
+    Same order: the a-equations 2j p_j - (2m+5-2j) p_{j-1} + 3t q_{j-1},
+    the b-equations (2k+3) q_k - (2m+2-2k) q_{k-1} - 3 p_k with the
+    common factor b0 removed, then the closing p_m - t q_m.  At b0 != 0
+    the residuals of `verify_system` vanish exactly where these do at
+    t = b0**2.  The recurrence makes the first 2m identically zero; the
+    closing one is -P_m, zero only at the roots.
+    """
+    p = [pair.p for pair in pairs]
+    q = [pair.q for pair in pairs]
+    res = []
+    # coefficient-wise: one RatPoly per equation instead of one per term
+    for j in range(1, m + 1):
+        w = 2 * m + 5 - 2 * j
+        n = max(len(p[j].coeffs), len(p[j - 1].coeffs), len(q[j - 1].coeffs) + 1)
+        res.append(RatPoly(
+            2 * j * p[j][i] - w * p[j - 1][i] + 3 * q[j - 1][i - 1] for i in range(n)
+        ))
+    for k in range(1, m + 1):
+        w = 2 * m + 2 - 2 * k
+        n = max(len(q[k].coeffs), len(q[k - 1].coeffs), len(p[k].coeffs))
+        res.append(RatPoly(
+            (2 * k + 3) * q[k][i] - w * q[k - 1][i] - 3 * p[k][i] for i in range(n)
+        ))
+    res.append(p[m] - q[m].shift())
+    return res
+
+
 def lift_solution(s: AnsatzSolution) -> AnsatzSolution:
     """Order m -> m+1 via multiplication by (1 + |x|**2).
 

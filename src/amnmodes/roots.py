@@ -17,12 +17,11 @@ from fractions import Fraction
 from .polynomials import IntPoly, RatPoly, primitive_integer_form, rational_to_string
 from .recurrence import (
     AmnPolynomial,
-    AnsatzSolution,
     CoeffPair,
     build_amn_polynomial,
     closed_form_extremes,
     coefficient_polynomials,
-    verify_system,
+    system_polynomials,
 )
 
 
@@ -62,8 +61,9 @@ class FactorizationReport:
 def verify_factorization(m: int, amn: AmnPolynomial | None = None) -> FactorizationReport:
     """Check P_m against its claimed complete factorization.
 
-    Three exact checks: each predicted root evaluates to zero; the
-    expanded product d_m * prod(t - root) matches the rational P_m
+    Three exact checks: each predicted root evaluates to zero (in
+    integers, on `amn.integer`); the expanded product
+    d_m * prod(t - root) matches the rational P_m
     coefficient-for-coefficient; the constant term equals
     d_m * (-1)**(m+1) * prod(roots) = -c_m.  `amn` is built from m when
     not given.
@@ -75,9 +75,8 @@ def verify_factorization(m: int, amn: AmnPolynomial | None = None) -> Factorizat
     failures = []
 
     for r in roots:
-        v = amn.rational(r)
-        if v != 0:
-            failures.append(f"P_{m}({rational_to_string(r)}) = {v} != 0")
+        if amn.integer(r) != 0:
+            failures.append(f"P_{m}({rational_to_string(r)}) = {amn.rational(r)} != 0")
 
     product = RatPoly([d])
     for r in roots:
@@ -152,9 +151,12 @@ def _abs_root_bound(coeffs: tuple) -> Fraction:
 
 def _divisors_in_range(factors: dict[int, int], lo: int, hi: int) -> list[int]:
     """Divisors d with lo <= d <= hi, by pruned recursive generation."""
-    items = sorted(factors.items())
-    suffix = [1] * (len(items) + 1)
-    for i in range(len(items) - 1, -1, -1):
+    # largest primes first: small primes with high exponents would
+    # otherwise multiply the branches of every level below them
+    items = sorted(factors.items(), reverse=True)
+    depth = len(items)
+    suffix = [1] * (depth + 1)
+    for i in range(depth - 1, -1, -1):
         p, e = items[i]
         suffix[i] = suffix[i + 1] * p**e
     out: list[int] = []
@@ -162,7 +164,7 @@ def _divisors_in_range(factors: dict[int, int], lo: int, hi: int) -> list[int]:
     def rec(i: int, v: int):
         if v > hi or v * suffix[i] < lo:
             return
-        if i == len(items):
+        if i == depth:
             if v >= lo:
                 out.append(v)
             return
@@ -178,7 +180,7 @@ def _divisors_in_range(factors: dict[int, int], lo: int, hi: int) -> list[int]:
     return out
 
 
-def _iter_candidates(p: RatPoly, factor_bound: int):
+def _iter_candidates(p: IntPoly, factor_bound: int):
     """Yield rational-root-theorem candidates of an integer polynomial.
 
     Candidates p/q (lowest terms, both signs) with p dividing the
@@ -187,7 +189,7 @@ def _iter_candidates(p: RatPoly, factor_bound: int):
     window, so a caller that deflates early never touches the huge
     divisor windows of large denominators.
     """
-    coeffs = tuple(c.numerator for c in p.coeffs)
+    coeffs = p.coeffs
     const, lead = coeffs[0], coeffs[-1]
     ub = _abs_root_bound(coeffs)
     lb = 1 / _abs_root_bound(tuple(reversed(coeffs)))
@@ -217,25 +219,23 @@ def rational_root_oracle(
     coefficients divide those of p, so its candidates are a subset of
     the ones already scheduled.  Candidates are pre-filtered by the
     (q -+ p) | P(+-1) divisibility tests against the current deflation.
-    Errors loudly if the candidate budget or factor bound is exceeded.
+    All arithmetic is on integers: `IntPoly.homogeneous` tests a
+    candidate, `IntPoly.divide_linear` deflates.  Errors loudly if the
+    candidate budget or factor bound is exceeded.
     """
     if p.degree < 1:
         raise ValueError("oracle requires degree >= 1")
-    current = p.as_ratpoly()
+    current = p
     roots: set[Fraction] = set()
     tested = 0
 
     while current[0] == 0:
         roots.add(Fraction(0))
-        current = RatPoly(current.coeffs[1:])
+        current = IntPoly(current.coeffs[1:])
     if current.degree < 1:
         return frozenset(roots)
 
-    def at_pm1(poly):
-        # integer values of a primitive integer polynomial at +-1
-        return int(poly(1)), int(poly(-1))
-
-    cur_at_1, cur_at_m1 = at_pm1(current)
+    cur_at_1, cur_at_m1 = current.homogeneous(1, 1), current.homogeneous(-1, 1)
     for num, q in _iter_candidates(current, factor_bound):
         if current.degree < 1:
             break
@@ -249,13 +249,10 @@ def rational_root_oracle(
             tested += 1
             if tested > candidate_budget:
                 raise ValueError(f"candidate budget {candidate_budget} exceeded")
-            cand = Fraction(pn, q)
-            while current.degree >= 1 and current(cand) == 0:
-                roots.add(cand)
-                current = deflate(current, cand)
-                if current.degree >= 1:
-                    current = primitive_integer_form(current)[0].as_ratpoly()
-                    cur_at_1, cur_at_m1 = at_pm1(current)
+            while current.degree >= 1 and current.homogeneous(pn, q) == 0:
+                roots.add(Fraction(pn, q))
+                current = current.divide_linear(pn, q)
+                cur_at_1, cur_at_m1 = current.homogeneous(1, 1), current.homogeneous(-1, 1)
     return frozenset(roots)
 
 
@@ -272,27 +269,29 @@ def check_root_solutions(m: int, pairs: list[CoeffPair] | None = None) -> list[F
     Empty list means every predicted root, with both signs of b0, yields
     an exact solution of the coefficient system.  `pairs` is the chain of
     `coefficient_polynomials(m)`, built here when not given.
+
+    The system is checked in t = b0**2 through `system_polynomials`: the
+    2m recurrence equations are polynomial identities, so each needs one
+    check, and only the nonzero ones (normally just the closing
+    p_m - t*q_m, built from pairs[m]) are evaluated at each root, in
+    integers as 9**D * R((2j+1)**2 / 9).  Both signs of b0 share t.
     """
     if pairs is None:
         pairs = coefficient_polynomials(m)
+    residuals = system_polynomials(m, pairs)
+    nonzero = [primitive_integer_form(r)[0] for r in residuals if not r.is_zero]
     bad = []
     for j in range(1, m + 2):
-        t = Fraction(2 * j + 1, 3) ** 2
-        # the pair evaluations depend only on t = b0**2; share them across signs
-        pa = tuple(pair.p(t) for pair in pairs)
-        qa = tuple(pair.q(t) for pair in pairs)
-        for sign in (1, -1):
-            b0 = Fraction(sign * (2 * j + 1), 3)
-            s = AnsatzSolution(m, b0, pa, tuple(b0 * v for v in qa))
-            if any(r != 0 for r in verify_system(s)):
-                bad.append(b0)
+        n = (2 * j + 1) ** 2
+        if any(r.homogeneous(n, 9) != 0 for r in nonzero):
+            bad += [Fraction(2 * j + 1, 3), Fraction(-(2 * j + 1), 3)]
     return bad
 
 
 def check_inclusion(m: int) -> list[tuple[int, Fraction]]:
     """Roots of P_{m-1} at which P_m fails to vanish (empty = inclusion holds)."""
-    rational = build_amn_polynomial(m).rational
-    return [(m, r) for r in predicted_roots(m - 1).roots if rational(r) != 0]
+    integer = build_amn_polynomial(m).integer
+    return [(m, r) for r in predicted_roots(m - 1).roots if integer(r) != 0]
 
 
 def monotonicity_check(m_max: int) -> MonotonicityReport:

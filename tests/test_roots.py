@@ -3,10 +3,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from amnmodes import roots
 from amnmodes.polynomials import IntPoly, RatPoly, primitive_integer_form
-from amnmodes.recurrence import AmnPolynomial, build_amn_polynomial
+from amnmodes.recurrence import (
+    AmnPolynomial,
+    CoeffPair,
+    build_amn_polynomial,
+    coefficient_polynomials,
+    instantiate_solution,
+    verify_system,
+)
 from amnmodes.roots import (
     check_root_solutions,
     deflate,
@@ -18,6 +27,16 @@ from amnmodes.roots import (
 )
 
 F = Fraction
+
+
+@st.composite
+def root_multisets(draw):
+    """Rational roots, some repeated: negatives, zero, any denominator <= 12."""
+    distinct = draw(st.lists(
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        min_size=1, max_size=4, unique=True,
+    ))
+    return distinct + draw(st.lists(st.sampled_from(distinct), max_size=2))
 
 
 class TestPredictedRoots:
@@ -84,6 +103,21 @@ class TestOracle:
         with pytest.raises(ValueError, match="factor bound"):
             rational_root_oracle(IntPoly([1000003, 0, 1]), factor_bound=10**3)
 
+    def test_candidate_budget_errors_loudly(self):
+        # (t-1)(t-2)(t-3): the second candidate tested passes the budget of 1
+        with pytest.raises(ValueError, match="candidate budget 1 exceeded"):
+            rational_root_oracle(IntPoly([-6, 11, -6, 1]), candidate_budget=1)
+
+    @given(root_multisets())
+    @example([F(0), F(0), F(-5, 7), F(-5, 7), F(3, 2)])
+    @example([F(1), F(25, 9), F(25, 9), F(-7, 4), F(11, 10)])
+    def test_finds_exactly_the_linear_factors(self, rs):
+        # prod (q t - n) over the roots n/q, times t^2 + 1, which has none
+        poly = RatPoly([1, 0, 1])
+        for r in rs:
+            poly = poly * RatPoly([-r.numerator, r.denominator])
+        assert rational_root_oracle(primitive_integer_form(poly)[0]) == set(rs)
+
     def test_agrees_with_prediction_small(self):
         for m in range(1, 9):
             amn = build_amn_polynomial(m)
@@ -107,6 +141,15 @@ class TestDeflation:
             assert current.degree == 0
             assert current.coeffs[0] != 0
 
+    def test_integer_division_matches_deflate(self):
+        for m in range(1, 11):
+            amn = build_amn_polynomial(m)
+            rational, integer = amn.rational, amn.integer
+            for r in predicted_roots(m).roots:
+                rational = deflate(rational, r)
+                integer = integer.divide_linear(r.numerator, r.denominator)
+                assert integer == primitive_integer_form(rational)[0]
+
 
 class TestMonotonicity:
     def test_chain_m6(self):
@@ -120,10 +163,59 @@ class TestMonotonicity:
             monotonicity_check(1)
 
 
+def reference_root_solutions(m, pairs):
+    """The per-root route: instantiate each b0 = +-(2j+1)/3, run verify_system."""
+    bad = []
+    for j in range(1, m + 2):
+        for sign in (1, -1):
+            b0 = F(sign * (2 * j + 1), 3)
+            if any(r != 0 for r in verify_system(instantiate_solution(m, b0, pairs))):
+                bad.append(b0)
+    return bad
+
+
+def perturbed(pairs, j, dp=(), dq=()):
+    out = list(pairs)
+    out[j] = CoeffPair(j, pairs[j].p + RatPoly(dp), pairs[j].q + RatPoly(dq))
+    return out
+
+
 class TestSystemAtRoots:
     def test_both_signs_solve(self):
         for m in (1, 2, 5):
             assert check_root_solutions(m) == []
+
+    def test_matches_reference_route(self):
+        for m in range(1, 13):
+            pairs = coefficient_polynomials(m)
+            assert check_root_solutions(m, pairs) == reference_root_solutions(m, pairs) == []
+
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # p_j enters a-identities j and j+1 and b-identity j
+            lambda m, pairs: perturbed(pairs, 1, dp=[1]),
+            # q_j, j < m, enters b-identities j and j+1 and a-identity j+1
+            lambda m, pairs: perturbed(pairs, m - 1, dq=[1]),
+            # q_m enters only b-identity m and the closing equation
+            lambda m, pairs: perturbed(pairs, m, dq=[1]),
+        ],
+        ids=["p_j", "q_j", "q_m"],
+    )
+    def test_negative_controls_flag_every_root(self, m, case):
+        pairs = case(m, coefficient_polynomials(m))
+        bad = check_root_solutions(m, pairs)
+        assert bad == reference_root_solutions(m, pairs)
+        assert len(bad) == 2 * (m + 1)
+
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_broken_identity_is_evaluated_at_each_root(self, m):
+        # (t - 1) on p_1: every broken equation still vanishes at t = 1
+        pairs = perturbed(coefficient_polynomials(m), 1, dp=[-1, 1])
+        bad = check_root_solutions(m, pairs)
+        assert bad == reference_root_solutions(m, pairs)
+        assert bad == [F(s * (2 * j + 1), 3) for j in range(2, m + 2) for s in (1, -1)]
 
 
 def test_verification_report_schema():
