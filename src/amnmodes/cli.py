@@ -44,6 +44,8 @@ def _emit(text: str, path: str | None) -> int:
 
 
 def _select_b0(args) -> Fraction:
+    if args.sign is not None and args.j is None:
+        raise ValueError("--sign selects a root sign and needs --j")
     if args.b0 is not None:
         try:
             return Fraction(args.b0)
@@ -54,7 +56,7 @@ def _select_b0(args) -> Fraction:
     else:
         if args.j is None:
             raise ValueError("select b0 with --j/--sign, --designated, or --b0")
-        j, sign = args.j, +1 if args.sign == "+" else -1
+        j, sign = args.j, -1 if args.sign == "-" else 1
         if not 1 <= j <= args.m + 1:
             raise ValueError(f"root index j must be in 1..{args.m + 1}")
     return Fraction(sign * (2 * j + 1), 3)
@@ -150,11 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_b0=False):
         p.add_argument("--output", "-o", default=None, help="output file (default: stdout)")
         if with_b0:
-            p.add_argument("--j", type=int, default=None, help="root index, 1..m+1")
-            p.add_argument("--sign", choices=["+", "-"], default="+")
-            p.add_argument("--designated", action="store_true",
-                           help="use the designated member (j = m+1, +)")
-            p.add_argument("--b0", default=None, help='explicit rational b0, e.g. "5/3"')
+            member = p.add_mutually_exclusive_group()
+            member.add_argument("--j", type=int, default=None, help="root index, 1..m+1")
+            member.add_argument("--designated", action="store_true",
+                                help="use the designated member (j = m+1, +)")
+            member.add_argument("--b0", default=None, help='explicit rational b0, e.g. "5/3"')
+            p.add_argument("--sign", choices=["+", "-"], default=None,
+                           help="root sign with --j (default +)")
 
     p = sub.add_parser("poly", help="emit P_m in rational and integer form")
     p.add_argument("--m", type=int, required=True)

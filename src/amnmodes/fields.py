@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
-from .recurrence import AnsatzSolution, instantiate_solution, verify_system
+from .recurrence import AnsatzSolution, coefficient_polynomials, instantiate_solution, verify_system
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -46,9 +46,6 @@ class ZeroModeField:
     def __init__(self, solution: AnsatzSolution, label: tuple[int, int] | None = None):
         if any(r != 0 for r in verify_system(solution)):
             raise ValueError("coefficients do not solve the order-m system")
-        self._init_from(solution, label)
-
-    def _init_from(self, solution: AnsatzSolution, label):
         self.m = solution.m
         self.b0 = solution.b0
         self.a = solution.a
@@ -59,47 +56,28 @@ class ZeroModeField:
         self._bf = np.array([float(c) for c in solution.b])
 
     @classmethod
-    def unchecked(cls, solution: AnsatzSolution) -> "ZeroModeField":
-        """Skip the construction-time system check (negative controls only)."""
-        f = cls.__new__(cls)
-        f._init_from(solution, None)
-        return f
-
-    @classmethod
-    def base_mode(cls, b0=1) -> "ZeroModeField":
-        """The order-0 field <x>^-3 (1 + b0 X) phi0; b0 must be +-1."""
-        return cls(instantiate_solution(0, Fraction(b0)))
-
-    @classmethod
-    def from_root(cls, m: int, j: int, sign: int = 1) -> "ZeroModeField":
-        """Family member with b0 = sign*(2j+1)/3, for j = 1..m+1."""
-        if not 1 <= j <= m + 1:
-            raise ValueError("root index j must be in 1..m+1")
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        b0 = Fraction(sign * (2 * j + 1), 3)
-        return cls(instantiate_solution(m, b0), label=(j, sign))
+    def base_mode(cls) -> "ZeroModeField":
+        """The order-0 field <x>^-3 (1 + X) phi0."""
+        return cls(instantiate_solution(0, 1))
 
     @classmethod
     def designated(cls, m: int) -> "ZeroModeField":
-        """The designated member: j = m+1 with positive sign."""
-        if m == 0:
-            return cls.base_mode()
-        return cls.from_root(m, m + 1, 1)
+        """The designated member: j = m+1 with positive sign, b0 = (2m+3)/3."""
+        return cls(instantiate_solution(m, Fraction(2 * m + 3, 3)), label=(m + 1, 1))
 
     # -- pointwise evaluation ------------------------------------------------
 
-    def __call__(self, x) -> np.ndarray:
-        return self.evaluate(x)
+    def _amplitudes(self, r2: float) -> tuple[float, float]:
+        """A(r2) and B(r2) in the power basis."""
+        powers = r2 ** np.arange(self.m + 1)
+        return float(self._af @ powers), float(self._bf @ powers)
 
     def evaluate(self, x) -> np.ndarray:
         """psi(x) as a complex 2-vector."""
         x = np.asarray(x, dtype=float)
         r2 = float(x @ x)
         pref = (1.0 + r2) ** (-(3 + 2 * self.m) / 2)
-        powers = r2 ** np.arange(self.m + 1)
-        amp_a = float(self._af @ powers)
-        amp_b = float(self._bf @ powers)
+        amp_a, amp_b = self._amplitudes(r2)
         # X phi0 = i * (x3, x1 + i x2) for phi0 = (1, 0)
         xphi = 1j * np.array([x[2], x[0] + 1j * x[1]])
         return pref * (amp_a * PHI0 + amp_b * xphi)
@@ -111,19 +89,21 @@ class ZeroModeField:
 
     def vector_potential(self, x) -> np.ndarray:
         """A(x) = h(x) * spin_density(psi(x)) / |psi(x)|^2."""
-        s = self.evaluate(x)
-        n2 = float(np.real(np.conj(s) @ s))
-        if n2 < 1e-30:
-            raise ValueError(f"spinor vanishes at {x}")
-        return self.h(x) * spin_density(s) / n2
+        return _potential(x, self.evaluate(x), self.h(x))[0]
 
     def radial_density(self, r: float) -> float:
         """|psi|^2 on the sphere of radius r (the field norm is radial)."""
         r2 = r * r
-        powers = r2 ** np.arange(self.m + 1)
-        amp_a = float(self._af @ powers)
-        amp_b = float(self._bf @ powers)
+        amp_a, amp_b = self._amplitudes(r2)
         return (1.0 + r2) ** (-(3 + 2 * self.m)) * (amp_a**2 + r2 * amp_b**2)
+
+
+def _potential(x, s: np.ndarray, h: float) -> tuple[np.ndarray, float]:
+    """The vector potential and |s|^2 for s = psi(x) and h = h(x)."""
+    n2 = float(np.real(np.conj(s) @ s))
+    if n2 < 1e-30:
+        raise ValueError(f"spinor vanishes at {x}")
+    return h * spin_density(s) / n2, n2
 
 
 # -- finite-difference residuals ---------------------------------------------
@@ -131,6 +111,8 @@ class ZeroModeField:
 
 def _sigma_d(evaluate, x, step: float) -> np.ndarray:
     """(sigma.D) psi at x; D = -i grad by 4th-order central differences."""
+    if step <= 0:
+        raise ValueError("step must be positive")
     x = np.asarray(x, dtype=float)
     out = np.zeros(2, dtype=complex)
     for k in range(3):
@@ -143,10 +125,14 @@ def _sigma_d(evaluate, x, step: float) -> np.ndarray:
     return out
 
 
+def _residual(f: ZeroModeField, x, s: np.ndarray, a: np.ndarray, step: float) -> float:
+    """|| sigma.(D - A) psi || at x, given s = psi(x) and the potential a = A(x)."""
+    sigma_a = sum(a[k] * SIGMA[k] for k in range(3))
+    return float(np.linalg.norm(_sigma_d(f.evaluate, x, step) - sigma_a @ s))
+
+
 def loss_yau_residual(f: ZeroModeField, x, step: float = 1e-3) -> float:
     """|| (sigma.D) psi - h psi || at x, derivatives by finite differences."""
-    if step <= 0:
-        raise ValueError("step must be positive")
     lhs = _sigma_d(f.evaluate, x, step)
     rhs = f.h(x) * f.evaluate(x)
     return float(np.linalg.norm(lhs - rhs))
@@ -154,12 +140,9 @@ def loss_yau_residual(f: ZeroModeField, x, step: float = 1e-3) -> float:
 
 def weyl_dirac_residual(f: ZeroModeField, x, step: float = 1e-3) -> float:
     """|| sigma.(D - A) psi || at x; A from the induced vector potential."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    a = f.vector_potential(x)
-    sigma_a = sum(a[k] * SIGMA[k] for k in range(3))
-    val = _sigma_d(f.evaluate, x, step) - sigma_a @ f.evaluate(x)
-    return float(np.linalg.norm(val))
+    s = f.evaluate(x)
+    a, _ = _potential(x, s, f.h(x))
+    return _residual(f, x, s, a, step)
 
 
 def l2_norm_squared(f: ZeroModeField, r_max: float = 100.0, tolerance: float = 1e-8) -> float:
@@ -201,14 +184,16 @@ def enumerate_family(m: int) -> list[ZeroModeField]:
     """All 2(m+1) verified fields of order m, both root signs.
 
     Ordered by (j, sign) with the positive sign first; the designated
-    field is the (j = m+1, +) member.
+    field is the (j = m+1, +) member.  The pair chain is built once.
     """
     if m < 1:
         raise ValueError("family enumeration defined for m >= 1")
+    pairs = coefficient_polynomials(m)
     fields = []
     for j in range(1, m + 2):
         for sign in (1, -1):
-            fields.append(ZeroModeField.from_root(m, j, sign))
+            s = instantiate_solution(m, Fraction(sign * (2 * j + 1), 3), pairs)
+            fields.append(ZeroModeField(s, label=(j, sign)))
     return fields
 
 
@@ -222,7 +207,9 @@ CSV_COLUMNS = [
 def sample_grid(f: ZeroModeField, out, extent: float = 2.0, n: int = 5, step: float = 1e-3):
     """Write field samples on a cubic grid as CSV.
 
-    Floats use repr formatting, which round-trips IEEE doubles exactly.
+    Each row comes from one evaluation of psi at the grid point, plus the
+    finite-difference stencil of the residual.  Floats use repr
+    formatting, which round-trips IEEE doubles exactly.
     """
     writer = csv.writer(out)
     writer.writerow(CSV_COLUMNS)
@@ -232,13 +219,14 @@ def sample_grid(f: ZeroModeField, out, extent: float = 2.0, n: int = 5, step: fl
             for x3 in axis:
                 x = np.array([x1, x2, x3])
                 s = f.evaluate(x)
-                a = f.vector_potential(x)
+                h = f.h(x)
+                a, n2 = _potential(x, s, h)
                 row = [
                     x1, x2, x3,
                     s[0].real, s[0].imag, s[1].real, s[1].imag,
-                    float(np.real(np.conj(s) @ s)),
+                    n2,
                     a[0], a[1], a[2],
-                    f.h(x),
-                    weyl_dirac_residual(f, x, step),
+                    h,
+                    _residual(f, x, s, a, step),
                 ]
                 writer.writerow([repr(float(v)) for v in row])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def rational_to_string(q: Fraction) -> str:
@@ -188,9 +188,6 @@ class IntPoly:
             raise ValueError(f"{n}/{q} is not a root")
         return IntPoly(reversed(out))
 
-    def as_ratpoly(self) -> RatPoly:
-        return RatPoly(self.coeffs)
-
     def coefficient_strings(self) -> list[str]:
         """Decimal strings, ascending power order (JSON wire format).
 
@@ -198,10 +195,6 @@ class IntPoly:
         quickly as the degree climbs.
         """
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, strings: Sequence[str]) -> "IntPoly":
-        return cls(int(s) for s in strings)
 
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)})"

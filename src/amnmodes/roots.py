@@ -119,21 +119,6 @@ def _factorize(n: int, bound: int) -> dict[int, int]:
     return factors
 
 
-def _divisors_up_to(factors: dict[int, int], limit: int) -> list[int]:
-    divs = [1]
-    for prime, exp in factors.items():
-        new = []
-        for d in divs:
-            v = d
-            for _ in range(exp + 1):
-                if v > limit:
-                    break
-                new.append(v)
-                v *= prime
-        divs = new
-    return sorted(divs)
-
-
 def _abs_root_bound(coeffs: tuple) -> Fraction:
     """Lagrange bound on the absolute value of any root; exact rational."""
     lead = abs(coeffs[-1])
@@ -197,7 +182,7 @@ def _iter_candidates(p: IntPoly, factor_bound: int):
     const_factors = _factorize(const, factor_bound)
     lead_factors = _factorize(lead, factor_bound)
 
-    for q in _divisors_up_to(lead_factors, abs(lead)):
+    for q in sorted(_divisors_in_range(lead_factors, 1, abs(lead))):
         lo = max(1, math.ceil(lb * q))
         hi = math.floor(ub * q)
         for num in _divisors_in_range(const_factors, lo, hi):

@@ -16,6 +16,25 @@ def run(args):
     return main(args)
 
 
+def exit_code(args):
+    """The exit code, whether main returns it or argparse exits with it."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+# member selectors that conflict, or a --sign that no --j would read
+CONFLICTING_SELECTORS = (
+    ["--designated", "--sign", "-"],
+    ["--j", "1", "--b0", "5/3"],
+    ["--j", "1", "--designated"],
+    ["--designated", "--b0", "5/3"],
+    ["--b0", "5/3", "--sign", "+"],
+    ["--sign", "-"],
+)
+
+
 def tampered_build(m, pairs=None):
     """P_m with its constant term plus 1: no longer has the predicted roots."""
     bad = build_amn_polynomial(m, pairs).rational + RatPoly([1])
@@ -105,6 +124,10 @@ class TestMode:
     def test_j_out_of_range(self, capsys):
         assert run(["mode", "--m", "2", "--j", "9"]) == 2
 
+    @pytest.mark.parametrize("selectors", CONFLICTING_SELECTORS, ids=" ".join)
+    def test_conflicting_selectors(self, selectors, capsys):
+        assert exit_code(["mode", "--m", "2", *selectors]) == 2
+
 
 class TestField:
     def test_csv_schema(self, tmp_path):
@@ -132,6 +155,12 @@ class TestField:
             capsys.readouterr()
             assert run(["field", "--m", "1", "--designated", *bad]) == 2, bad
             assert capsys.readouterr().err.startswith("error:"), bad
+
+    @pytest.mark.parametrize("selectors", CONFLICTING_SELECTORS, ids=" ".join)
+    def test_conflicting_selectors(self, selectors, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert exit_code(["field", "--m", "2", "--grid", "2", *selectors, "-o", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestBench:

@@ -1,5 +1,6 @@
 """Numeric spinor fields: evaluation, potentials, residual oracles."""
 
+import csv
 import io
 import math
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from amnmodes import fields, recurrence
 from amnmodes.fields import (
     CSV_COLUMNS,
     ZeroModeField,
@@ -128,10 +130,11 @@ class TestLossYauResidual:
         order = np.polyfit(np.log(steps), np.log(res), 1)[0]
         assert 3.5 <= order <= 4.5
 
-    def test_floor_on_perturbed_field(self):
+    def test_floor_on_perturbed_field(self, monkeypatch):
         s = instantiate_solution(1, F(5, 3))
         bad = AnsatzSolution(1, s.b0, (s.a[0], s.a[1] + F(1, 10)), s.b)
-        f = ZeroModeField.unchecked(bad)
+        monkeypatch.setattr(fields, "verify_system", lambda solution: [])  # admit the non-solution
+        f = ZeroModeField(bad)
         x = np.array([0.4, 0.1, -0.7])
         residuals = [loss_yau_residual(f, x, h) for h in (1e-2, 1e-3, 1e-4)]
         assert min(residuals) >= 1e-3
@@ -188,6 +191,22 @@ class TestFamily:
         assert len(fam) == 8
         assert {abs(f.b0) for f in fam} == {1, F(5, 3), F(7, 3), 3}
 
+    def test_pair_chain_built_once(self, monkeypatch):
+        original = recurrence.coefficient_polynomials
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return original(m)
+
+        # patch every module that binds the builder, as a caller would see it
+        for module in (recurrence, fields):
+            if getattr(module, "coefficient_polynomials", None) is original:
+                monkeypatch.setattr(module, "coefficient_polynomials", counted)
+        fam = enumerate_family(5)
+        assert len(fam) == 12
+        assert calls == [5]
+
 
 class TestCsvSampling:
     def test_header_and_round_trip(self, base):
@@ -200,3 +219,45 @@ class TestCsvSampling:
         assert len(values) == len(CSV_COLUMNS)
         # repr formatting round-trips doubles exactly
         assert values[0] == -1.0
+
+    def test_one_psi_evaluation_per_point(self, order1, monkeypatch):
+        original = ZeroModeField.evaluate
+        calls = []
+
+        def counted(self, x):
+            calls.append(1)
+            return original(self, x)
+
+        monkeypatch.setattr(ZeroModeField, "evaluate", counted)
+        sample_grid(order1, io.StringIO(), extent=1.0, n=3)
+        # psi(x) once, plus the 12-point stencil of the residual
+        assert len(calls) == 13 * 3**3
+
+    @pytest.mark.parametrize(
+        "m, b0", [(0, None), (1, None), (6, None), (5, F(-7, 3))],
+        ids=["designated-0", "designated-1", "designated-6", "m5-j3-minus"],
+    )
+    def test_rows_match_public_per_point_calls(self, m, b0):
+        """A sample row equals the row built from the public per-point calls."""
+        f = ZeroModeField.designated(m) if b0 is None else ZeroModeField(instantiate_solution(m, b0))
+        extent, n, step = 2.0, 3, 1e-3
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(CSV_COLUMNS)
+        for x1 in np.linspace(-extent, extent, n):
+            for x2 in np.linspace(-extent, extent, n):
+                for x3 in np.linspace(-extent, extent, n):
+                    x = np.array([x1, x2, x3])
+                    s = f.evaluate(x)
+                    row = [
+                        x1, x2, x3,
+                        s[0].real, s[0].imag, s[1].real, s[1].imag,
+                        float(np.real(np.conj(s) @ s)),
+                        *f.vector_potential(x),
+                        f.h(x),
+                        weyl_dirac_residual(f, x, step),
+                    ]
+                    writer.writerow([repr(float(v)) for v in row])
+        got = io.StringIO()
+        sample_grid(f, got, extent=extent, n=n, step=step)
+        assert got.getvalue() == expected.getvalue()
