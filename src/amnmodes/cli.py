@@ -119,6 +119,9 @@ def cmd_field(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     return _emit(buf.getvalue(), args.output)
 
 
@@ -167,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="full exact verification for one m")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--chain", action="store_true",
-                   help="also check the inclusion chain up to m, in up to one worker process per CPU")
+                   help="also check the inclusion chain up to m")
     common(p)
 
     p = sub.add_parser("mode", help="emit the coefficient solution for a chosen b0")

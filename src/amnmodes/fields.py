@@ -209,24 +209,29 @@ def sample_grid(f: ZeroModeField, out, extent: float = 2.0, n: int = 5, step: fl
 
     Each row comes from one evaluation of psi at the grid point, plus the
     finite-difference stencil of the residual.  Floats use repr
-    formatting, which round-trips IEEE doubles exactly.
+    formatting, which round-trips IEEE doubles exactly.  The first point
+    with a non-finite value (power-basis overflow) raises FloatingPointError.
     """
     writer = csv.writer(out)
     writer.writerow(CSV_COLUMNS)
     axis = np.linspace(-extent, extent, n)
-    for x1 in axis:
-        for x2 in axis:
-            for x3 in axis:
-                x = np.array([x1, x2, x3])
-                s = f.evaluate(x)
-                h = f.h(x)
-                a, n2 = _potential(x, s, h)
-                row = [
-                    x1, x2, x3,
-                    s[0].real, s[0].imag, s[1].real, s[1].imag,
-                    n2,
-                    a[0], a[1], a[2],
-                    h,
-                    _residual(f, x, s, a, step),
-                ]
-                writer.writerow([repr(float(v)) for v in row])
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise below
+        for x1 in axis:
+            for x2 in axis:
+                for x3 in axis:
+                    x = np.array([x1, x2, x3])
+                    s = f.evaluate(x)
+                    h = f.h(x)
+                    a, n2 = _potential(x, s, h)
+                    row = [
+                        x1, x2, x3,
+                        s[0].real, s[0].imag, s[1].real, s[1].imag,
+                        n2,
+                        a[0], a[1], a[2],
+                        h,
+                        _residual(f, x, s, a, step),
+                    ]
+                    row = [float(v) for v in row]
+                    if not all(map(math.isfinite, row)):
+                        raise FloatingPointError(f"non-finite field value at x = {tuple(row[:3])}")
+                    writer.writerow([repr(v) for v in row])

@@ -24,6 +24,18 @@ def rational_to_string(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def homogeneous(coeffs: tuple, n: int, q: int) -> int:
+    """q**D * P(n/q) = sum c_k n**k q**(D-k), c_k ascending, D = len(coeffs) - 1.
+
+    Ints only; zero exactly when n/q is a root (q != 0).
+    """
+    acc, qk = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * n + c * qk
+        qk *= q
+    return acc
+
+
 class RatPoly:
     """Immutable dense polynomial with Fraction coefficients."""
 
@@ -69,12 +81,6 @@ class RatPoly:
             out[i] += c
         return RatPoly(out)
 
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "RatPoly":
-        return self.scale(-1)
-
     def __mul__(self, other: "RatPoly") -> "RatPoly":
         if self.is_zero or other.is_zero:
             return RatPoly()
@@ -87,12 +93,6 @@ class RatPoly:
     def scale(self, k) -> "RatPoly":
         k = Fraction(k)
         return RatPoly(c * k for c in self.coeffs)
-
-    def shift(self, n: int = 1) -> "RatPoly":
-        """Multiply by t**n."""
-        if self.is_zero:
-            return self
-        return RatPoly((Fraction(0),) * n + self.coeffs)
 
     def __call__(self, x) -> Fraction:
         """Exact Horner evaluation."""
@@ -152,18 +152,8 @@ class IntPoly:
         return Fraction(self.homogeneous(x.numerator, x.denominator), x.denominator**self.degree)
 
     def homogeneous(self, n: int, q: int) -> int:
-        """q**D * P(n/q) = sum c_k n**k q**(D-k), D the degree; ints only.
-
-        Zero exactly when n/q is a root (q != 0), so root tests need no
-        Fraction arithmetic.
-        """
-        cs = self.coeffs
-        acc = cs[-1]
-        qk = 1
-        for c in reversed(cs[:-1]):
-            qk *= q
-            acc = acc * n + c * qk
-        return acc
+        """q**D * P(n/q), D the degree; see the module-level `homogeneous`."""
+        return homogeneous(self.coeffs, n, q)
 
     def divide_linear(self, n: int, q: int) -> "IntPoly":
         """Exact quotient P / (q*t - n) as a primitive integer polynomial.

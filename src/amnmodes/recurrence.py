@@ -5,26 +5,31 @@ parity in b0: a_j = p_j(b0**2) and b_j = b0 * q_j(b0**2).  Working in the
 variable t = b0**2 halves every degree and makes the order-m closing
 polynomial P_m(t) = t*q_m(t) - p_m(t) appear directly.
 
-Two independent routes build the chain of (p_j, q_j) pairs: stepwise
-forward substitution (`advance_pair`) and a 2x2 polynomial-matrix product
-(`matrix_chain_pair`); tests check they agree.
+Two independent routes build the chain of (p_j, q_j) pairs: fraction-free
+stepwise substitution in integers (`advance_pair`) and a 2x2 matrix
+product of polynomials over the rationals (`matrix_chain_pair`); tests
+check they agree.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
-from .polynomials import IntPoly, RatPoly, primitive_integer_form, rational_to_string
+from .polynomials import IntPoly, RatPoly, homogeneous, primitive_integer_form, rational_to_string
 
 
 @dataclass(frozen=True)
 class CoeffPair:
-    """The pair (p_j, q_j) encoding a_j and b_j at one recurrence index."""
+    """(p_j, q_j) as integer coefficient tuples, ascending in t, over one
+    common denominator: p_j = p(t)/den and q_j = q(t)/den, den > 0."""
 
     j: int
-    p: RatPoly
-    q: RatPoly
+    p: tuple
+    q: tuple
+    den: int
 
 
 @dataclass(frozen=True)
@@ -37,38 +42,38 @@ class AnsatzSolution:
     b: tuple
 
 
-def seed_pair(m: int) -> CoeffPair:
-    """The j=1 pair: p1 = ((2m+3) - 3t)/2, q1 = ((10m+9) - 9t)/10."""
+def seed_pair(m: int) -> tuple[RatPoly, RatPoly]:
+    """The j=1 pair in closed form: p1 = ((2m+3) - 3t)/2, q1 = ((10m+9) - 9t)/10."""
     if m < 1:
         raise ValueError("seed defined for m >= 1")
     p1 = RatPoly([Fraction(2 * m + 3, 2), Fraction(-3, 2)])
     q1 = RatPoly([Fraction(10 * m + 9, 10), Fraction(-9, 10)])
-    return CoeffPair(1, p1, q1)
+    return p1, q1
 
 
 def advance_pair(m: int, j: int, prev: CoeffPair) -> CoeffPair:
-    """One recurrence step: pair j-1 -> pair j, for 2 <= j <= m."""
-    if not 2 <= j <= m:
-        raise ValueError("advance defined for 2 <= j <= m")
+    """One recurrence step: pair j-1 -> pair j, for 1 <= j <= m.
+
+    The rational step p_j = (w p_{j-1} - 3t q_{j-1}) / 2j,
+    q_j = (3w p_{j-1} + 2j(2m+2-2j) q_{j-1} - 9t q_{j-1}) / 2j(2j+3),
+    w = 2m+5-2j, taken fraction-free over the denominator den*2j(2j+3).
+    From pair 0 = (1, 1) the j = 1 step gives the closed-form `seed_pair`.
+    """
+    if not 1 <= j <= m:
+        raise ValueError("advance defined for 1 <= j <= m")
     if prev.j != j - 1:
         raise ValueError("pair index must be j-1")
     w = 2 * m + 5 - 2 * j
-    p = (prev.p.scale(w) - prev.q.shift().scale(3)).scale(Fraction(1, 2 * j))
-    q = (
-        prev.p.scale(3 * w)
-        + prev.q.scale(2 * j * (2 * m + 2 - 2 * j))
-        - prev.q.shift().scale(9)
-    ).scale(Fraction(1, 2 * j * (2 * j + 3)))
-    return CoeffPair(j, p, q)
+    v = 2 * j * (2 * m + 2 - 2 * j)
+    cols = zip_longest(prev.p, prev.q, (0,) + prev.q, fillvalue=0)  # p, q, t*q
+    p, q = zip(*(((2 * j + 3) * (w * a - 3 * c), 3 * w * a + v * b - 9 * c) for a, b, c in cols))
+    return CoeffPair(j, p, q, prev.den * 2 * j * (2 * j + 3))
 
 
 def coefficient_polynomials(m: int) -> list[CoeffPair]:
     """Full chain of pairs j = 0..m; pair 0 encodes a_0 = 1, b_0 = b0."""
-    one = RatPoly([1])
-    if m == 0:
-        return [CoeffPair(0, one, one)]
-    pairs = [CoeffPair(0, one, one), seed_pair(m)]
-    for j in range(2, m + 1):
+    pairs = [CoeffPair(0, (1,), (1,), 1)]
+    for j in range(1, m + 1):
         pairs.append(advance_pair(m, j, pairs[-1]))
     return pairs
 
@@ -92,11 +97,11 @@ def recurrence_matrix(m: int, p: int) -> tuple[RatPoly, RatPoly, RatPoly, RatPol
     )
 
 
-def matrix_chain_pair(m: int, j: int) -> CoeffPair:
-    """Pair j via the explicit matrix product K_j K_{j-1} ... K_2 on the seed.
+def matrix_chain_pair(m: int, j: int) -> tuple[RatPoly, RatPoly]:
+    """(p_j, q_j) via the explicit matrix product K_j K_{j-1} ... K_2 on the seed.
 
     Deliberately a different computational path from `advance_pair`: the
-    matrices are multiplied out first, then applied once.
+    matrices are multiplied out first over the rationals, then applied once.
     """
     if j == 1:
         return seed_pair(m)
@@ -111,8 +116,8 @@ def matrix_chain_pair(m: int, j: int) -> CoeffPair:
             k[2] * acc[0] + k[3] * acc[2],
             k[2] * acc[1] + k[3] * acc[3],
         )
-    s = seed_pair(m)
-    return CoeffPair(j, acc[0] * s.p + acc[1] * s.q, acc[2] * s.p + acc[3] * s.q)
+    p1, q1 = seed_pair(m)
+    return acc[0] * p1 + acc[1] * q1, acc[2] * p1 + acc[3] * q1
 
 
 @dataclass(frozen=True)
@@ -131,7 +136,9 @@ def build_amn_polynomial(m: int, pairs: list[CoeffPair] | None = None) -> AmnPol
     if pairs is None:
         pairs = coefficient_polynomials(m)
     last = pairs[m]
-    rational = last.q.shift() - last.p
+    # t*q - p in integers; only this polynomial becomes rational
+    cols = zip_longest(last.p, (0,) + last.q, fillvalue=0)
+    rational = RatPoly(Fraction(c - a, last.den) for a, c in cols)
     integer, scale = primitive_integer_form(rational)
     return AmnPolynomial(m, rational, integer, scale)
 
@@ -167,11 +174,16 @@ def instantiate_solution(
     if m < 0:
         raise ValueError("order must be nonnegative")
     b0 = Fraction(b0)
-    t = b0 * b0
+    n, q = b0.numerator**2, b0.denominator**2
     if pairs is None:
         pairs = coefficient_polynomials(m)
-    a = tuple(pair.p(t) for pair in pairs)
-    b = tuple(b0 * pair.q(t) for pair in pairs)
+
+    def at(cs: tuple, den: int) -> Fraction:
+        # cs(t)/den at t = n/q, through the integer q**D * cs(n/q)
+        return Fraction(homogeneous(cs, n, q), q ** (len(cs) - 1) * den)
+
+    a = tuple(at(pair.p, pair.den) for pair in pairs)
+    b = tuple(b0 * at(pair.q, pair.den) for pair in pairs)
     return AnsatzSolution(m, b0, a, b)
 
 
@@ -192,34 +204,30 @@ def verify_system(s: AnsatzSolution) -> list[Fraction]:
     return res
 
 
-def system_polynomials(m: int, pairs: list[CoeffPair]) -> list[RatPoly]:
-    """The 2m+1 equations of `verify_system` as polynomials in t = b0**2.
+def system_polynomials(m: int, pairs: list[CoeffPair]) -> list[tuple]:
+    """The 2m+1 equations of `verify_system` as integer polynomials in t = b0**2.
 
     Same order: the a-equations 2j p_j - (2m+5-2j) p_{j-1} + 3t q_{j-1},
     the b-equations (2k+3) q_k - (2m+2-2k) q_{k-1} - 3 p_k with the
-    common factor b0 removed, then the closing p_m - t q_m.  At b0 != 0
-    the residuals of `verify_system` vanish exactly where these do at
+    common factor b0 removed, then the closing p_m - t q_m; each times
+    the lcm of the denominators of the pairs it reads, so the
+    coefficients are integers (ascending in t).  At b0 != 0 the
+    residuals of `verify_system` vanish exactly where these do at
     t = b0**2.  The recurrence makes the first 2m identically zero; the
-    closing one is -P_m, zero only at the roots.
+    closing one is a multiple of -P_m, zero only at the roots.
     """
-    p = [pair.p for pair in pairs]
-    q = [pair.q for pair in pairs]
-    res = []
-    # coefficient-wise: one RatPoly per equation instead of one per term
+    a_eqs, b_eqs = [], []
     for j in range(1, m + 1):
-        w = 2 * m + 5 - 2 * j
-        n = max(len(p[j].coeffs), len(p[j - 1].coeffs), len(q[j - 1].coeffs) + 1)
-        res.append(RatPoly(
-            2 * j * p[j][i] - w * p[j - 1][i] + 3 * q[j - 1][i - 1] for i in range(n)
-        ))
-    for k in range(1, m + 1):
-        w = 2 * m + 2 - 2 * k
-        n = max(len(q[k].coeffs), len(q[k - 1].coeffs), len(p[k].coeffs))
-        res.append(RatPoly(
-            (2 * k + 3) * q[k][i] - w * q[k - 1][i] - 3 * p[k][i] for i in range(n)
-        ))
-    res.append(p[m] - q[m].shift())
-    return res
+        prev, cur = pairs[j - 1], pairs[j]
+        g = math.gcd(prev.den, cur.den)
+        u, v = prev.den // g, cur.den // g  # both equations j times lcm(den_{j-1}, den_j)
+        wa, wb = 2 * m + 5 - 2 * j, (2 * m + 2 - 2 * j) * v
+        cols = zip_longest(cur.p, prev.p, (0,) + prev.q, fillvalue=0)
+        a_eqs.append(tuple(2 * j * u * a - v * (wa * b - 3 * c) for a, b, c in cols))
+        cols = zip_longest(cur.q, cur.p, prev.q, fillvalue=0)
+        b_eqs.append(tuple(u * ((2 * j + 3) * a - 3 * b) - wb * c for a, b, c in cols))
+    closing = tuple(a - c for a, c in zip_longest(pairs[m].p, (0,) + pairs[m].q, fillvalue=0))
+    return a_eqs + b_eqs + [closing]
 
 
 def lift_solution(s: AnsatzSolution) -> AnsatzSolution:

@@ -8,13 +8,11 @@ No floating-point root finding anywhere.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import IntPoly, RatPoly, primitive_integer_form, rational_to_string
+from .polynomials import IntPoly, RatPoly, homogeneous, rational_to_string
 from .recurrence import (
     AmnPolynomial,
     CoeffPair,
@@ -256,39 +254,33 @@ def check_root_solutions(m: int, pairs: list[CoeffPair] | None = None) -> list[F
     `coefficient_polynomials(m)`, built here when not given.
 
     The system is checked in t = b0**2 through `system_polynomials`: the
-    2m recurrence equations are polynomial identities, so each needs one
-    check, and only the nonzero ones (normally just the closing
+    2m recurrence equations are integer polynomial identities, so each
+    needs one check, and only the nonzero ones (normally just the closing
     p_m - t*q_m, built from pairs[m]) are evaluated at each root, in
     integers as 9**D * R((2j+1)**2 / 9).  Both signs of b0 share t.
     """
     if pairs is None:
         pairs = coefficient_polynomials(m)
-    residuals = system_polynomials(m, pairs)
-    nonzero = [primitive_integer_form(r)[0] for r in residuals if not r.is_zero]
+    nonzero = [r for r in system_polynomials(m, pairs) if any(r)]
     bad = []
     for j in range(1, m + 2):
         n = (2 * j + 1) ** 2
-        if any(r.homogeneous(n, 9) != 0 for r in nonzero):
+        if any(homogeneous(r, n, 9) != 0 for r in nonzero):
             bad += [Fraction(2 * j + 1, 3), Fraction(-(2 * j + 1), 3)]
     return bad
-
-
-def check_inclusion(m: int) -> list[tuple[int, Fraction]]:
-    """Roots of P_{m-1} at which P_m fails to vanish (empty = inclusion holds)."""
-    integer = build_amn_polynomial(m).integer
-    return [(m, r) for r in predicted_roots(m - 1).roots if integer(r) != 0]
 
 
 def monotonicity_check(m_max: int) -> MonotonicityReport:
     """Confirm the root-set chain: every root of P_{m-1} is a root of P_m.
 
-    Each inclusion builds its own P_m, so the m_max - 1 checks are
-    independent and run in up to `os.cpu_count()` worker processes.
+    Each P_m is built on its own (the recurrence depends on m), in turn.
     """
     if m_max < 2:
         raise ValueError("chain check requires m_max >= 2")
-    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, m_max - 1)) as pool:
-        failures = [f for fs in pool.map(check_inclusion, range(2, m_max + 1)) for f in fs]
+    failures = []
+    for m in range(2, m_max + 1):
+        integer = build_amn_polynomial(m).integer
+        failures += [(m, r) for r in predicted_roots(m - 1).roots if integer(r) != 0]
     return MonotonicityReport(m_max, not failures, tuple(failures))
 
 

@@ -156,6 +156,16 @@ class TestField:
             assert run(["field", "--m", "1", "--designated", *bad]) == 2, bad
             assert capsys.readouterr().err.startswith("error:"), bad
 
+    def test_non_finite_values_fail(self, tmp_path, capsys):
+        # the order-50 power basis overflows at |x| ~ 1e3: NaN rows, no CSV
+        out = tmp_path / "f.csv"
+        argv = ["field", "--m", "50", "--designated", "--grid", "2", "--extent", "1e3"]
+        assert run([*argv, "-o", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: non-finite field value at x = (-1000.0, -1000.0, -1000.0)\n"
+        )
+
     @pytest.mark.parametrize("selectors", CONFLICTING_SELECTORS, ids=" ".join)
     def test_conflicting_selectors(self, selectors, tmp_path, capsys):
         out = tmp_path / "f.csv"
@@ -199,7 +209,7 @@ class TestGolden:
 
     def test_poly_text(self, tmp_path):
         out = tmp_path / "p.json"
-        for m in range(1, 31):
+        for m in [*range(1, 31), 64, 100, 200]:
             assert run(["poly", "--m", str(m), "-o", str(out)]) == 0
             assert out.read_text() == json.dumps(self.expected_poly(m), indent=2), m
 

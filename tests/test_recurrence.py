@@ -6,6 +6,7 @@ import pytest
 
 from amnmodes.polynomials import RatPoly
 from amnmodes.recurrence import (
+    CoeffPair,
     advance_pair,
     build_amn_polynomial,
     closed_form_extremes,
@@ -20,21 +21,29 @@ from amnmodes.recurrence import (
 
 F = Fraction
 
+PAIR0 = CoeffPair(0, (1,), (1,), 1)
+
+
+def rational(pair):
+    """(p_j, q_j) of an integer pair as RatPoly, each coefficient over pair.den."""
+    return tuple(RatPoly(F(c, pair.den) for c in cs) for cs in (pair.p, pair.q))
+
 
 class TestSeed:
     def test_m1(self):
-        s = seed_pair(1)
-        assert s.p == RatPoly([F(5, 2), F(-3, 2)])
-        assert s.q == RatPoly([F(19, 10), F(-9, 10)])
+        p, q = seed_pair(1)
+        assert p == RatPoly([F(5, 2), F(-3, 2)])
+        assert q == RatPoly([F(19, 10), F(-9, 10)])
 
     def test_m3(self):
-        s = seed_pair(3)
-        assert s.p == RatPoly([F(9, 2), F(-3, 2)])
-        assert s.q == RatPoly([F(39, 10), F(-9, 10)])
+        p, q = seed_pair(3)
+        assert p == RatPoly([F(9, 2), F(-3, 2)])
+        assert q == RatPoly([F(39, 10), F(-9, 10)])
 
     def test_m1_eval_at_root(self):
         # the order-1 solution has a_1 = -5/3 at t = 25/9
-        assert seed_pair(1).p(F(25, 9)) == F(-5, 3)
+        p, _ = seed_pair(1)
+        assert p(F(25, 9)) == F(-5, 3)
 
     def test_m0_rejected(self):
         with pytest.raises(ValueError, match="seed defined for m >= 1"):
@@ -42,38 +51,40 @@ class TestSeed:
 
 
 class TestAdvance:
+    def test_first_step_is_seed(self):
+        for m in range(1, 31):
+            assert rational(advance_pair(m, 1, PAIR0)) == seed_pair(m)
+
     def test_m2_values_at_root(self):
         # forward substitution in the order-2 system with b0 = 7/3 gives
         # a = (1, -14/3, 7/3), b = (7/3, -14/3, 1)
-        pair2 = advance_pair(2, 2, seed_pair(2))
+        p2, q2 = rational(advance_pair(2, 2, advance_pair(2, 1, PAIR0)))
         t = F(49, 9)
-        assert pair2.p(t) == F(7, 3)
-        assert pair2.q(t) == F(3, 7)  # b2 = b0*q2(t) = 1
+        assert p2(t) == F(7, 3)
+        assert q2(t) == F(3, 7)  # b2 = b0*q2(t) = 1
 
     def test_degrees(self):
         pairs = coefficient_polynomials(5)
-        assert pairs[4].p.degree == 4
-        assert pairs[4].q.degree == 4
+        assert len(pairs[4].p) - 1 == 4
+        assert len(pairs[4].q) - 1 == 4
 
     def test_index_mismatch(self):
         with pytest.raises(ValueError, match="pair index must be j-1"):
-            advance_pair(3, 3, seed_pair(3))
+            advance_pair(3, 3, advance_pair(3, 1, PAIR0))
 
 
 class TestChain:
     def test_m1(self):
         pairs = coefficient_polynomials(1)
         assert len(pairs) == 2
-        assert pairs[0].p == RatPoly([1]) and pairs[0].q == RatPoly([1])
-        assert pairs[1].p == seed_pair(1).p
+        assert pairs[0] == PAIR0
+        assert rational(pairs[1]) == seed_pair(1)
 
     def test_matrix_route_agrees(self):
-        for m in (2, 3, 5, 8):
+        for m in (2, 3, 5, 8, 20):
             pairs = coefficient_polynomials(m)
             for j in range(1, m + 1):
-                mp = matrix_chain_pair(m, j)
-                assert mp.p == pairs[j].p
-                assert mp.q == pairs[j].q
+                assert matrix_chain_pair(m, j) == rational(pairs[j])
 
     def test_m6_reproduces_printed_polynomial(self):
         amn = build_amn_polynomial(6)

@@ -1,6 +1,7 @@
 """Exact root verification: prediction, factorization, oracle, chain."""
 
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given
@@ -162,6 +163,20 @@ class TestMonotonicity:
         with pytest.raises(ValueError):
             monotonicity_check(1)
 
+    def test_broken_member_is_named(self, monkeypatch):
+        # P_5 + 1 vanishes at no root of P_4; every other P_m is untouched
+        def tampered(m, pairs=None):
+            amn = build_amn_polynomial(m, pairs)
+            if m != 5:
+                return amn
+            bad = amn.rational + RatPoly([1])
+            return AmnPolynomial(m, bad, *primitive_integer_form(bad))
+
+        monkeypatch.setattr(roots, "build_amn_polynomial", tampered)
+        report = monotonicity_check(7)
+        assert not report.ok
+        assert report.failures == tuple((5, r) for r in predicted_roots(4).roots)
+
 
 def reference_root_solutions(m, pairs):
     """The per-root route: instantiate each b0 = +-(2j+1)/3, run verify_system."""
@@ -175,8 +190,15 @@ def reference_root_solutions(m, pairs):
 
 
 def perturbed(pairs, j, dp=(), dq=()):
+    """The chain with the integer polynomials dp, dq added to p_j, q_j."""
     out = list(pairs)
-    out[j] = CoeffPair(j, pairs[j].p + RatPoly(dp), pairs[j].q + RatPoly(dq))
+    p, q, den = pairs[j].p, pairs[j].q, pairs[j].den
+    out[j] = CoeffPair(
+        j,
+        tuple(c + den * d for c, d in zip_longest(p, dp, fillvalue=0)),
+        tuple(c + den * d for c, d in zip_longest(q, dq, fillvalue=0)),
+        den,
+    )
     return out
 
 
