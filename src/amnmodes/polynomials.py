@@ -155,29 +155,6 @@ class IntPoly:
         """q**D * P(n/q), D the degree; see the module-level `homogeneous`."""
         return homogeneous(self.coeffs, n, q)
 
-    def divide_linear(self, n: int, q: int) -> "IntPoly":
-        """Exact quotient P / (q*t - n) as a primitive integer polynomial.
-
-        n/q is first put in lowest terms with q > 0, so q*t - n is
-        primitive; by Gauss's lemma the quotient is then integer and
-        primitive with positive leading coefficient.  Raises ValueError
-        when n/q is not a root, like `roots.deflate`.
-        """
-        if q == 0:
-            raise ValueError("divisor q*t - n must have degree 1")
-        g = math.gcd(n, q) if q > 0 else -math.gcd(n, q)
-        n, q = n // g, q // g
-        out = []
-        acc = 0
-        for c in reversed(self.coeffs[1:]):
-            acc, rem = divmod(c + n * acc, q)
-            if rem:
-                raise ValueError(f"{n}/{q} is not a root")
-            out.append(acc)
-        if self.coeffs[0] + n * acc != 0:
-            raise ValueError(f"{n}/{q} is not a root")
-        return IntPoly(reversed(out))
-
     def coefficient_strings(self) -> list[str]:
         """Decimal strings, ascending power order (JSON wire format).
 

@@ -1,8 +1,9 @@
 """Exact root verification for the closing polynomials.
 
-Everything here is exact: evaluation, deflation by synthetic division,
-and a rational-root search that never consults the predicted root set.
-No floating-point root finding anywhere.
+Everything here is exact: the factorization check multiplies out the
+predicted linear factors in integers, and the rational-root oracle finds
+the roots from P_m alone, by p-adic lifting, never consulting the
+predicted set.  No floating-point root finding anywhere.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 
-from .polynomials import IntPoly, RatPoly, homogeneous, rational_to_string
+from .polynomials import IntPoly, homogeneous, rational_to_string
 from .recurrence import (
     AmnPolynomial,
     CoeffPair,
@@ -36,19 +38,6 @@ def predicted_roots(m: int) -> RootSet:
     return RootSet(m, tuple(Fraction(2 * j + 1, 3) ** 2 for j in range(1, m + 2)))
 
 
-def deflate(p: RatPoly, r) -> RatPoly:
-    """Exact synthetic division of p by (t - r); r must be a root."""
-    r = Fraction(r)
-    out = []
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * r + c
-        out.append(acc)
-    if out[-1] != 0:
-        raise ValueError(f"{r} is not a root")
-    return RatPoly(reversed(out[:-1]))
-
-
 @dataclass(frozen=True)
 class FactorizationReport:
     m: int
@@ -59,12 +48,12 @@ class FactorizationReport:
 def verify_factorization(m: int, amn: AmnPolynomial | None = None) -> FactorizationReport:
     """Check P_m against its claimed complete factorization.
 
-    Three exact checks: each predicted root evaluates to zero (in
-    integers, on `amn.integer`); the expanded product
-    d_m * prod(t - root) matches the rational P_m
-    coefficient-for-coefficient; the constant term equals
-    d_m * (-1)**(m+1) * prod(roots) = -c_m.  `amn` is built from m when
-    not given.
+    Exact checks: each predicted root n/q evaluates to zero (in integers,
+    on `amn.integer`); prod(q*t - n), primitive by Gauss's lemma, equals
+    `amn.integer`, and the rational P_m has leading coefficient d_m, so
+    P_m = d_m * prod(t - root); the constant term
+    d_m * (-1)**(m+1) * prod(roots) equals -c_m.  `amn` is built from m
+    when not given.
     """
     if amn is None:
         amn = build_amn_polynomial(m)
@@ -76,16 +65,21 @@ def verify_factorization(m: int, amn: AmnPolynomial | None = None) -> Factorizat
         if amn.integer(r) != 0:
             failures.append(f"P_{m}({rational_to_string(r)}) = {amn.rational(r)} != 0")
 
-    product = RatPoly([d])
+    product = [1]
     for r in roots:
-        product = product * RatPoly([-r, 1])
-    if product != amn.rational:
-        for i in range(max(product.degree, amn.rational.degree) + 1):
-            if product[i] != amn.rational[i]:
+        n, q = r.numerator, r.denominator
+        product = [q * a - n * b for a, b in zip([0, *product], [*product, 0])]
+    product = IntPoly(product)
+    if product != amn.integer:
+        for i in range(max(product.degree, amn.integer.degree) + 1):
+            if product[i] != amn.integer[i]:
                 failures.append(
-                    f"coefficient of t^{i}: product {product[i]} != P_m {amn.rational[i]}"
+                    f"coefficient of t^{i}: product {product[i]} != P_m {amn.integer[i]}"
                 )
                 break
+    lead = amn.rational[amn.rational.degree]
+    if lead != d:
+        failures.append(f"leading coefficient {lead} != d_m {d}")
 
     prod_roots = math.prod(roots, start=Fraction(1))
     if d * (-1) ** (m + 1) * prod_roots != -c:
@@ -94,148 +88,129 @@ def verify_factorization(m: int, amn: AmnPolynomial | None = None) -> Factorizat
     return FactorizationReport(m, not failures, tuple(failures))
 
 
-def _factorize(n: int, bound: int) -> dict[int, int]:
-    """Trial-division factorization; errors loudly past the bound.
+# primes tried per search, from the first one above 2*deg upward
+PRIME_SEARCH = 32
 
-    The coefficients met here are smooth (powers of 3 and products of
-    small odd squares), so a modest bound suffices.
+
+def _value_and_slope(f: tuple, x: int, mod: int) -> tuple[int, int]:
+    """(f(x), f'(x)) mod `mod`, by one Horner pass; f ascending."""
+    v = d = 0
+    for c in reversed(f):
+        d = (d * x + v) % mod
+        v = (v * x + c) % mod
+    return v, d
+
+
+def _simple_roots_mod_p(f: tuple) -> tuple[int, list[int]] | None:
+    """The first prime p > 2*deg in the search window that does not divide
+    the leading coefficient and keeps every root of f mod p simple, with
+    those roots (by brute-force scan); None when no prime qualifies."""
+    primes = (k for k in count(2 * len(f) - 1) if all(k % d for d in range(2, math.isqrt(k) + 1)))
+    for p in islice(primes, PRIME_SEARCH):
+        if f[-1] % p == 0:
+            continue
+        fp = tuple(c % p for c in f)
+        values = [_value_and_slope(fp, x, p) for x in range(p)]
+        if (0, 0) not in values:
+            return p, [x for x, (v, _) in enumerate(values) if v == 0]
+    return None
+
+
+def _primitive(f: list) -> list:
+    g = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
+    return [c // g for c in f]
+
+
+def _pseudo_divmod(a: list, b: list) -> tuple[list, list]:
+    """(q, r) with lc(b)**k * a = q*b + r and deg r < deg b; ascending ints."""
+    a, q, lc, db = list(a), [0] * max(len(a) - len(b) + 1, 0), b[-1], len(b) - 1
+    for i in range(len(q) - 1, -1, -1):
+        c = a[i + db]
+        q = [lc * x for x in q]
+        a = [lc * x for x in a]
+        q[i] = c
+        for k, bk in enumerate(b):
+            a[i + k] -= c * bk
+    r = a[:db]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
+def _squarefree_part(f: tuple) -> tuple:
+    """f / gcd(f, f') over Z, primitive: same roots, each of them simple."""
+    a, b = list(f), [k * c for k, c in enumerate(f)][1:]
+    while b:
+        a, b = b, _pseudo_divmod(a, b)[1]
+        if b:
+            b = _primitive(b)
+    return tuple(_primitive(_pseudo_divmod(f, _primitive(a))[0]))
+
+
+def _reconstruct(r: int, modulus: int) -> tuple[int, int]:
+    """n/q with n = q*r (mod modulus), 0 < q and |n|, q <= sqrt(modulus/2).
+
+    Half-extended Euclid (Wang): such a fraction is unique when it exists,
+    and this finds it; (0, 1) when there is none (0 is never a candidate).
     """
-    n = abs(n)
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        if d > bound:
-            raise ValueError(f"factor bound {bound} exceeded on cofactor {n}")
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        if n > bound:
-            raise ValueError(f"factor bound {bound} exceeded on prime {n}")
-        factors[n] = factors.get(n, 0) + 1
-    return factors
+    bound = math.isqrt(modulus // 2)
+    r0, r1, s0, s1 = modulus, r, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
+    if not 0 < abs(s1) <= bound or math.gcd(r1, s1) != 1:
+        return 0, 1
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _abs_root_bound(coeffs: tuple) -> Fraction:
-    """Lagrange bound on the absolute value of any root; exact rational."""
-    lead = abs(coeffs[-1])
-    best = Fraction(0)
-    n = len(coeffs) - 1
-    for k in range(1, n + 1):
-        ratio = Fraction(abs(coeffs[n - k]), lead)
-        # rational k-th root upper estimate: smallest power-of-two cover
-        r = Fraction(1)
-        while r**k < ratio:
-            r *= 2
-        best = max(best, r)
-    return 2 * best
+def rational_root_oracle(p: IntPoly, candidate_budget: int = 2_000_000) -> frozenset:
+    """Complete set of rational roots, by p-adic lifting (R. Loos, SIAM J.
+    Comput. 12, 1983); independent of `predicted_roots`.
 
-
-def _divisors_in_range(factors: dict[int, int], lo: int, hi: int) -> list[int]:
-    """Divisors d with lo <= d <= hi, by pruned recursive generation."""
-    # largest primes first: small primes with high exponents would
-    # otherwise multiply the branches of every level below them
-    items = sorted(factors.items(), reverse=True)
-    depth = len(items)
-    suffix = [1] * (depth + 1)
-    for i in range(depth - 1, -1, -1):
-        p, e = items[i]
-        suffix[i] = suffix[i + 1] * p**e
-    out: list[int] = []
-
-    def rec(i: int, v: int):
-        if v > hi or v * suffix[i] < lo:
-            return
-        if i == depth:
-            if v >= lo:
-                out.append(v)
-            return
-        p, e = items[i]
-        w = v
-        for _ in range(e + 1):
-            rec(i + 1, w)
-            w *= p
-            if w > hi:
-                break
-
-    rec(0, 1)
-    return out
-
-
-def _iter_candidates(p: IntPoly, factor_bound: int):
-    """Yield rational-root-theorem candidates of an integer polynomial.
-
-    Candidates p/q (lowest terms, both signs) with p dividing the
-    constant and q dividing the leading coefficient.  Denominators come
-    out ascending, numerators restricted to the two-sided Lagrange root
-    window, so a caller that deflates early never touches the huge
-    divisor windows of large denominators.
-    """
-    coeffs = p.coeffs
-    const, lead = coeffs[0], coeffs[-1]
-    ub = _abs_root_bound(coeffs)
-    lb = 1 / _abs_root_bound(tuple(reversed(coeffs)))
-
-    const_factors = _factorize(const, factor_bound)
-    lead_factors = _factorize(lead, factor_bound)
-
-    for q in sorted(_divisors_in_range(lead_factors, 1, abs(lead))):
-        lo = max(1, math.ceil(lb * q))
-        hi = math.floor(ub * q)
-        for num in _divisors_in_range(const_factors, lo, hi):
-            if math.gcd(num, q) != 1:
-                continue
-            yield num, q
-
-
-def rational_root_oracle(
-    p: IntPoly, factor_bound: int = 10**6, candidate_budget: int = 2_000_000
-) -> frozenset:
-    """Complete set of rational roots, by enumeration and deflation.
-
-    Independent of `predicted_roots`: divisor enumeration over the
-    constant and leading coefficients of p, exact evaluation of each
-    candidate, exact deflation on every hit (with multiplicity).  One
-    enumeration pass suffices: by Gauss's lemma the deflated factor is
-    again a primitive integer polynomial whose constant and leading
-    coefficients divide those of p, so its candidates are a subset of
-    the ones already scheduled.  Candidates are pre-filtered by the
-    (q -+ p) | P(+-1) divisibility tests against the current deflation.
-    All arithmetic is on integers: `IntPoly.homogeneous` tests a
-    candidate, `IntPoly.divide_linear` deflates.  Errors loudly if the
-    candidate budget or factor bound is exceeded.
+    Zero roots are split off.  A rational root n/q has n | const and
+    q | lead, so for a prime p not dividing lead it reduces to a root of
+    P mod p; the prime is chosen so that every such root is simple (P is
+    replaced by its squarefree part if no prime in the window qualifies).
+    Each root is Newton-lifted, doubling the precision, and rational
+    reconstruction proposes a candidate after every step; those with
+    n | const and q | lead are tested exactly.  Past p**k >
+    2*max(|const|, lead)**2 a rational root cannot fail to reconstruct,
+    so lifting stops there and no root is missed.  Errors loudly if more
+    than `candidate_budget` candidates are tested.
     """
     if p.degree < 1:
         raise ValueError("oracle requires degree >= 1")
-    current = p
-    roots: set[Fraction] = set()
-    tested = 0
-
-    while current[0] == 0:
-        roots.add(Fraction(0))
-        current = IntPoly(current.coeffs[1:])
-    if current.degree < 1:
+    zeros = next(i for i, c in enumerate(p.coeffs) if c)
+    roots = {Fraction(0)} if zeros else set()
+    f = p.coeffs[zeros:]
+    if len(f) == 1:
         return frozenset(roots)
-
-    cur_at_1, cur_at_m1 = current.homogeneous(1, 1), current.homogeneous(-1, 1)
-    for num, q in _iter_candidates(current, factor_bound):
-        if current.degree < 1:
-            break
-        for sign in (1, -1):
-            pn = sign * num
-            # divisibility filters: p/q a root forces (q - pn) | P(1), (q + pn) | P(-1)
-            if cur_at_1 != 0 and q != pn and cur_at_1 % (q - pn) != 0:
-                continue
-            if cur_at_m1 != 0 and q != -pn and cur_at_m1 % (q + pn) != 0:
-                continue
-            tested += 1
-            if tested > candidate_budget:
-                raise ValueError(f"candidate budget {candidate_budget} exceeded")
-            while current.degree >= 1 and current.homogeneous(pn, q) == 0:
-                roots.add(Fraction(pn, q))
-                current = current.divide_linear(pn, q)
-                cur_at_1, cur_at_m1 = current.homogeneous(1, 1), current.homogeneous(-1, 1)
+    found = _simple_roots_mod_p(f)
+    if found is None:
+        f = _squarefree_part(f)
+        found = _simple_roots_mod_p(f)
+    if found is None:
+        raise ValueError("no prime in the search window keeps the roots of P mod p simple")
+    prime, residues = found
+    const, lead = f[0], f[-1]
+    stop = 2 * max(abs(const), lead) ** 2
+    tested = 0
+    for r in residues:
+        modulus = prime
+        while True:
+            n, q = _reconstruct(r, modulus)
+            if n and const % n == 0 and lead % q == 0:
+                tested += 1
+                if tested > candidate_budget:
+                    raise ValueError(f"candidate budget {candidate_budget} exceeded")
+                if homogeneous(f, n, q) == 0:
+                    roots.add(Fraction(n, q))
+                    break
+            if modulus > stop:
+                break
+            modulus *= modulus
+            v, d = _value_and_slope(f, r, modulus)
+            r = (r - v * pow(d, -1, modulus)) % modulus
     return frozenset(roots)
 
 

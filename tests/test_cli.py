@@ -74,15 +74,10 @@ class TestVerify:
         assert doc["oracle"] == doc["predicted"]
         assert doc["factorization_ok"] and doc["system_ok"]
 
-    def test_chain(self, tmp_path):
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_chain(self, tmp_path, m):
         out = tmp_path / "v.json"
-        assert run(["verify", "--m", "4", "--chain", "-o", str(out)]) == 0
-        assert json.loads(out.read_text())["monotonicity_ok"] is True
-
-    def test_chain_parallel(self, tmp_path):
-        # m = 5 gives four inclusion checks, spread over the worker pool
-        out = tmp_path / "v.json"
-        assert run(["verify", "--m", "5", "--chain", "-o", str(out)]) == 0
+        assert run(["verify", "--m", str(m), "--chain", "-o", str(out)]) == 0
         assert json.loads(out.read_text())["monotonicity_ok"] is True
 
     def test_tamper_hook_fails(self, tmp_path, monkeypatch):
@@ -91,6 +86,11 @@ class TestVerify:
         assert run(["verify", "--m", "1", "-o", str(out)]) == 1
         doc = json.loads(out.read_text())
         assert doc["factorization_ok"] is False
+        assert doc["factorization_failures"] == [
+            "P_1(1) = 1 != 0",
+            "P_1(25/9) = 1 != 0",
+            "coefficient of t^0: product 25 != P_m 15",
+        ]
         assert doc["oracle_matches"] is False
 
     def test_bad_m(self, capsys):
@@ -213,8 +213,10 @@ class TestGolden:
             assert run(["poly", "--m", str(m), "-o", str(out)]) == 0
             assert out.read_text() == json.dumps(self.expected_poly(m), indent=2), m
 
-    @pytest.mark.parametrize("chain", [False, True])
-    @pytest.mark.parametrize("m", [1, 2, 5, 12])
+    @pytest.mark.parametrize(
+        "m, chain",
+        [(m, chain) for m in (1, 2, 5, 12) for chain in (False, True)] + [(64, False), (200, False)],
+    )
     def test_verify_document(self, tmp_path, m, chain):
         predicted = [str(Fraction(2 * j + 1, 3) ** 2) for j in range(1, m + 2)]
         stages = ["build_ms", "oracle_ms", "factorization_ms", "system_ms"]

@@ -132,30 +132,3 @@ def test_homogeneous_matches_rational_horner(p, x):
     n, q = x.numerator, x.denominator
     assert p.homogeneous(n, q) == RatPoly(p.coeffs)(x) * q**p.degree
     assert p(x) == RatPoly(p.coeffs)(x)
-
-
-@given(int_polys, st.fractions(min_value=-30, max_value=30, max_denominator=12))
-def test_divide_linear_inverts_multiplication(p, r):
-    n, q = r.numerator, r.denominator
-    product, _ = primitive_integer_form(RatPoly(p.coeffs) * RatPoly([-n, q]))
-    # the same factor spelled with a common factor or the other sign
-    for args in ((n, q), (3 * n, 3 * q), (-n, -q)):
-        assert product.divide_linear(*args) == p
-
-
-def test_divide_linear_rejects_non_factor():
-    with pytest.raises(ValueError, match="not a root"):
-        IntPoly([1, 0, 1]).divide_linear(1, 1)
-    with pytest.raises(ValueError, match="not a root"):
-        IntPoly([25, -34, 9]).divide_linear(5, 3)  # 5/3 is not a root; 25/9 is
-    with pytest.raises(ValueError, match="not a root"):
-        IntPoly([1]).divide_linear(0, 1)
-
-
-def test_divide_linear_quotient_is_primitive():
-    # (3t - 2)(t^2 + 1), divided by -(3t - 2) and by 2(3t - 2)
-    p = IntPoly([-2, 3, -2, 3])
-    for n, q in ((-2, -3), (4, 6)):
-        quotient = p.divide_linear(n, q)
-        assert quotient.coeffs == (1, 0, 1)
-    assert IntPoly([-2, 3]).divide_linear(2, 3).coeffs == (1,)

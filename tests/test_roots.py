@@ -1,5 +1,6 @@
 """Exact root verification: prediction, factorization, oracle, chain."""
 
+import math
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -13,13 +14,14 @@ from amnmodes.recurrence import (
     AmnPolynomial,
     CoeffPair,
     build_amn_polynomial,
+    closed_form_extremes,
     coefficient_polynomials,
     instantiate_solution,
     verify_system,
 )
 from amnmodes.roots import (
+    PRIME_SEARCH,
     check_root_solutions,
-    deflate,
     monotonicity_check,
     predicted_roots,
     rational_root_oracle,
@@ -28,6 +30,23 @@ from amnmodes.roots import (
 )
 
 F = Fraction
+
+
+def deflate(p, r):
+    """Exact synthetic division of the RatPoly p by (t - r); r must be a root.
+
+    The reference route for `verify_factorization`: P_m deflated by every
+    predicted root leaves the constant d_m.
+    """
+    r = Fraction(r)
+    out = []
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * r + c
+        out.append(acc)
+    if out[-1] != 0:
+        raise ValueError(f"{r} is not a root")
+    return RatPoly(reversed(out[:-1]))
 
 
 @st.composite
@@ -99,10 +118,27 @@ class TestOracle:
         with pytest.raises(ValueError, match="degree >= 1"):
             rational_root_oracle(IntPoly([1]))
 
-    def test_factor_bound_errors_loudly(self):
-        # constant has the 7-digit prime factor 1000003
-        with pytest.raises(ValueError, match="factor bound"):
-            rational_root_oracle(IntPoly([1000003, 0, 1]), factor_bound=10**3)
+    def test_large_prime_constant_has_no_roots(self):
+        # t^2 + 1000003 has no root mod 5, so nothing is lifted
+        assert rational_root_oracle(IntPoly([1000003, 0, 1])) == frozenset()
+
+    def test_squared_factors_take_the_squarefree_part(self):
+        # 5 is a double root mod every prime, so the oracle must reduce to
+        # the squarefree part; one of 2, 3, 6 is a square mod every odd
+        # prime, so a squared quadratic also has a double root mod p
+        poly = RatPoly([3, 7]) * RatPoly([-5, 1]) * RatPoly([-5, 1])
+        for c in (2, 3, 6):
+            poly = poly * RatPoly([-c, 0, 1]) * RatPoly([-c, 0, 1])
+        p = primitive_integer_form(poly)[0]
+        assert roots._simple_roots_mod_p(p.coeffs) is None
+        assert rational_root_oracle(p) == {5, F(-3, 7)}
+
+    def test_no_usable_prime_errors_loudly(self):
+        # t^2 - c has the double root 0 mod every prime of the window above 4
+        window = [k for k in range(5, 10**4) if all(k % d for d in range(2, k))][:PRIME_SEARCH]
+        c = math.prod(window)
+        with pytest.raises(ValueError, match="no prime in the search window"):
+            rational_root_oracle(IntPoly([-c, 0, 1]))
 
     def test_candidate_budget_errors_loudly(self):
         # (t-1)(t-2)(t-3): the second candidate tested passes the budget of 1
@@ -120,7 +156,7 @@ class TestOracle:
         assert rational_root_oracle(primitive_integer_form(poly)[0]) == set(rs)
 
     def test_agrees_with_prediction_small(self):
-        for m in range(1, 9):
+        for m in [*range(1, 81), 200]:
             amn = build_amn_polynomial(m)
             assert rational_root_oracle(amn.integer) == set(predicted_roots(m).roots)
 
@@ -136,20 +172,24 @@ class TestDeflation:
 
     def test_all_roots_simple_up_to_30(self):
         for m in range(1, 31):
-            current = build_amn_polynomial(m).rational
+            amn = build_amn_polynomial(m)
+            current = amn.rational
             for r in predicted_roots(m).roots:
                 current = deflate(current, r)
-            assert current.degree == 0
-            assert current.coeffs[0] != 0
+            assert current == RatPoly([closed_form_extremes(m)[1]])
+            assert verify_factorization(m, amn).ok
 
     def test_integer_division_matches_deflate(self):
+        # the pseudo-division behind the oracle's squarefree reduction
         for m in range(1, 11):
             amn = build_amn_polynomial(m)
-            rational, integer = amn.rational, amn.integer
+            rational, integer = amn.rational, list(amn.integer.coeffs)
             for r in predicted_roots(m).roots:
                 rational = deflate(rational, r)
-                integer = integer.divide_linear(r.numerator, r.denominator)
-                assert integer == primitive_integer_form(rational)[0]
+                integer, rem = roots._pseudo_divmod(integer, [-r.numerator, r.denominator])
+                assert rem == []
+                integer = roots._primitive(integer)
+                assert IntPoly(integer) == primitive_integer_form(rational)[0]
 
 
 class TestMonotonicity:
