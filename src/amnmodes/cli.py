@@ -109,13 +109,11 @@ def cmd_field(args) -> int:
             raise ValueError("--grid must be >= 0")
         if not math.isfinite(args.extent):
             raise ValueError("--extent must be finite")
-        if not 0 < args.step < math.inf:
-            raise ValueError("--step must be positive and finite")
         b0 = _select_b0(args)
         f = fields.ZeroModeField(instantiate_solution(args.m, b0))
         buf = io.StringIO()
         # raises where the spinor underflows to zero, far out on a large --extent
-        fields.sample_grid(f, buf, extent=args.extent, n=args.grid, step=args.step)
+        fields.sample_grid(f, buf, extent=args.extent, n=args.grid)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -181,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--grid", type=int, default=5, help="points per axis")
     p.add_argument("--extent", type=float, default=2.0, help="half-width of the cube")
-    p.add_argument("--step", type=float, default=1e-3, help="finite-difference step")
     common(p, with_b0=True)
 
     p = sub.add_parser("bench", help="timing and coefficient growth per m")

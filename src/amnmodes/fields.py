@@ -1,14 +1,14 @@
-"""Concrete spinor fields built from verified coefficient solutions.
+"""Zero-mode spinor fields in closed form.
 
-A field of order m evaluates
-
-    psi(x) = <x>^-(3+2m) [ A(|x|^2) 1 + B(|x|^2) X ] phi0,
-
-with <x> = sqrt(1 + |x|^2), X = i sigma.x, A and B the even polynomials
-with the exact a_n, b_n coefficients, and phi0 = (1, 0).  Coefficients
-stay exact rationals through construction and become doubles only at
-evaluation, so any residual seen numerically is method error, not
-coefficient error.
+Every verified order-m solution is the order-k designated one
+(b0 = sign (2k+3)/3, 0 <= k <= m) lifted m-k times, and the lifts cancel
+against the prefactor, so psi = <x>^-3 [F_k(s) + sign (-1)^k F_k(1-s) X] phi0
+with s = |x|^2/(1+|x|^2), X = i sigma.x, phi0 = (1, 0) and
+F_k(s) = 2F1(-k, k+3; 3/2; s) = k!/(3/2)_k P_k^(1/2,3/2)(1-2s), a Jacobi
+polynomial (DLMF 15.8.1, 18.5.7).  Construction checks the lifted
+closed-form coefficients exactly; psi and (sigma.D) psi are evaluated on
+arrays of points, the L2 norm exactly.  The finite-difference residuals
+are the independent per-point oracle.
 """
 
 from __future__ import annotations
@@ -18,42 +18,79 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import eval_jacobi
 
-from .recurrence import AnsatzSolution, coefficient_polynomials, instantiate_solution, verify_system
+from .recurrence import AnsatzSolution, coefficient_polynomials, instantiate_solution
+from .recurrence import lift_solution, verify_system
 
-SIGMA = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-PHI0 = np.array([1.0, 0.0], dtype=complex)
+SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # sigma_1..3
+SPINOR_FLOOR = 1e-30  # |psi|^2 below this is a vanished spinor; the potential divides by it
 
 
 def spin_density(s: np.ndarray) -> np.ndarray:
-    """The real 3-vector (s.sigma_k s); its length equals |s|^2."""
-    return np.array([np.real(np.conj(s) @ (sig @ s)) for sig in SIGMA])
+    """The real 3-vectors (s.sigma_k s) of spinors s, shape (..., 2); their length is |s|^2."""
+    return np.einsum("...i,kij,...j->...k", np.conj(s), SIGMA, s).real
+
+
+def _sigma_dot(v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(sigma.v) s, per point."""
+    return np.einsum("...k,kij,...j->...i", v, SIGMA, s)
+
+
+def _radial(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x as floats, u = |x|^2 and the Jacobi argument y = (1-u)/(1+u) = 1 - 2s."""
+    x = np.asarray(x, dtype=float)
+    u = np.sum(x * x, axis=-1)
+    return x, u, (1.0 - u) / (1.0 + u)
+
+
+def _spinor(x: np.ndarray, upper, lower, scale) -> np.ndarray:
+    """scale (upper + lower X) phi0 = scale (upper + i lower x3, lower (i x1 - x2))."""
+    up, down = upper + 1j * lower * x[..., 2], lower * (1j * x[..., 0] - x[..., 1])
+    return np.stack([scale * up, scale * down], axis=-1)
+
+
+def _closed_form(m: int, k: int, sign: int) -> AnsatzSolution:
+    """The order-k designated coefficients with b0 = sign (2k+3)/3, lifted to order m.
+
+    a_n/a_{n-1} = -(k-n+1)(2k+5-2n)/(n(2n+1)) from a_0 = 1, and
+    b_n = sign a_n (2k+3-2n)/(2n+3).
+    """
+    a = [Fraction(1)]
+    for n in range(1, k + 1):
+        a.append(a[-1] * Fraction(-(k - n + 1) * (2 * k + 5 - 2 * n), n * (2 * n + 1)))
+    b = [sign * c * Fraction(2 * k + 3 - 2 * n, 2 * n + 3) for n, c in enumerate(a)]
+    s = AnsatzSolution(k, Fraction(sign * (2 * k + 3), 3), tuple(a), tuple(b))
+    for _ in range(m - k):
+        s = lift_solution(s)
+    return s
 
 
 class ZeroModeField:
     """Evaluatable spinor field of order m with coupling h = 3*b0/<x>^2.
 
-    Construction verifies the coefficient system exactly and refuses
-    non-solutions.
+    Construction verifies the coefficient system exactly, and that the
+    coefficients are the lifted closed form of (k, sign); it refuses
+    anything else.  `label` is the family index (j, sign) = (k+1, sign).
+    Methods take points of shape (..., 3) and return spinors of shape (..., 2).
     """
 
-    def __init__(self, solution: AnsatzSolution, label: tuple[int, int] | None = None):
+    def __init__(self, solution: AnsatzSolution):
         if any(r != 0 for r in verify_system(solution)):
             raise ValueError("coefficients do not solve the order-m system")
+        self.k = k = int((3 * abs(solution.b0) - 3) / 2)
+        self.sign = 1 if solution.b0 > 0 else -1
+        closed = _closed_form(solution.m, k, self.sign)
+        if (closed.a, closed.b) != (solution.a, solution.b):
+            raise ValueError("coefficients differ from the lifted closed form")
         self.m = solution.m
         self.b0 = solution.b0
         self.a = solution.a
         self.b = solution.b
-        self.label = label
         self.alpha = 3 * solution.b0
-        self._af = np.array([float(c) for c in solution.a])
-        self._bf = np.array([float(c) for c in solution.b])
+        self.label = (k + 1, self.sign)
+        # k!/(3/2)_k, which turns P_k^(1/2,3/2)(1-2s) into F_k(s)
+        self._norm = float(Fraction(math.factorial(k) * 2**k, math.prod(range(3, 2 * k + 2, 2))))
 
     @classmethod
     def base_mode(cls) -> "ZeroModeField":
@@ -63,50 +100,49 @@ class ZeroModeField:
     @classmethod
     def designated(cls, m: int) -> "ZeroModeField":
         """The designated member: j = m+1 with positive sign, b0 = (2m+3)/3."""
-        return cls(instantiate_solution(m, Fraction(2 * m + 3, 3)), label=(m + 1, 1))
+        return cls(instantiate_solution(m, Fraction(2 * m + 3, 3)))
 
-    # -- pointwise evaluation ------------------------------------------------
-
-    def _amplitudes(self, r2: float) -> tuple[float, float]:
-        """A(r2) and B(r2) in the power basis."""
-        powers = r2 ** np.arange(self.m + 1)
-        return float(self._af @ powers), float(self._bf @ powers)
+    def _jacobi(self, y, n: int, shift: float = 0.0):
+        """k!/(3/2)_k times P_n^(1/2+shift,3/2+shift)(y) and sign P_n^(3/2+shift,1/2+shift)(y)."""
+        return (
+            self._norm * eval_jacobi(n, 0.5 + shift, 1.5 + shift, y),
+            self.sign * self._norm * eval_jacobi(n, 1.5 + shift, 0.5 + shift, y),
+        )
 
     def evaluate(self, x) -> np.ndarray:
-        """psi(x) as a complex 2-vector."""
-        x = np.asarray(x, dtype=float)
-        r2 = float(x @ x)
-        pref = (1.0 + r2) ** (-(3 + 2 * self.m) / 2)
-        amp_a, amp_b = self._amplitudes(r2)
-        # X phi0 = i * (x3, x1 + i x2) for phi0 = (1, 0)
-        xphi = 1j * np.array([x[2], x[0] + 1j * x[1]])
-        return pref * (amp_a * PHI0 + amp_b * xphi)
+        """psi at points x."""
+        x, u, y = _radial(x)
+        return _spinor(x, *self._jacobi(y, self.k), (1.0 + u) ** -1.5)
 
-    def h(self, x) -> float:
-        """The coupling 3*b0/<x>^2."""
-        x = np.asarray(x, dtype=float)
-        return float(self.alpha) / (1.0 + float(x @ x))
+    def sigma_d(self, x) -> np.ndarray:
+        """(sigma.D) psi at points x, D = -i grad, from the Jacobi form.
+
+        psi = (f(u) + g(u) X) phi0 with u = |x|^2 gives (sigma.D) psi = [(3g + 2u g') - 2f' X] phi0;
+        dy/du = -2/(1+u)^2 and dP_n^(a,b)/dy = (n+a+b+1)/2 P_{n-1}^(a+1,b+1).
+        """
+        x, u, y = _radial(x)
+        w = 1.0 + u
+        p, q = self._jacobi(y, self.k)
+        # eval_jacobi is 0 at degree -1, so both derivatives vanish at k = 0
+        dp, dq = ((self.k + 3) / 2 * d for d in self._jacobi(y, self.k - 1, 1.0))
+        return _spinor(x, 3 * q - 4 * u / w * dq, 3 * p + 4 * dp / w, w**-2.5)
+
+    def h(self, x):
+        """The coupling 3*b0/<x>^2 at points x."""
+        return float(self.alpha) / (1.0 + _radial(x)[1])
 
     def vector_potential(self, x) -> np.ndarray:
         """A(x) = h(x) * spin_density(psi(x)) / |psi(x)|^2."""
-        return _potential(x, self.evaluate(x), self.h(x))[0]
-
-    def radial_density(self, r: float) -> float:
-        """|psi|^2 on the sphere of radius r (the field norm is radial)."""
-        r2 = r * r
-        amp_a, amp_b = self._amplitudes(r2)
-        return (1.0 + r2) ** (-(3 + 2 * self.m)) * (amp_a**2 + r2 * amp_b**2)
+        a, n2 = _potential(self.evaluate(x), self.h(x))
+        if np.any(n2 < SPINOR_FLOOR):
+            raise ValueError(f"spinor vanishes at {x}")
+        return a
 
 
-def _potential(x, s: np.ndarray, h: float) -> tuple[np.ndarray, float]:
-    """The vector potential and |s|^2 for s = psi(x) and h = h(x)."""
-    n2 = float(np.real(np.conj(s) @ s))
-    if n2 < 1e-30:
-        raise ValueError(f"spinor vanishes at {x}")
-    return h * spin_density(s) / n2, n2
-
-
-# -- finite-difference residuals ---------------------------------------------
+def _potential(s: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
+    """The vector potential and |s|^2 per point, for s = psi(x) and h = h(x)."""
+    n2 = np.sum(s.real**2 + s.imag**2, axis=-1)
+    return (h / n2)[..., None] * spin_density(s), n2
 
 
 def _sigma_d(evaluate, x, step: float) -> np.ndarray:
@@ -125,12 +161,6 @@ def _sigma_d(evaluate, x, step: float) -> np.ndarray:
     return out
 
 
-def _residual(f: ZeroModeField, x, s: np.ndarray, a: np.ndarray, step: float) -> float:
-    """|| sigma.(D - A) psi || at x, given s = psi(x) and the potential a = A(x)."""
-    sigma_a = sum(a[k] * SIGMA[k] for k in range(3))
-    return float(np.linalg.norm(_sigma_d(f.evaluate, x, step) - sigma_a @ s))
-
-
 def loss_yau_residual(f: ZeroModeField, x, step: float = 1e-3) -> float:
     """|| (sigma.D) psi - h psi || at x, derivatives by finite differences."""
     lhs = _sigma_d(f.evaluate, x, step)
@@ -140,44 +170,29 @@ def loss_yau_residual(f: ZeroModeField, x, step: float = 1e-3) -> float:
 
 def weyl_dirac_residual(f: ZeroModeField, x, step: float = 1e-3) -> float:
     """|| sigma.(D - A) psi || at x; A from the induced vector potential."""
-    s = f.evaluate(x)
-    a, _ = _potential(x, s, f.h(x))
-    return _residual(f, x, s, a, step)
+    lhs = _sigma_d(f.evaluate, x, step)
+    return float(np.linalg.norm(lhs - _sigma_dot(f.vector_potential(x), f.evaluate(x))))
 
 
 def l2_norm_squared(f: ZeroModeField, r_max: float = 100.0, tolerance: float = 1e-8) -> float:
-    """Integral of |psi|^2 over R^3 by adaptive radial quadrature.
+    """The integral of |psi|^2 over R^3, exact: a rational times pi^2, rounded once.
 
-    |psi|^2 is exactly radial (the cross term between the two spinor
-    branches is purely imaginary), so the angular integral is 4*pi and
-    the radial part is adaptive out to r_max plus a tail integrated on
-    the inverted variable.  Raises if the achieved error estimate misses
-    the tolerance.
+    |psi|^2 = (1 + r^2)^-(N+1) (A(r^2)^2 + r^2 B(r^2)^2) with N = 2m + 2, and
+    int_0^inf r^2p (1 + r^2)^-(N+1) dr = B(p + 1/2, N - p + 1/2)/2
+    = pi C(2p, p) C(2N-2p, N-p) / (2 4^N C(N, p)).  `r_max` and `tolerance`
+    belonged to the quadrature this replaced and do not change the value.
     """
-    if r_max <= 0:
-        raise ValueError("r_max must be positive")
-
-    def integrand(r):
-        return r * r * f.radial_density(r)
-
-    eps = tolerance / (8 * math.pi)
-    head, err_head = quad(integrand, 0.0, r_max, epsabs=eps, epsrel=1e-12, limit=200)
-    tail, err_tail = quad(
-        lambda u: integrand(1.0 / u) / (u * u),
-        0.0,
-        1.0 / r_max,
-        epsabs=eps,
-        epsrel=1e-12,
-        limit=200,
+    big_n = 2 * f.m + 2
+    c = [Fraction(0)] * big_n  # A^2 + u B^2, ascending in u
+    for i in range(f.m + 1):
+        for j in range(f.m + 1):
+            c[i + j] += f.a[i] * f.a[j]
+            c[i + j + 1] += f.b[i] * f.b[j]
+    radial = sum(
+        cn * Fraction(math.comb(2 * p, p) * math.comb(2 * q, q), math.comb(big_n, p))
+        for p, q, cn in zip(range(1, big_n + 1), range(big_n - 1, -1, -1), c)
     )
-    total = 4 * math.pi * (head + tail)
-    achieved = 4 * math.pi * (err_head + err_tail)
-    if achieved > tolerance:
-        raise RuntimeError(
-            f"quadrature error {achieved:.3e} exceeds tolerance {tolerance:.3e}; "
-            f"estimate {total!r}"
-        )
-    return total
+    return float(2 * radial / 4**big_n) * math.pi**2  # 4 pi from the angles times pi/2
 
 
 def enumerate_family(m: int) -> list[ZeroModeField]:
@@ -189,12 +204,8 @@ def enumerate_family(m: int) -> list[ZeroModeField]:
     if m < 1:
         raise ValueError("family enumeration defined for m >= 1")
     pairs = coefficient_polynomials(m)
-    fields = []
-    for j in range(1, m + 2):
-        for sign in (1, -1):
-            s = instantiate_solution(m, Fraction(sign * (2 * j + 1), 3), pairs)
-            fields.append(ZeroModeField(s, label=(j, sign)))
-    return fields
+    return [ZeroModeField(instantiate_solution(m, Fraction(sign * (2 * j + 1), 3), pairs))
+            for j in range(1, m + 2) for sign in (1, -1)]
 
 
 CSV_COLUMNS = [
@@ -204,34 +215,30 @@ CSV_COLUMNS = [
 ]
 
 
-def sample_grid(f: ZeroModeField, out, extent: float = 2.0, n: int = 5, step: float = 1e-3):
-    """Write field samples on a cubic grid as CSV.
+def sample_grid(f: ZeroModeField, out, extent: float = 2.0, n: int = 5):
+    """Write field samples on a cubic grid as CSV, x3 varying fastest.
 
-    Each row comes from one evaluation of psi at the grid point, plus the
-    finite-difference stencil of the residual.  Floats use repr
-    formatting, which round-trips IEEE doubles exactly.  The first point
-    with a non-finite value (power-basis overflow) raises FloatingPointError.
+    Each column is evaluated once on the whole grid; the residual
+    || sigma.(D - A) psi || uses the analytic sigma.D.  Floats use repr, which
+    round-trips doubles.  The first bad row raises: ValueError if its spinor
+    vanishes, FloatingPointError if a value is not finite (|x|^2 overflows).
     """
+    axis = np.linspace(-extent, extent, n)
+    x = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    with np.errstate(all="ignore"):  # bad rows raise below
+        s = f.evaluate(x)
+        h = f.h(x)
+        a, n2 = _potential(s, h)
+        residual = np.linalg.norm(f.sigma_d(x) - _sigma_dot(a, s), axis=-1)
+    psi = [s[:, 0].real, s[:, 0].imag, s[:, 1].real, s[:, 1].imag]
+    rows = np.column_stack([x, *psi, n2, a, h, residual])
+    vanishing = n2 < SPINOR_FLOOR
+    bad = vanishing | ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if vanishing[i]:
+            raise ValueError(f"spinor vanishes at {x[i]}")
+        raise FloatingPointError(f"non-finite field value at x = {tuple(rows[i, :3].tolist())}")
     writer = csv.writer(out)
     writer.writerow(CSV_COLUMNS)
-    axis = np.linspace(-extent, extent, n)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise below
-        for x1 in axis:
-            for x2 in axis:
-                for x3 in axis:
-                    x = np.array([x1, x2, x3])
-                    s = f.evaluate(x)
-                    h = f.h(x)
-                    a, n2 = _potential(x, s, h)
-                    row = [
-                        x1, x2, x3,
-                        s[0].real, s[0].imag, s[1].real, s[1].imag,
-                        n2,
-                        a[0], a[1], a[2],
-                        h,
-                        _residual(f, x, s, a, step),
-                    ]
-                    row = [float(v) for v in row]
-                    if not all(map(math.isfinite, row)):
-                        raise FloatingPointError(f"non-finite field value at x = {tuple(row[:3])}")
-                    writer.writerow([repr(v) for v in row])
+    writer.writerows([repr(v) for v in row] for row in rows.tolist())

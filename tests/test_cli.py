@@ -4,10 +4,13 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from test_fields import mp_psi
 
 from amnmodes import roots
 from amnmodes.cli import main
+from amnmodes.fields import ZeroModeField
 from amnmodes.polynomials import RatPoly, primitive_integer_form
 from amnmodes.recurrence import AmnPolynomial, build_amn_polynomial
 
@@ -86,11 +89,7 @@ class TestVerify:
         assert run(["verify", "--m", "1", "-o", str(out)]) == 1
         doc = json.loads(out.read_text())
         assert doc["factorization_ok"] is False
-        assert doc["factorization_failures"] == [
-            "P_1(1) = 1 != 0",
-            "P_1(25/9) = 1 != 0",
-            "coefficient of t^0: product 25 != P_m 15",
-        ]
+        assert doc["factorization_failures"] == ["coefficient of t^0: product 25 != P_m 15"]
         assert doc["oracle_matches"] is False
 
     def test_bad_m(self, capsys):
@@ -145,9 +144,6 @@ class TestField:
         # sampling inputs that would crash or print NaN rows are usage errors too
         for bad in (
             ["--grid", "-1"],
-            ["--step", "0"],
-            ["--step=-1e-3"],
-            ["--step", "nan"],
             ["--extent", "nan"],
             ["--extent", "inf"],
             ["--extent", "1e8", "--grid", "2"],
@@ -157,14 +153,29 @@ class TestField:
             assert capsys.readouterr().err.startswith("error:"), bad
 
     def test_non_finite_values_fail(self, tmp_path, capsys):
-        # the order-50 power basis overflows at |x| ~ 1e3: NaN rows, no CSV
+        # |x|^2 overflows at |x| ~ 1e160: NaN rows, no CSV
         out = tmp_path / "f.csv"
-        argv = ["field", "--m", "50", "--designated", "--grid", "2", "--extent", "1e3"]
+        argv = ["field", "--m", "50", "--designated", "--grid", "2", "--extent", "1e160"]
         assert run([*argv, "-o", str(out)]) == 1
         assert not out.exists()
         assert capsys.readouterr().err == (
-            "error: non-finite field value at x = (-1000.0, -1000.0, -1000.0)\n"
+            "error: non-finite field value at x = (-1e+160, -1e+160, -1e+160)\n"
         )
+
+    def test_far_out_at_the_highest_order(self, tmp_path):
+        # |x| ~ 1.7e3 at m = 50, where a power-basis evaluation overflows
+        out = tmp_path / "f.csv"
+        argv = ["field", "--m", "50", "--designated", "--grid", "2", "--extent", "1e3"]
+        assert run([*argv, "-o", str(out)]) == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 8
+        f = ZeroModeField.designated(50)
+        for row in rows:
+            psi = np.array([complex(row[3], row[4]), complex(row[5], row[6])])
+            want = np.array(mp_psi(f, row[:3]))
+            assert np.linalg.norm(psi - want) <= 1e-12 * np.linalg.norm(want)
+            assert row[12] <= 1e-7 * math.sqrt(row[7])
+            assert row[11] == pytest.approx(103 / (1 + 3e6), rel=1e-15)
 
     @pytest.mark.parametrize("selectors", CONFLICTING_SELECTORS, ids=" ".join)
     def test_conflicting_selectors(self, selectors, tmp_path, capsys):
@@ -250,8 +261,9 @@ class TestGolden:
         ["poly", "--m", "1", "--format", "json"],
         ["verify", "--m", "5", "--chain", "--threads", "2"],
         ["verify", "--m", "1", "--tamper"],
+        ["field", "--m", "1", "--designated", "--step", "1e-3"],
     ],
-    ids=["roots", "format", "threads", "tamper"],
+    ids=["roots", "format", "threads", "tamper", "step"],
 )
 def test_removed_surface_is_usage_error(argv):
     with pytest.raises(SystemExit) as exc:

@@ -1,17 +1,20 @@
 """Numeric spinor fields: evaluation, potentials, residual oracles."""
 
-import csv
 import io
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from amnmodes import fields, recurrence
 from amnmodes.fields import (
     CSV_COLUMNS,
+    SIGMA,
     ZeroModeField,
+    _sigma_d,
     enumerate_family,
     l2_norm_squared,
     loss_yau_residual,
@@ -22,6 +25,73 @@ from amnmodes.fields import (
 from amnmodes.recurrence import AnsatzSolution, instantiate_solution
 
 F = Fraction
+
+
+class PowerBasisField:
+    """The reference route: psi = <x>^-(3+2m) [A(|x|^2) + B(|x|^2) X] phi0
+    from the exact a_n, b_n in the power basis, in doubles, per point.
+
+    It checks nothing, so a perturbed non-solution evaluates too; it is
+    accurate only at low order (cancellation grows with m).
+    """
+
+    def __init__(self, solution: AnsatzSolution):
+        self.m = solution.m
+        self.alpha = float(3 * solution.b0)
+        self.a = np.array([float(c) for c in solution.a])
+        self.b = np.array([float(c) for c in solution.b])
+
+    def _amplitudes(self, u: float) -> tuple[float, float]:
+        powers = u ** np.arange(self.m + 1)
+        return float(self.a @ powers), float(self.b @ powers)
+
+    def evaluate(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        u = float(x @ x)
+        amp_a, amp_b = self._amplitudes(u)
+        pref = (1.0 + u) ** (-(3 + 2 * self.m) / 2)
+        return pref * np.array([amp_a + 1j * amp_b * x[2], amp_b * (1j * x[0] - x[1])])
+
+    def h(self, x) -> float:
+        x = np.asarray(x, dtype=float)
+        return self.alpha / (1.0 + float(x @ x))
+
+    def radial_density(self, r: float) -> float:
+        """|psi|^2 on the sphere of radius r."""
+        amp_a, amp_b = self._amplitudes(r * r)
+        return (1.0 + r * r) ** (-(3 + 2 * self.m)) * (amp_a**2 + r * r * amp_b**2)
+
+
+def quadrature_l2(f: PowerBasisField) -> float:
+    """4 pi int_0^inf r^2 |psi|^2 dr: adaptive on [0, 100], the tail on u = 1/r."""
+
+    def integrand(r):
+        return r * r * f.radial_density(r)
+
+    head, _ = quad(integrand, 0.0, 100.0, epsabs=1e-13, epsrel=1e-12, limit=200)
+    tail, _ = quad(lambda v: integrand(1.0 / v) / (v * v), 0.0, 0.01, epsabs=1e-13, epsrel=1e-12)
+    return 4 * math.pi * (head + tail)
+
+
+def mp_psi(f: ZeroModeField, x) -> list:
+    """psi at x from the exact a_n, b_n in the power basis, to 50 digits."""
+    with mpmath.workdps(50):
+        x1, x2, x3 = (mpmath.mpf(float(v)) for v in x)
+        u = x1 * x1 + x2 * x2 + x3 * x3
+        amp_a = mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator for c in reversed(f.a)], u)
+        amp_b = mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator for c in reversed(f.b)], u)
+        pref = (1 + u) ** (-mpmath.mpf(3 + 2 * f.m) / 2)
+        return [
+            complex(pref * amp_a, pref * amp_b * x3),
+            complex(-pref * amp_b * x2, pref * amp_b * x1),
+        ]
+
+
+def members(m: int) -> list[ZeroModeField]:
+    """Every verified field of order m, m = 0 included."""
+    if m == 0:
+        return [ZeroModeField.base_mode(), ZeroModeField(instantiate_solution(0, -1))]
+    return enumerate_family(m)
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +123,33 @@ class TestEvaluation:
         bad = AnsatzSolution(1, F(5, 3), (F(1), F(-5, 3) + F(1, 10)), (F(5, 3), F(-1)))
         with pytest.raises(ValueError, match="do not solve"):
             ZeroModeField(bad)
+
+    def test_construction_rejects_scaled_solution(self):
+        # twice a solution solves the linear system, but is not the closed form
+        s = instantiate_solution(2, F(5, 3))
+        scaled = AnsatzSolution(2, s.b0, tuple(2 * c for c in s.a), tuple(2 * c for c in s.b))
+        with pytest.raises(ValueError, match="closed form"):
+            ZeroModeField(scaled)
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_matches_power_basis(self, m):
+        rng = np.random.default_rng(m)
+        points = rng.uniform(-2, 2, (50, 3))
+        for f in members(m):
+            ref = PowerBasisField(AnsatzSolution(f.m, f.b0, f.a, f.b))
+            got = f.evaluate(points)
+            for x, psi in zip(points, got):
+                want = ref.evaluate(x)
+                assert np.linalg.norm(psi - want) <= 1e-13 * np.linalg.norm(want), (f.label, x)
+
+    def test_array_and_per_point_calls_agree(self):
+        f = ZeroModeField(instantiate_solution(4, F(-7, 3)))
+        points = np.random.default_rng(5).uniform(-3, 3, (4, 5, 3))
+        got = f.evaluate(points)
+        assert got.shape == (4, 5, 2)
+        assert f.sigma_d(points).shape == (4, 5, 2)
+        for idx in np.ndindex(4, 5):
+            assert np.array_equal(got[idx], f.evaluate(points[idx]))
 
 
 class TestSpinDensity:
@@ -130,11 +227,9 @@ class TestLossYauResidual:
         order = np.polyfit(np.log(steps), np.log(res), 1)[0]
         assert 3.5 <= order <= 4.5
 
-    def test_floor_on_perturbed_field(self, monkeypatch):
+    def test_floor_on_perturbed_field(self):
         s = instantiate_solution(1, F(5, 3))
-        bad = AnsatzSolution(1, s.b0, (s.a[0], s.a[1] + F(1, 10)), s.b)
-        monkeypatch.setattr(fields, "verify_system", lambda solution: [])  # admit the non-solution
-        f = ZeroModeField(bad)
+        f = PowerBasisField(AnsatzSolution(1, s.b0, (s.a[0], s.a[1] + F(1, 10)), s.b))
         x = np.array([0.4, 0.1, -0.7])
         residuals = [loss_yau_residual(f, x, h) for h in (1e-2, 1e-3, 1e-4)]
         assert min(residuals) >= 1e-3
@@ -159,8 +254,6 @@ class TestWeylDiracResidual:
     def test_wrong_potential_control(self, base):
         # replace h by h+1 in the potential: residual no longer vanishes
         x = np.array([0.5, 0.2, -0.3])
-        from amnmodes.fields import SIGMA, _sigma_d
-
         a = base.vector_potential(x) * (base.h(x) + 1) / base.h(x)
         sigma_a = sum(a[k] * SIGMA[k] for k in range(3))
         val = _sigma_d(base.evaluate, x, 1e-3) - sigma_a @ base.evaluate(x)
@@ -171,16 +264,62 @@ class TestL2Norm:
     def test_base_mode_is_pi_squared(self, base):
         assert abs(l2_norm_squared(base, 100.0, 1e-8) - math.pi**2) <= 1e-6
 
-    def test_stable_under_rmax_doubling(self, order1):
-        a = l2_norm_squared(order1, 100.0, 1e-6)
-        b = l2_norm_squared(order1, 200.0, 1e-6)
-        assert a > 0
-        assert abs(a - b) <= 1e-6
+    @pytest.mark.parametrize("m", range(7))
+    def test_matches_quadrature(self, m):
+        for f in (ZeroModeField.designated(m), members(m)[1]):
+            ref = quadrature_l2(PowerBasisField(AnsatzSolution(f.m, f.b0, f.a, f.b)))
+            assert abs(l2_norm_squared(f) - ref) <= 1e-9 * ref, f.label
+
+    def test_lift_leaves_the_norm(self):
+        # lifting multiplies A, B by 1 + |x|^2 and the prefactor divides it out
+        values = [l2_norm_squared(f) for f in members(4) if f.label == (2, -1)]
+        lifted = ZeroModeField(instantiate_solution(9, F(-5, 3)))
+        assert l2_norm_squared(lifted) == values[0]
+
+
+class TestAnalyticSigmaD:
+    @pytest.mark.parametrize("m", range(7))
+    def test_matches_finite_differences(self, m):
+        rng = np.random.default_rng(100 + m)
+        points = rng.uniform(-2, 2, (20, 3))
+        for f in members(m):
+            got = f.sigma_d(points)
+            for x, val in zip(points, got):
+                fd = _sigma_d(f.evaluate, x, 1e-3)
+                scale = np.linalg.norm(f.evaluate(x))
+                assert np.linalg.norm(val - fd) <= 1e-7 * scale, (f.label, x)
+
+    def test_loss_yau_equation(self):
+        # sigma.D psi = h psi holds for every member, far out too
+        points = np.random.default_rng(8).normal(size=(200, 3)) * np.logspace(-2, 3, 200)[:, None]
+        for f in members(5):
+            psi = f.evaluate(points)
+            res = np.linalg.norm(f.sigma_d(points) - f.h(points)[:, None] * psi, axis=-1)
+            assert np.all(res <= 1e-12 * np.linalg.norm(psi, axis=-1)), f.label
+
+
+@pytest.mark.parametrize("m", range(51))
+def test_every_accepted_order(m):
+    """Every member of every order the CLI accepts: psi against a 50-digit
+    power-basis value, and the CSV residual against its 1e-7 bound."""
+    rng = np.random.default_rng(1000 + m)
+    # one point per decade of radius, in random directions
+    directions = rng.normal(size=(4, 3))
+    points = directions / np.linalg.norm(directions, axis=1)[:, None] * [[0.05], [0.7], [4.0], [60.0]]
+    for f in members(m):
+        psi = f.evaluate(points)
+        for x, got in zip(points, psi):
+            want = np.array(mp_psi(f, x))
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (f.label, x)
+        sigma_a = np.einsum("pk,kij->pij", f.vector_potential(points), SIGMA)
+        residual = np.linalg.norm(f.sigma_d(points) - np.einsum("pij,pj->pi", sigma_a, psi), axis=-1)
+        assert np.all(residual <= 1e-7 * np.linalg.norm(psi, axis=-1)), f.label
 
 
 class TestFamily:
     def test_m1(self):
         fam = enumerate_family(1)
+        assert [f.label for f in fam] == [(1, 1), (1, -1), (2, 1), (2, -1)]
         assert len(fam) == 4
         assert sorted(f.b0 for f in fam) == [F(-5, 3), -1, 1, F(5, 3)]
         designated = [f for f in fam if f.label == (2, 1)]
@@ -220,44 +359,56 @@ class TestCsvSampling:
         # repr formatting round-trips doubles exactly
         assert values[0] == -1.0
 
-    def test_one_psi_evaluation_per_point(self, order1, monkeypatch):
+    def test_one_psi_evaluation_per_grid(self, order1, monkeypatch):
         original = ZeroModeField.evaluate
-        calls = []
+        shapes = []
 
         def counted(self, x):
-            calls.append(1)
+            shapes.append(np.shape(x))
             return original(self, x)
 
         monkeypatch.setattr(ZeroModeField, "evaluate", counted)
         sample_grid(order1, io.StringIO(), extent=1.0, n=3)
-        # psi(x) once, plus the 12-point stencil of the residual
-        assert len(calls) == 13 * 3**3
+        assert shapes == [(3**3, 3)]
 
     @pytest.mark.parametrize(
         "m, b0", [(0, None), (1, None), (6, None), (5, F(-7, 3))],
         ids=["designated-0", "designated-1", "designated-6", "m5-j3-minus"],
     )
     def test_rows_match_public_per_point_calls(self, m, b0):
-        """A sample row equals the row built from the public per-point calls."""
+        """A sample row equals the row built from the public per-point calls.
+
+        Coordinates, psi and h are the same doubles; |psi|^2 and A agree to
+        rounding, and the residual, itself rounding-sized, to 1e-15 |psi|.
+        """
         f = ZeroModeField.designated(m) if b0 is None else ZeroModeField(instantiate_solution(m, b0))
-        extent, n, step = 2.0, 3, 1e-3
-        expected = io.StringIO()
-        writer = csv.writer(expected)
-        writer.writerow(CSV_COLUMNS)
+        extent, n = 2.0, 3
+        expected = []
         for x1 in np.linspace(-extent, extent, n):
             for x2 in np.linspace(-extent, extent, n):
                 for x3 in np.linspace(-extent, extent, n):
                     x = np.array([x1, x2, x3])
                     s = f.evaluate(x)
-                    row = [
+                    a = f.vector_potential(x)
+                    sigma_a = sum(a[k] * SIGMA[k] for k in range(3))
+                    expected.append([
                         x1, x2, x3,
                         s[0].real, s[0].imag, s[1].real, s[1].imag,
                         float(np.real(np.conj(s) @ s)),
-                        *f.vector_potential(x),
+                        *a,
                         f.h(x),
-                        weyl_dirac_residual(f, x, step),
-                    ]
-                    writer.writerow([repr(float(v)) for v in row])
-        got = io.StringIO()
-        sample_grid(f, got, extent=extent, n=n, step=step)
-        assert got.getvalue() == expected.getvalue()
+                        np.linalg.norm(f.sigma_d(x) - sigma_a @ s),
+                    ])
+        want = np.array(expected)
+        out = io.StringIO()
+        sample_grid(f, out, extent=extent, n=n)
+        lines = out.getvalue().splitlines()
+        assert lines[0] == ",".join(CSV_COLUMNS)
+        got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert got.shape == want.shape
+        exact = [0, 1, 2, 3, 4, 5, 6, 11]
+        assert np.array_equal(got[:, exact], want[:, exact])
+        np.testing.assert_allclose(got[:, 7], want[:, 7], rtol=1e-15)
+        h = np.abs(want[:, 11:12])
+        assert np.all(np.abs(got[:, 8:11] - want[:, 8:11]) <= 1e-15 * h)
+        assert np.all(np.abs(got[:, 12] - want[:, 12]) <= 1e-15 * np.sqrt(want[:, 7]))
