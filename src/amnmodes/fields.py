@@ -13,7 +13,6 @@ are the independent per-point oracle.
 
 from __future__ import annotations
 
-import csv
 import math
 from fractions import Fraction
 
@@ -21,7 +20,7 @@ import numpy as np
 from scipy.special import eval_jacobi
 
 from .recurrence import AnsatzSolution, coefficient_polynomials, instantiate_solution
-from .recurrence import lift_solution, verify_system
+from .recurrence import verify_system
 
 SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # sigma_1..3
 SPINOR_FLOOR = 1e-30  # |psi|^2 below this is a vanished spinor; the potential divides by it
@@ -50,20 +49,29 @@ def _spinor(x: np.ndarray, upper, lower, scale) -> np.ndarray:
     return np.stack([scale * up, scale * down], axis=-1)
 
 
+def _over_common_denominator(*lists) -> tuple[int, list]:
+    """The lcm of the denominators of Fraction lists, and each list times it, in integers."""
+    den = math.lcm(*(c.denominator for cs in lists for c in cs))
+    return den, [[c.numerator * (den // c.denominator) for c in cs] for cs in lists]
+
+
 def _closed_form(m: int, k: int, sign: int) -> AnsatzSolution:
     """The order-k designated coefficients with b0 = sign (2k+3)/3, lifted to order m.
 
     a_n/a_{n-1} = -(k-n+1)(2k+5-2n)/(n(2n+1)) from a_0 = 1, and
-    b_n = sign a_n (2k+3-2n)/(2n+3).
+    b_n = sign a_n (2k+3-2n)/(2n+3).  Each lift multiplies A and B by
+    1 + u: the adjacent-pair sums of `lift_solution`, here in integers
+    over one common denominator and without re-verifying each order.
     """
     a = [Fraction(1)]
     for n in range(1, k + 1):
         a.append(a[-1] * Fraction(-(k - n + 1) * (2 * k + 5 - 2 * n), n * (2 * n + 1)))
     b = [sign * c * Fraction(2 * k + 3 - 2 * n, 2 * n + 3) for n, c in enumerate(a)]
-    s = AnsatzSolution(k, Fraction(sign * (2 * k + 3), 3), tuple(a), tuple(b))
+    den, ints = _over_common_denominator(a, b)
     for _ in range(m - k):
-        s = lift_solution(s)
-    return s
+        ints = [[x + y for x, y in zip([0] + cs, cs + [0])] for cs in ints]
+    a, b = (tuple(Fraction(c, den) for c in cs) for cs in ints)
+    return AnsatzSolution(m, Fraction(sign * (2 * k + 3), 3), a, b)
 
 
 class ZeroModeField:
@@ -183,16 +191,19 @@ def l2_norm_squared(f: ZeroModeField, r_max: float = 100.0, tolerance: float = 1
     belonged to the quadrature this replaced and do not change the value.
     """
     big_n = 2 * f.m + 2
-    c = [Fraction(0)] * big_n  # A^2 + u B^2, ascending in u
+    den, (a, b) = _over_common_denominator(f.a, f.b)
+    c = [0] * big_n  # den^2 (A^2 + u B^2), ascending in u
     for i in range(f.m + 1):
         for j in range(f.m + 1):
-            c[i + j] += f.a[i] * f.a[j]
-            c[i + j + 1] += f.b[i] * f.b[j]
+            c[i + j] += a[i] * a[j]
+            c[i + j + 1] += b[i] * b[j]
+    binom = [math.comb(big_n, p) for p in range(1, big_n + 1)]
+    lcm = math.lcm(*binom)
     radial = sum(
-        cn * Fraction(math.comb(2 * p, p) * math.comb(2 * q, q), math.comb(big_n, p))
-        for p, q, cn in zip(range(1, big_n + 1), range(big_n - 1, -1, -1), c)
-    )
-    return float(2 * radial / 4**big_n) * math.pi**2  # 4 pi from the angles times pi/2
+        cn * math.comb(2 * p, p) * math.comb(2 * q, q) * (lcm // bp)
+        for p, q, cn, bp in zip(range(1, big_n + 1), range(big_n - 1, -1, -1), c, binom)
+    )  # den^2 lcm 4^N times the radial integral over pi/2
+    return float(Fraction(2 * radial, den**2 * lcm * 4**big_n)) * math.pi**2  # 4 pi from the angles
 
 
 def enumerate_family(m: int) -> list[ZeroModeField]:
@@ -213,15 +224,16 @@ CSV_COLUMNS = [
     "re_psi1", "im_psi1", "re_psi2", "im_psi2",
     "psi_norm2", "A1", "A2", "A3", "h", "residual",
 ]
+CSV_BLOCK_ROWS = 1024  # rows held as text at a time
 
 
-def sample_grid(f: ZeroModeField, out, extent: float = 2.0, n: int = 5):
-    """Write field samples on a cubic grid as CSV, x3 varying fastest.
+def _grid_rows(f: ZeroModeField, extent: float, n: int) -> np.ndarray:
+    """The CSV_COLUMNS values on a cubic n^3 grid, x3 varying fastest.
 
     Each column is evaluated once on the whole grid; the residual
-    || sigma.(D - A) psi || uses the analytic sigma.D.  Floats use repr, which
-    round-trips doubles.  The first bad row raises: ValueError if its spinor
-    vanishes, FloatingPointError if a value is not finite (|x|^2 overflows).
+    || sigma.(D - A) psi || uses the analytic sigma.D.  The first bad row
+    raises: ValueError if its spinor vanishes, FloatingPointError if a
+    value is not finite (|x|^2 overflows).
     """
     axis = np.linspace(-extent, extent, n)
     x = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -239,6 +251,23 @@ def sample_grid(f: ZeroModeField, out, extent: float = 2.0, n: int = 5):
         if vanishing[i]:
             raise ValueError(f"spinor vanishes at {x[i]}")
         raise FloatingPointError(f"non-finite field value at x = {tuple(rows[i, :3].tolist())}")
-    writer = csv.writer(out)
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows([repr(v) for v in row] for row in rows.tolist())
+    return rows
+
+
+def sample_grid(f: ZeroModeField, out, extent: float = 2.0, n: int = 5):
+    """Write field samples on a cubic grid as CSV, x3 varying fastest.
+
+    The rows are those of `_grid_rows`, which raises on the first bad row
+    before anything is written.  Floats use repr, which round-trips
+    doubles, once per distinct double; lines end in CRLF, as csv.writer
+    ends them.
+    """
+    rows = _grid_rows(f, extent, n)
+    # repr once per distinct double, told apart by bit pattern so that -0.0 keeps its sign
+    bits, index = np.unique(rows.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    cells = text[index.reshape(rows.shape)]  # shared strings, joined a block of rows at a time
+    out.write(",".join(CSV_COLUMNS) + "\r\n")
+    for start in range(0, len(cells), CSV_BLOCK_ROWS):
+        block = cells[start:start + CSV_BLOCK_ROWS].tolist()
+        out.writelines(",".join(row) + "\r\n" for row in block)

@@ -94,14 +94,6 @@ class RatPoly:
         k = Fraction(k)
         return RatPoly(c * k for c in self.coeffs)
 
-    def __call__(self, x) -> Fraction:
-        """Exact Horner evaluation."""
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def coefficient_strings(self) -> list[str]:
         return [rational_to_string(c) for c in self.coeffs]
 

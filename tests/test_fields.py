@@ -1,5 +1,6 @@
 """Numeric spinor fields: evaluation, potentials, residual oracles."""
 
+import csv
 import io
 import math
 from fractions import Fraction
@@ -71,6 +72,30 @@ def quadrature_l2(f: PowerBasisField) -> float:
     head, _ = quad(integrand, 0.0, 100.0, epsabs=1e-13, epsrel=1e-12, limit=200)
     tail, _ = quad(lambda v: integrand(1.0 / v) / (v * v), 0.0, 0.01, epsabs=1e-13, epsrel=1e-12)
     return 4 * math.pi * (head + tail)
+
+
+def fraction_l2(f: ZeroModeField) -> float:
+    """The reference route for the exact L2 norm: the Beta-integral sum, term by term in Fraction."""
+    big_n = 2 * f.m + 2
+    c = [F(0)] * big_n  # A^2 + u B^2, ascending in u
+    for i in range(f.m + 1):
+        for j in range(f.m + 1):
+            c[i + j] += f.a[i] * f.a[j]
+            c[i + j + 1] += f.b[i] * f.b[j]
+    radial = sum(
+        cn * F(math.comb(2 * p, p) * math.comb(2 * q, q), math.comb(big_n, p))
+        for p, q, cn in zip(range(1, big_n + 1), range(big_n - 1, -1, -1), c)
+    )
+    return float(2 * radial / 4**big_n) * math.pi**2
+
+
+def csv_reference(f: ZeroModeField, extent: float, n: int) -> str:
+    """The reference route for the CSV text: csv.writer and one repr per cell."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([repr(v) for v in row] for row in fields._grid_rows(f, extent, n).tolist())
+    return out.getvalue()
 
 
 def mp_psi(f: ZeroModeField, x) -> list:
@@ -270,6 +295,11 @@ class TestL2Norm:
             ref = quadrature_l2(PowerBasisField(AnsatzSolution(f.m, f.b0, f.a, f.b)))
             assert abs(l2_norm_squared(f) - ref) <= 1e-9 * ref, f.label
 
+    @pytest.mark.parametrize("m", [*range(13), 50])
+    def test_equals_fraction_reference(self, m):
+        for f in members(m) if m <= 12 else [ZeroModeField.designated(m)]:
+            assert l2_norm_squared(f) == fraction_l2(f), f.label
+
     def test_lift_leaves_the_norm(self):
         # lifting multiplies A, B by 1 + |x|^2 and the prefactor divides it out
         values = [l2_norm_squared(f) for f in members(4) if f.label == (2, -1)]
@@ -314,6 +344,16 @@ def test_every_accepted_order(m):
         sigma_a = np.einsum("pk,kij->pij", f.vector_potential(points), SIGMA)
         residual = np.linalg.norm(f.sigma_d(points) - np.einsum("pij,pj->pi", sigma_a, psi), axis=-1)
         assert np.all(residual <= 1e-7 * np.linalg.norm(psi, axis=-1)), f.label
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_closed_form_is_repeated_lift(m):
+    for k in range(m + 1):
+        for sign in (1, -1):
+            s = fields._closed_form(k, k, sign)
+            for _ in range(m - k):
+                s = recurrence.lift_solution(s)
+            assert fields._closed_form(m, k, sign) == s, (k, sign)
 
 
 class TestFamily:
@@ -412,3 +452,19 @@ class TestCsvSampling:
         h = np.abs(want[:, 11:12])
         assert np.all(np.abs(got[:, 8:11] - want[:, 8:11]) <= 1e-15 * h)
         assert np.all(np.abs(got[:, 12] - want[:, 12]) <= 1e-15 * np.sqrt(want[:, 7]))
+
+    @pytest.mark.parametrize(
+        "m, b0, extent, n",
+        [(m, b0, 2.0, n) for m in (0, 5, 50) for b0 in (None, -1) for n in (0, 1, 2, 5, 16)]
+        + [(m, b0, 1e3, 5) for m in (0, 5, 50) for b0 in (None, -1)]
+        + [(5, F(-7, 3), 2.0, 5)],
+        ids=str,
+    )
+    def test_bytes_match_csv_writer(self, m, b0, extent, n):
+        f = ZeroModeField.designated(m) if b0 is None else ZeroModeField(instantiate_solution(m, b0))
+        out = io.StringIO()
+        sample_grid(f, out, extent=extent, n=n)
+        want = csv_reference(f, extent, n)
+        assert out.getvalue() == want
+        if b0 == F(-7, 3):
+            assert ",-0.0," in want and ",0.0," in want  # signed zeros occur and must stay apart
