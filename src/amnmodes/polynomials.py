@@ -138,11 +138,6 @@ class IntPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __call__(self, x) -> Fraction:
-        """Exact value, through the integer `homogeneous` form."""
-        x = Fraction(x)
-        return Fraction(self.homogeneous(x.numerator, x.denominator), x.denominator**self.degree)
-
     def homogeneous(self, n: int, q: int) -> int:
         """q**D * P(n/q), D the degree; see the module-level `homogeneous`."""
         return homogeneous(self.coeffs, n, q)

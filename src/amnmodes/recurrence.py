@@ -2,13 +2,33 @@
 
 The ansatz coefficients a_j, b_j of the order-m spinor field split by
 parity in b0: a_j = p_j(b0**2) and b_j = b0 * q_j(b0**2).  Working in the
-variable t = b0**2 halves every degree and makes the order-m closing
-polynomial P_m(t) = t*q_m(t) - p_m(t) appear directly.
+variable t = b0**2 halves every degree, and the order-m closing
+polynomial is P_m(t) = t*q_m(t) - p_m(t).
 
 Two independent routes build the chain of (p_j, q_j) pairs: fraction-free
 stepwise substitution in integers (`advance_pair`) and a 2x2 matrix
 product of polynomials over the rationals (`matrix_chain_pair`); tests
-check they agree.
+check they agree.  The pairs are read where per-j values are needed: the
+system check, `instantiate_solution` and the field family.
+
+P_m itself comes from a three-term recurrence in p_j alone.  With
+w_j = 2m+5-2j the pair step reads
+
+    2j p_j = w_j p_{j-1} - 3t q_{j-1},
+    (2j+3) q_j = (2m+2-2j) q_{j-1} + 3 p_j.
+
+The first at index j+1 gives 3t q_j = w_{j+1} p_j - 2(j+1) p_{j+1};
+substituted into 3t times the second, the t p_{j-1} terms cancel:
+
+    2(j+1)(2j+3) p_{j+1} = [(2j+3)(2m+3-2j) + 2j(2m+2-2j) - 9t] p_j
+                           - (2m+2-2j)(2m+5-2j) p_{j-1},
+
+from p_0 = 1 and p_1 = ((2m+3) - 3t)/2.  The first equation taken at
+j = m+1, where w_{m+1} = 3, reads 2(m+1) p_{m+1} = 3(p_m - t q_m), so
+
+    P_m = -(2(m+1)/3) p_{m+1},
+
+which is how `build_amn_polynomial` makes it.
 """
 
 from __future__ import annotations
@@ -122,7 +142,7 @@ def matrix_chain_pair(m: int, j: int) -> tuple[RatPoly, RatPoly]:
 
 @dataclass(frozen=True)
 class AmnPolynomial:
-    """P_m in rational form t*q_m - p_m and in primitive integer form."""
+    """P_m = t*q_m - p_m in rational form and in primitive integer form."""
 
     m: int
     rational: RatPoly
@@ -130,15 +150,27 @@ class AmnPolynomial:
     scale: Fraction
 
 
-def build_amn_polynomial(m: int, pairs: list[CoeffPair] | None = None) -> AmnPolynomial:
+def build_amn_polynomial(m: int) -> AmnPolynomial:
+    """P_m = -(2(m+1)/3) p_{m+1}, from the three-term recurrence in p_j.
+
+    Fraction-free: p_j = P_j(t)/D_j with integer coefficients and
+    D_{j+1} = D_j * 2(j+1)(2j+3), so the p_{j-1} term is scaled by
+    D_j/D_{j-1}.  Only two polynomials are alive at a time.
+    """
     if m < 1:
         raise ValueError("P_m defined for m >= 1")
-    if pairs is None:
-        pairs = coefficient_polynomials(m)
-    last = pairs[m]
-    # t*q - p in integers; only this polynomial becomes rational
-    cols = zip_longest(last.p, (0,) + last.q, fillvalue=0)
-    rational = RatPoly(Fraction(c - a, last.den) for a, c in cols)
+    prev, cur = (1,), (2 * m + 3, -3)  # p_0 and p_1 over D_0 = 1 and D_1 = 2
+    den, ratio = 2, 2  # D_j and D_j/D_{j-1}
+    for j in range(1, m + 1):
+        u = 2 * m + 2 - 2 * j
+        c0 = (2 * j + 3) * (u + 1) + 2 * j * u
+        c1 = u * (u + 3) * ratio
+        cols = zip_longest(cur, (0,) + cur, prev, fillvalue=0)  # p_j, t*p_j, p_{j-1}
+        prev, cur = cur, tuple(c0 * a - 9 * b - c1 * c for a, b, c in cols)
+        ratio = 2 * (j + 1) * (2 * j + 3)
+        den *= ratio
+    # P_m = -2(m+1) P_{m+1} / (3 D_{m+1}); only this polynomial becomes rational
+    rational = RatPoly(Fraction(-2 * (m + 1) * c, 3 * den) for c in cur)
     integer, scale = primitive_integer_form(rational)
     return AmnPolynomial(m, rational, integer, scale)
 

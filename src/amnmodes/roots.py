@@ -244,29 +244,34 @@ def check_root_solutions(m: int, pairs: list[CoeffPair] | None = None) -> list[F
 def monotonicity_check(m_max: int) -> MonotonicityReport:
     """Confirm the root-set chain: every root of P_{m-1} is a root of P_m.
 
-    Each P_m is built on its own (the recurrence depends on m), in turn.
+    Each P_m is built on its own (the recurrence depends on m), in turn,
+    and each root n/q is tested in integers as q**D * P_m(n/q) = 0.
     """
     if m_max < 2:
         raise ValueError("chain check requires m_max >= 2")
     failures = []
     for m in range(2, m_max + 1):
         integer = build_amn_polynomial(m).integer
-        failures += [(m, r) for r in predicted_roots(m - 1).roots if integer(r) != 0]
+        failures += [
+            (m, r)
+            for r in predicted_roots(m - 1).roots
+            if integer.homogeneous(r.numerator, r.denominator) != 0
+        ]
     return MonotonicityReport(m_max, not failures, tuple(failures))
 
 
 def verification_report(m: int, chain: bool = False) -> dict:
     """Run the full exact verification for one m; JSON-ready.
 
-    The pair chain is built once and shared by the build, factorization
-    and system checks; the oracle reads only the integer P_m.
+    The build stage makes P_m as `poly` does; the oracle reads only its
+    integer form.  The pair chain is built in the system stage, the only
+    stage that reads it.
     """
     timings: dict[str, float] = {}
+    predicted = predicted_roots(m)
 
     t0 = time.perf_counter()
-    predicted = predicted_roots(m)
-    pairs = coefficient_polynomials(m)
-    amn = build_amn_polynomial(m, pairs)
+    amn = build_amn_polynomial(m)
     timings["build_ms"] = (time.perf_counter() - t0) * 1000
 
     t0 = time.perf_counter()
@@ -278,7 +283,7 @@ def verification_report(m: int, chain: bool = False) -> dict:
     timings["factorization_ms"] = (time.perf_counter() - t0) * 1000
 
     t0 = time.perf_counter()
-    system_ok = not check_root_solutions(m, pairs)
+    system_ok = not check_root_solutions(m)
     timings["system_ms"] = (time.perf_counter() - t0) * 1000
 
     monotone_ok = True

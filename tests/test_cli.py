@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, golden JSON/CSV schemas."""
 
+import io
 import json
 import math
 from fractions import Fraction
@@ -10,7 +11,7 @@ from test_fields import mp_psi
 
 from amnmodes import roots
 from amnmodes.cli import main
-from amnmodes.fields import ZeroModeField
+from amnmodes.fields import ZeroModeField, sample_grid
 from amnmodes.polynomials import RatPoly, primitive_integer_form
 from amnmodes.recurrence import AmnPolynomial, build_amn_polynomial
 
@@ -38,9 +39,9 @@ CONFLICTING_SELECTORS = (
 )
 
 
-def tampered_build(m, pairs=None):
+def tampered_build(m):
     """P_m with its constant term plus 1: no longer has the predicted roots."""
-    bad = build_amn_polynomial(m, pairs).rational + RatPoly([1])
+    bad = build_amn_polynomial(m).rational + RatPoly([1])
     return AmnPolynomial(m, bad, *primitive_integer_form(bad))
 
 
@@ -275,3 +276,30 @@ def test_usage_error_on_unknown_command():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_one_parser_serves_a_sequence_of_requests(tmp_path, capsys):
+    """poly, verify, a usage error and field through one process's main."""
+    out = tmp_path / "out"
+
+    assert run(["poly", "--m", "3", "-o", str(out)]) == 0
+    assert out.read_text() == json.dumps(TestGolden.expected_poly(3), indent=2)
+
+    assert run(["verify", "--m", "4", "--chain", "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["oracle"] == [str(Fraction(2 * j + 1, 3) ** 2) for j in range(1, 6)]
+    assert doc["oracle_matches"] and doc["factorization_ok"] and doc["system_ok"]
+    assert "monotonicity_ms" in doc["timings_ms"]
+
+    # conflicting selectors: argparse exits 2 and must leave no state behind
+    assert exit_code(["field", "--m", "2", "--j", "1", "--designated"]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+    assert run(["field", "--m", "2", "--designated", "--grid", "2", "-o", str(out)]) == 0
+    buf = io.StringIO()
+    sample_grid(ZeroModeField.designated(2), buf, extent=2.0, n=2)
+    assert out.read_bytes() == buf.getvalue().encode()
+
+    # defaults come back on the next parse: no --chain, no chain stage
+    assert run(["verify", "--m", "2", "-o", str(out)]) == 0
+    assert "monotonicity_ms" not in json.loads(out.read_text())["timings_ms"]

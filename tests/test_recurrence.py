@@ -1,6 +1,7 @@
 """The coefficient recurrence, closed forms, instantiation, and the lift."""
 
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
@@ -106,6 +107,28 @@ class TestChain:
             -494991,
             6561,
         )
+
+
+def pair_route(m):
+    """t*q_m - p_m from the pair chain: the reference route of P_m."""
+    last = coefficient_polynomials(m)[m]
+    cols = zip_longest(last.p, (0,) + last.q, fillvalue=0)
+    return RatPoly(F(c - a, last.den) for a, c in cols)
+
+
+class TestScalarRoute:
+    """`build_amn_polynomial` runs the three-term recurrence in p_j alone."""
+
+    @pytest.mark.parametrize("m", [*range(1, 81), 200])
+    def test_equals_pair_route(self, m):
+        assert build_amn_polynomial(m).rational.coefficient_strings() == (
+            pair_route(m).coefficient_strings()
+        )
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_equals_matrix_route(self, m):
+        p, q = matrix_chain_pair(m, m)
+        assert build_amn_polynomial(m).rational == RatPoly([0, 1]) * q + p.scale(-1)
 
 
 class TestAmnPolynomial:

@@ -205,8 +205,8 @@ class TestMonotonicity:
 
     def test_broken_member_is_named(self, monkeypatch):
         # P_5 + 1 vanishes at no root of P_4; every other P_m is untouched
-        def tampered(m, pairs=None):
-            amn = build_amn_polynomial(m, pairs)
+        def tampered(m):
+            amn = build_amn_polynomial(m)
             if m != 5:
                 return amn
             bad = amn.rational + RatPoly([1])
@@ -293,8 +293,8 @@ def test_verification_report_schema():
 
 
 def test_verification_report_tamper_hook(monkeypatch):
-    def tampered(m, pairs=None):
-        bad = build_amn_polynomial(m, pairs).rational + RatPoly([1])
+    def tampered(m):
+        bad = build_amn_polynomial(m).rational + RatPoly([1])
         return AmnPolynomial(m, bad, *primitive_integer_form(bad))
 
     monkeypatch.setattr(roots, "build_amn_polynomial", tampered)
