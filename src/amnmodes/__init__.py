@@ -5,11 +5,8 @@ from .polynomials import IntPoly, RatPoly, primitive_integer_form, rational_to_s
 from .recurrence import (
     AmnPolynomial,
     AnsatzSolution,
-    CoeffPair,
-    advance_pair,
     build_amn_polynomial,
     closed_form_extremes,
-    coefficient_polynomials,
     instantiate_solution,
     lift_solution,
     matrix_chain_pair,
@@ -37,15 +34,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AmnPolynomial",
     "AnsatzSolution",
-    "CoeffPair",
     "IntPoly",
     "RatPoly",
     "RootSet",
     "ZeroModeField",
-    "advance_pair",
     "build_amn_polynomial",
     "closed_form_extremes",
-    "coefficient_polynomials",
     "enumerate_family",
     "instantiate_solution",
     "l2_norm_squared",

@@ -26,6 +26,9 @@ EXIT_IO = 3
 
 POLY_M_MAX = 500
 FIELD_M_MAX = 50
+# points per axis; all n^3 are evaluated at once: --grid 64 at m = 50 takes
+# about 4 s and 264 MB (2-vCPU VM, Python 3.11.7)
+FIELD_GRID_MAX = 64
 
 
 def _emit(text: str, path: str | None) -> int:
@@ -105,8 +108,8 @@ def cmd_field(args) -> int:
         print(f"error: field operations defined for m in 0..{FIELD_M_MAX}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.grid < 0:
-            raise ValueError("--grid must be >= 0")
+        if not 0 <= args.grid <= FIELD_GRID_MAX:
+            raise ValueError(f"--grid must be in 0..{FIELD_GRID_MAX}")
         if not math.isfinite(args.extent):
             raise ValueError("--extent must be finite")
         b0 = _select_b0(args)

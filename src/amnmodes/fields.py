@@ -19,8 +19,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import eval_jacobi
 
-from .recurrence import AnsatzSolution, coefficient_polynomials, instantiate_solution
-from .recurrence import verify_system
+from .recurrence import AnsatzSolution, instantiate_solution, verify_system
 
 SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # sigma_1..3
 SPINOR_FLOOR = 1e-30  # |psi|^2 below this is a vanished spinor; the potential divides by it
@@ -182,13 +181,12 @@ def weyl_dirac_residual(f: ZeroModeField, x, step: float = 1e-3) -> float:
     return float(np.linalg.norm(lhs - _sigma_dot(f.vector_potential(x), f.evaluate(x))))
 
 
-def l2_norm_squared(f: ZeroModeField, r_max: float = 100.0, tolerance: float = 1e-8) -> float:
+def l2_norm_squared(f: ZeroModeField) -> float:
     """The integral of |psi|^2 over R^3, exact: a rational times pi^2, rounded once.
 
     |psi|^2 = (1 + r^2)^-(N+1) (A(r^2)^2 + r^2 B(r^2)^2) with N = 2m + 2, and
     int_0^inf r^2p (1 + r^2)^-(N+1) dr = B(p + 1/2, N - p + 1/2)/2
-    = pi C(2p, p) C(2N-2p, N-p) / (2 4^N C(N, p)).  `r_max` and `tolerance`
-    belonged to the quadrature this replaced and do not change the value.
+    = pi C(2p, p) C(2N-2p, N-p) / (2 4^N C(N, p)).
     """
     big_n = 2 * f.m + 2
     den, (a, b) = _over_common_denominator(f.a, f.b)
@@ -210,12 +208,11 @@ def enumerate_family(m: int) -> list[ZeroModeField]:
     """All 2(m+1) verified fields of order m, both root signs.
 
     Ordered by (j, sign) with the positive sign first; the designated
-    field is the (j = m+1, +) member.  The pair chain is built once.
+    field is the (j = m+1, +) member.
     """
     if m < 1:
         raise ValueError("family enumeration defined for m >= 1")
-    pairs = coefficient_polynomials(m)
-    return [ZeroModeField(instantiate_solution(m, Fraction(sign * (2 * j + 1), 3), pairs))
+    return [ZeroModeField(instantiate_solution(m, Fraction(sign * (2 * j + 1), 3)))
             for j in range(1, m + 2) for sign in (1, -1)]
 
 

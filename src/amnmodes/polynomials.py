@@ -138,10 +138,6 @@ class IntPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def homogeneous(self, n: int, q: int) -> int:
-        """q**D * P(n/q), D the degree; see the module-level `homogeneous`."""
-        return homogeneous(self.coeffs, n, q)
-
     def coefficient_strings(self) -> list[str]:
         """Decimal strings, ascending power order (JSON wire format).
 

@@ -8,8 +8,9 @@ polynomial is P_m(t) = t*q_m(t) - p_m(t).
 Two independent routes build the chain of (p_j, q_j) pairs: fraction-free
 stepwise substitution in integers (`advance_pair`) and a 2x2 matrix
 product of polynomials over the rationals (`matrix_chain_pair`); tests
-check they agree.  The pairs are read where per-j values are needed: the
-system check, `instantiate_solution` and the field family.
+check they agree.  Only the system check reads the pairs
+(`system_polynomials`, which checks every root at once in t);
+`instantiate_solution` steps the same recurrence on numbers at one b0.
 
 P_m itself comes from a three-term recurrence in p_j alone.  With
 w_j = 2m+5-2j the pair step reads
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .polynomials import IntPoly, RatPoly, homogeneous, primitive_integer_form, rational_to_string
+from .polynomials import IntPoly, RatPoly, primitive_integer_form, rational_to_string
 
 
 @dataclass(frozen=True)
@@ -195,28 +196,24 @@ def closed_form_extremes(m: int) -> tuple[Fraction, Fraction]:
     return c, d
 
 
-def instantiate_solution(
-    m: int, b0, pairs: list[CoeffPair] | None = None
-) -> AnsatzSolution:
-    """Evaluate the pair chain at t = b0**2 to get numeric coefficients.
+def instantiate_solution(m: int, b0) -> AnsatzSolution:
+    """Numeric coefficients at b0, stepped from a_0 = 1, b_0 = b0 for j = 1..m:
 
-    b0 need not be a root of P_m; `verify_system` reports the defect.
-    m = 0 is the distinguished base case with the single pair (1, 1).
+        a_j = ((2m+5-2j) a_{j-1} - 3 b0 b_{j-1}) / 2j,
+        b_j = ((2m+2-2j) b_{j-1} + 3 b0 a_j) / (2j+3),
+
+    the a- and b-equations of `verify_system` solved for a_j and b_j.
+    b0 need not be a root of P_m; `verify_system` reports the defect in
+    the closing equation.  m = 0 is the base case (a, b) = ((1,), (b0,)).
     """
     if m < 0:
         raise ValueError("order must be nonnegative")
     b0 = Fraction(b0)
-    n, q = b0.numerator**2, b0.denominator**2
-    if pairs is None:
-        pairs = coefficient_polynomials(m)
-
-    def at(cs: tuple, den: int) -> Fraction:
-        # cs(t)/den at t = n/q, through the integer q**D * cs(n/q)
-        return Fraction(homogeneous(cs, n, q), q ** (len(cs) - 1) * den)
-
-    a = tuple(at(pair.p, pair.den) for pair in pairs)
-    b = tuple(b0 * at(pair.q, pair.den) for pair in pairs)
-    return AnsatzSolution(m, b0, a, b)
+    a, b = [Fraction(1)], [b0]
+    for j in range(1, m + 1):
+        a.append(((2 * m + 5 - 2 * j) * a[-1] - 3 * b0 * b[-1]) / (2 * j))
+        b.append(((2 * m + 2 - 2 * j) * b[-1] + 3 * b0 * a[-1]) / (2 * j + 3))
+    return AnsatzSolution(m, b0, tuple(a), tuple(b))
 
 
 def verify_system(s: AnsatzSolution) -> list[Fraction]:

@@ -17,7 +17,6 @@ from itertools import count, islice
 from .polynomials import IntPoly, homogeneous, rational_to_string
 from .recurrence import (
     AmnPolynomial,
-    CoeffPair,
     build_amn_polynomial,
     closed_form_extremes,
     coefficient_polynomials,
@@ -217,22 +216,20 @@ class MonotonicityReport:
     failures: tuple = ()
 
 
-def check_root_solutions(m: int, pairs: list[CoeffPair] | None = None) -> list[Fraction]:
+def check_root_solutions(m: int) -> list[Fraction]:
     """b0 values among +-(2j+1)/3 whose instantiated coefficients fail (L_m).
 
     Empty list means every predicted root, with both signs of b0, yields
-    an exact solution of the coefficient system.  `pairs` is the chain of
-    `coefficient_polynomials(m)`, built here when not given.
+    an exact solution of the coefficient system.
 
-    The system is checked in t = b0**2 through `system_polynomials`: the
-    2m recurrence equations are integer polynomial identities, so each
-    needs one check, and only the nonzero ones (normally just the closing
-    p_m - t*q_m, built from pairs[m]) are evaluated at each root, in
-    integers as 9**D * R((2j+1)**2 / 9).  Both signs of b0 share t.
+    The system is checked in t = b0**2 through `system_polynomials` on
+    the pair chain `coefficient_polynomials(m)`: the 2m recurrence
+    equations are integer polynomial identities, so each needs one
+    check, and only the nonzero ones (normally just the closing
+    p_m - t*q_m) are evaluated at each root, in integers as
+    9**D * R((2j+1)**2 / 9).  Both signs of b0 share t.
     """
-    if pairs is None:
-        pairs = coefficient_polynomials(m)
-    nonzero = [r for r in system_polynomials(m, pairs) if any(r)]
+    nonzero = [r for r in system_polynomials(m, coefficient_polynomials(m)) if any(r)]
     bad = []
     for j in range(1, m + 2):
         n = (2 * j + 1) ** 2
@@ -255,7 +252,7 @@ def monotonicity_check(m_max: int) -> MonotonicityReport:
         failures += [
             (m, r)
             for r in predicted_roots(m - 1).roots
-            if integer.homogeneous(r.numerator, r.denominator) != 0
+            if homogeneous(integer.coeffs, r.numerator, r.denominator) != 0
         ]
     return MonotonicityReport(m_max, not failures, tuple(failures))
 

@@ -10,7 +10,7 @@ import pytest
 from test_fields import mp_psi
 
 from amnmodes import roots
-from amnmodes.cli import main
+from amnmodes.cli import FIELD_GRID_MAX, main
 from amnmodes.fields import ZeroModeField, sample_grid
 from amnmodes.polynomials import RatPoly, primitive_integer_form
 from amnmodes.recurrence import AmnPolynomial, build_amn_polynomial
@@ -140,7 +140,7 @@ class TestField:
         assert lines[0].split(",")[:4] == ["x1", "x2", "x3", "re_psi1"]
         assert len(lines) == 9
 
-    def test_m_out_of_range(self, capsys):
+    def test_m_out_of_range(self, tmp_path, capsys):
         assert run(["field", "--m", "51", "--designated"]) == 2
         # sampling inputs that would crash or print NaN rows are usage errors too
         for bad in (
@@ -152,6 +152,14 @@ class TestField:
             capsys.readouterr()
             assert run(["field", "--m", "1", "--designated", *bad]) == 2, bad
             assert capsys.readouterr().err.startswith("error:"), bad
+        # a grid past the cap would exhaust memory; it is refused before anything is built
+        out = tmp_path / "f.csv"
+        for grid in (FIELD_GRID_MAX + 1, 100_000):
+            capsys.readouterr()
+            argv = ["field", "--m", "0", "--designated", "--grid", str(grid), "-o", str(out)]
+            assert run(argv) == 2, grid
+            assert capsys.readouterr().err == f"error: --grid must be in 0..{FIELD_GRID_MAX}\n"
+            assert not out.exists()
 
     def test_non_finite_values_fail(self, tmp_path, capsys):
         # |x|^2 overflows at |x| ~ 1e160: NaN rows, no CSV

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from amnmodes import fields, recurrence
+from amnmodes import fields, recurrence, roots
 from amnmodes.fields import (
     CSV_COLUMNS,
     SIGMA,
@@ -287,7 +287,7 @@ class TestWeylDiracResidual:
 
 class TestL2Norm:
     def test_base_mode_is_pi_squared(self, base):
-        assert abs(l2_norm_squared(base, 100.0, 1e-8) - math.pi**2) <= 1e-6
+        assert abs(l2_norm_squared(base) - math.pi**2) <= 1e-6
 
     @pytest.mark.parametrize("m", range(7))
     def test_matches_quadrature(self, m):
@@ -370,7 +370,7 @@ class TestFamily:
         assert len(fam) == 8
         assert {abs(f.b0) for f in fam} == {1, F(5, 3), F(7, 3), 3}
 
-    def test_pair_chain_built_once(self, monkeypatch):
+    def test_builds_no_pair_chain(self, monkeypatch):
         original = recurrence.coefficient_polynomials
         calls = []
 
@@ -379,12 +379,12 @@ class TestFamily:
             return original(m)
 
         # patch every module that binds the builder, as a caller would see it
-        for module in (recurrence, fields):
+        for module in (recurrence, roots, fields):
             if getattr(module, "coefficient_polynomials", None) is original:
                 monkeypatch.setattr(module, "coefficient_polynomials", counted)
         fam = enumerate_family(5)
         assert len(fam) == 12
-        assert calls == [5]
+        assert calls == []
 
 
 class TestCsvSampling:

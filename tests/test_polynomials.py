@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from amnmodes.polynomials import IntPoly, RatPoly, primitive_integer_form, rational_to_string
+from amnmodes.polynomials import (
+    IntPoly,
+    RatPoly,
+    homogeneous,
+    primitive_integer_form,
+    rational_to_string,
+)
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -138,4 +144,4 @@ int_polys = (
 @given(int_polys, rationals)
 def test_homogeneous_matches_rational_horner(p, x):
     n, q = x.numerator, x.denominator
-    assert p.homogeneous(n, q) == horner(RatPoly(p.coeffs), x) * q**p.degree
+    assert homogeneous(p.coeffs, n, q) == horner(RatPoly(p.coeffs), x) * q**p.degree

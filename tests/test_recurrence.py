@@ -5,8 +5,9 @@ from itertools import zip_longest
 
 import pytest
 
-from amnmodes.polynomials import RatPoly
+from amnmodes.polynomials import RatPoly, homogeneous
 from amnmodes.recurrence import (
+    AnsatzSolution,
     CoeffPair,
     advance_pair,
     build_amn_polynomial,
@@ -180,7 +181,29 @@ class TestClosedForms:
         assert amn.integer[0] == 11025
 
 
+def evaluate_pairs(pairs, b0):
+    """The pair chain j = 0..m evaluated at t = b0**2, a_j = p_j(t) and
+    b_j = b0 q_j(t): the reference route of `instantiate_solution`."""
+    b0 = F(b0)
+    n, q = b0.numerator**2, b0.denominator**2
+
+    def at(cs, den):
+        # cs(t)/den at t = n/q, through the integer q**D * cs(n/q)
+        return F(homogeneous(cs, n, q), q ** (len(cs) - 1) * den)
+
+    a = tuple(at(pair.p, pair.den) for pair in pairs)
+    b = tuple(b0 * at(pair.q, pair.den) for pair in pairs)
+    return AnsatzSolution(len(pairs) - 1, b0, a, b)
+
+
 class TestInstantiate:
+    @pytest.mark.parametrize("m", range(41))
+    def test_equals_pair_chain_route(self, m):
+        pairs = coefficient_polynomials(m)
+        roots = [F(s * (2 * j + 1), 3) for j in range(1, m + 2) for s in (1, -1)]
+        for b0 in [*roots, F(0), F(7, 5), F(-2), F(10**6, 7)]:
+            assert instantiate_solution(m, b0) == evaluate_pairs(pairs, b0), b0
+
     def test_order1_remark_coefficients(self):
         s = instantiate_solution(1, F(5, 3))
         assert s.a == (1, F(-5, 3))

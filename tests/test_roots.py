@@ -7,6 +7,7 @@ from itertools import zip_longest
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from test_recurrence import evaluate_pairs
 
 from amnmodes import roots
 from amnmodes.polynomials import IntPoly, RatPoly, primitive_integer_form
@@ -16,7 +17,6 @@ from amnmodes.recurrence import (
     build_amn_polynomial,
     closed_form_extremes,
     coefficient_polynomials,
-    instantiate_solution,
     verify_system,
 )
 from amnmodes.roots import (
@@ -219,12 +219,12 @@ class TestMonotonicity:
 
 
 def reference_root_solutions(m, pairs):
-    """The per-root route: instantiate each b0 = +-(2j+1)/3, run verify_system."""
+    """The per-root route: evaluate the chain at each b0 = +-(2j+1)/3, run verify_system."""
     bad = []
     for j in range(1, m + 2):
         for sign in (1, -1):
             b0 = F(sign * (2 * j + 1), 3)
-            if any(r != 0 for r in verify_system(instantiate_solution(m, b0, pairs))):
+            if any(r != 0 for r in verify_system(evaluate_pairs(pairs, b0))):
                 bad.append(b0)
     return bad
 
@@ -250,7 +250,7 @@ class TestSystemAtRoots:
     def test_matches_reference_route(self):
         for m in range(1, 13):
             pairs = coefficient_polynomials(m)
-            assert check_root_solutions(m, pairs) == reference_root_solutions(m, pairs) == []
+            assert check_root_solutions(m) == reference_root_solutions(m, pairs) == []
 
     @pytest.mark.parametrize("m", [1, 3, 6])
     @pytest.mark.parametrize(
@@ -265,17 +265,19 @@ class TestSystemAtRoots:
         ],
         ids=["p_j", "q_j", "q_m"],
     )
-    def test_negative_controls_flag_every_root(self, m, case):
+    def test_negative_controls_flag_every_root(self, m, case, monkeypatch):
         pairs = case(m, coefficient_polynomials(m))
-        bad = check_root_solutions(m, pairs)
+        monkeypatch.setattr(roots, "coefficient_polynomials", lambda _: pairs)
+        bad = check_root_solutions(m)
         assert bad == reference_root_solutions(m, pairs)
         assert len(bad) == 2 * (m + 1)
 
     @pytest.mark.parametrize("m", [1, 3, 6])
-    def test_broken_identity_is_evaluated_at_each_root(self, m):
+    def test_broken_identity_is_evaluated_at_each_root(self, m, monkeypatch):
         # (t - 1) on p_1: every broken equation still vanishes at t = 1
         pairs = perturbed(coefficient_polynomials(m), 1, dp=[-1, 1])
-        bad = check_root_solutions(m, pairs)
+        monkeypatch.setattr(roots, "coefficient_polynomials", lambda _: pairs)
+        bad = check_root_solutions(m)
         assert bad == reference_root_solutions(m, pairs)
         assert bad == [F(s * (2 * j + 1), 3) for j in range(2, m + 2) for s in (1, -1)]
 
