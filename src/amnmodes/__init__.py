@@ -1,7 +1,7 @@
 """Exact construction and verification of the Adam-Muratori-Nash
 polynomial sequence and the associated Weyl-Dirac zero modes."""
 
-from .polynomials import IntPoly, RatPoly, primitive_integer_form, rational_to_string
+from .polynomials import IntPoly, primitive_integer_form, rational_to_string
 from .recurrence import (
     AmnPolynomial,
     AnsatzSolution,
@@ -9,8 +9,6 @@ from .recurrence import (
     closed_form_extremes,
     instantiate_solution,
     lift_solution,
-    matrix_chain_pair,
-    seed_pair,
     verify_system,
 )
 from .roots import (
@@ -35,7 +33,6 @@ __all__ = [
     "AmnPolynomial",
     "AnsatzSolution",
     "IntPoly",
-    "RatPoly",
     "RootSet",
     "ZeroModeField",
     "build_amn_polynomial",
@@ -45,13 +42,11 @@ __all__ = [
     "l2_norm_squared",
     "lift_solution",
     "loss_yau_residual",
-    "matrix_chain_pair",
     "monotonicity_check",
     "predicted_roots",
     "primitive_integer_form",
     "rational_root_oracle",
     "rational_to_string",
-    "seed_pair",
     "spin_density",
     "verify_factorization",
     "verify_system",

@@ -167,26 +167,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poly", help="emit P_m in rational and integer form")
     p.add_argument("--m", type=int, required=True)
     common(p)
+    p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("verify", help="full exact verification for one m")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--chain", action="store_true",
                    help="also check the inclusion chain up to m")
     common(p)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("mode", help="emit the coefficient solution for a chosen b0")
     p.add_argument("--m", type=int, required=True)
     common(p, with_b0=True)
+    p.set_defaults(func=cmd_mode)
 
     p = sub.add_parser("field", help="sample a zero-mode field on a grid (CSV)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--grid", type=int, default=5, help="points per axis")
     p.add_argument("--extent", type=float, default=2.0, help="half-width of the cube")
     common(p, with_b0=True)
+    p.set_defaults(func=cmd_field)
 
     p = sub.add_parser("bench", help="timing and coefficient growth per m")
     p.add_argument("--m-max", type=int, required=True)
     common(p)
+    p.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -197,17 +202,7 @@ PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
-    if args.command == "poly":
-        return cmd_poly(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "mode":
-        return cmd_mode(args)
-    if args.command == "field":
-        return cmd_field(args)
-    if args.command == "bench":
-        return cmd_bench(args)
-    return EXIT_USAGE
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,8 @@
-"""Dense univariate polynomials over the rationals.
+"""Exact univariate polynomials as integer coefficient sequences.
 
-Coefficients are stored in ascending power order.  The zero polynomial is
-the empty coefficient tuple; otherwise the trailing (highest) coefficient
-is nonzero.  All arithmetic is exact; nothing in this module touches
-floating point.
+Coefficients are stored in ascending power order.  A rational polynomial
+is kept as its primitive integer form (`IntPoly`) plus the scale that
+clears its denominators; nothing in this module touches floating point.
 """
 
 from __future__ import annotations
@@ -34,71 +33,6 @@ def homogeneous(coeffs: tuple, n: int, q: int) -> int:
         acc = acc * n + c * qk
         qk *= q
     return acc
-
-
-class RatPoly:
-    """Immutable dense polynomial with Fraction coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatPoly is immutable")
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __getitem__(self, n: int) -> Fraction:
-        if 0 <= n < len(self.coeffs):
-            return self.coeffs[n]
-        return Fraction(0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
-
-    def __mul__(self, other: "RatPoly") -> "RatPoly":
-        if self.is_zero or other.is_zero:
-            return RatPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] += ci * cj
-        return RatPoly(out)
-
-    def scale(self, k) -> "RatPoly":
-        k = Fraction(k)
-        return RatPoly(c * k for c in self.coeffs)
-
-    def coefficient_strings(self) -> list[str]:
-        return [rational_to_string(c) for c in self.coeffs]
-
-    def __repr__(self):
-        return f"RatPoly({[str(c) for c in self.coeffs]})"
 
 
 class IntPoly:
@@ -150,17 +84,20 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)})"
 
 
-def primitive_integer_form(p: RatPoly) -> tuple[IntPoly, Fraction]:
-    """Unique primitive integer multiple of p, plus the scale applied.
+def primitive_integer_form(coeffs) -> tuple[IntPoly, Fraction]:
+    """Unique primitive integer multiple of a polynomial, plus the scale applied.
 
-    Returns (q, s) with q = s * p, q having content 1 and positive leading
-    coefficient.
+    `coeffs` are ints or Fractions, ascending.  Returns (q, s) with
+    q = s * p, q having content 1 and positive leading coefficient.
     """
-    if p.is_zero:
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if not cs:
         raise ValueError("cannot normalize zero polynomial")
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    g = math.gcd(*(abs(c) for c in ints))
+    den = math.lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (den // c.denominator) for c in cs]
+    g = math.gcd(*ints)
     sign = 1 if ints[-1] > 0 else -1
     scale = Fraction(sign * den, g)
     return IntPoly(sign * c // g for c in ints), scale

@@ -5,12 +5,12 @@ parity in b0: a_j = p_j(b0**2) and b_j = b0 * q_j(b0**2).  Working in the
 variable t = b0**2 halves every degree, and the order-m closing
 polynomial is P_m(t) = t*q_m(t) - p_m(t).
 
-Two independent routes build the chain of (p_j, q_j) pairs: fraction-free
-stepwise substitution in integers (`advance_pair`) and a 2x2 matrix
-product of polynomials over the rationals (`matrix_chain_pair`); tests
-check they agree.  Only the system check reads the pairs
-(`system_polynomials`, which checks every root at once in t);
-`instantiate_solution` steps the same recurrence on numbers at one b0.
+The chain of (p_j, q_j) pairs is built by fraction-free stepwise
+substitution in integers (`advance_pair`); the tests check it against an
+independent 2x2 matrix product over the rationals.  Only the system
+check reads the pairs (`system_polynomials`, which checks every root at
+once in t); `instantiate_solution` steps the same recurrence on numbers
+at one b0.
 
 P_m itself comes from a three-term recurrence in p_j alone.  With
 w_j = 2m+5-2j the pair step reads
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .polynomials import IntPoly, RatPoly, primitive_integer_form, rational_to_string
+from .polynomials import IntPoly, primitive_integer_form, rational_to_string
 
 
 @dataclass(frozen=True)
@@ -63,22 +63,14 @@ class AnsatzSolution:
     b: tuple
 
 
-def seed_pair(m: int) -> tuple[RatPoly, RatPoly]:
-    """The j=1 pair in closed form: p1 = ((2m+3) - 3t)/2, q1 = ((10m+9) - 9t)/10."""
-    if m < 1:
-        raise ValueError("seed defined for m >= 1")
-    p1 = RatPoly([Fraction(2 * m + 3, 2), Fraction(-3, 2)])
-    q1 = RatPoly([Fraction(10 * m + 9, 10), Fraction(-9, 10)])
-    return p1, q1
-
-
 def advance_pair(m: int, j: int, prev: CoeffPair) -> CoeffPair:
     """One recurrence step: pair j-1 -> pair j, for 1 <= j <= m.
 
     The rational step p_j = (w p_{j-1} - 3t q_{j-1}) / 2j,
     q_j = (3w p_{j-1} + 2j(2m+2-2j) q_{j-1} - 9t q_{j-1}) / 2j(2j+3),
     w = 2m+5-2j, taken fraction-free over the denominator den*2j(2j+3).
-    From pair 0 = (1, 1) the j = 1 step gives the closed-form `seed_pair`.
+    From pair 0 = (1, 1) the j = 1 step gives the closed form
+    p_1 = ((2m+3) - 3t)/2, q_1 = ((10m+9) - 9t)/10.
     """
     if not 1 <= j <= m:
         raise ValueError("advance defined for 1 <= j <= m")
@@ -99,54 +91,11 @@ def coefficient_polynomials(m: int) -> list[CoeffPair]:
     return pairs
 
 
-def recurrence_matrix(m: int, p: int) -> tuple[RatPoly, RatPoly, RatPoly, RatPoly]:
-    """Entries of the step matrix acting on (p, q) pairs, row-major.
-
-    The original matrix acts on (a, b) with entries in b0; rewriting on
-    the parity pair absorbs one factor b0 and turns b0**2 into t.
-    """
-    if not 2 <= p <= m:
-        raise ValueError("step matrix defined for 2 <= p <= m")
-    w = 2 * m + 5 - 2 * p
-    d1 = Fraction(1, 2 * p)
-    d2 = Fraction(1, 2 * p * (2 * p + 3))
-    return (
-        RatPoly([w]).scale(d1),
-        RatPoly([0, -3]).scale(d1),
-        RatPoly([3 * w]).scale(d2),
-        RatPoly([2 * p * (2 * m + 2 - 2 * p), -9]).scale(d2),
-    )
-
-
-def matrix_chain_pair(m: int, j: int) -> tuple[RatPoly, RatPoly]:
-    """(p_j, q_j) via the explicit matrix product K_j K_{j-1} ... K_2 on the seed.
-
-    Deliberately a different computational path from `advance_pair`: the
-    matrices are multiplied out first over the rationals, then applied once.
-    """
-    if j == 1:
-        return seed_pair(m)
-    if not 2 <= j <= m:
-        raise ValueError("matrix chain defined for 1 <= j <= m")
-    acc = recurrence_matrix(m, 2)
-    for p in range(3, j + 1):
-        k = recurrence_matrix(m, p)
-        acc = (
-            k[0] * acc[0] + k[1] * acc[2],
-            k[0] * acc[1] + k[1] * acc[3],
-            k[2] * acc[0] + k[3] * acc[2],
-            k[2] * acc[1] + k[3] * acc[3],
-        )
-    p1, q1 = seed_pair(m)
-    return acc[0] * p1 + acc[1] * q1, acc[2] * p1 + acc[3] * q1
-
-
 @dataclass(frozen=True)
 class AmnPolynomial:
-    """P_m = t*q_m - p_m in rational form and in primitive integer form."""
+    """P_m = t*q_m - p_m as its primitive integer form: integer = scale * P_m."""
 
     m: int
-    rational: RatPoly
     integer: IntPoly
     scale: Fraction
 
@@ -170,10 +119,9 @@ def build_amn_polynomial(m: int) -> AmnPolynomial:
         prev, cur = cur, tuple(c0 * a - 9 * b - c1 * c for a, b, c in cols)
         ratio = 2 * (j + 1) * (2 * j + 3)
         den *= ratio
-    # P_m = -2(m+1) P_{m+1} / (3 D_{m+1}); only this polynomial becomes rational
-    rational = RatPoly(Fraction(-2 * (m + 1) * c, 3 * den) for c in cur)
-    integer, scale = primitive_integer_form(rational)
-    return AmnPolynomial(m, rational, integer, scale)
+    # P_m = -2(m+1) P_{m+1} / (3 D_{m+1}), so integer = s * P_{m+1} = scale * P_m
+    integer, s = primitive_integer_form(cur)
+    return AmnPolynomial(m, integer, s * Fraction(3 * den, -2 * (m + 1)))
 
 
 def closed_form_extremes(m: int) -> tuple[Fraction, Fraction]:
@@ -278,7 +226,7 @@ def polynomial_report(m: int) -> dict:
     c, d = closed_form_extremes(m)
     return {
         "m": m,
-        "rational_coefficients": amn.rational.coefficient_strings(),
+        "rational_coefficients": [rational_to_string(k / amn.scale) for k in amn.integer.coeffs],
         "integer_coefficients": amn.integer.coefficient_strings(),
         "scale": rational_to_string(amn.scale),
         "c_m": rational_to_string(c),

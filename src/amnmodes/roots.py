@@ -49,7 +49,7 @@ def verify_factorization(m: int, amn: AmnPolynomial | None = None) -> Factorizat
 
     Exact checks: prod(q*t - n) over the predicted roots n/q, primitive
     by Gauss's lemma, equals `amn.integer` (so every root vanishes), and
-    the rational P_m has leading coefficient d_m, so
+    P_m = `amn.integer` / `amn.scale` has leading coefficient d_m, so
     P_m = d_m * prod(t - root); the constant term
     d_m * (-1)**(m+1) * prod(roots) equals -c_m.  `amn` is built from m
     when not given.
@@ -72,7 +72,7 @@ def verify_factorization(m: int, amn: AmnPolynomial | None = None) -> Factorizat
                     f"coefficient of t^{i}: product {product[i]} != P_m {amn.integer[i]}"
                 )
                 break
-    lead = amn.rational[amn.rational.degree]
+    lead = amn.integer[amn.integer.degree] / amn.scale
     if lead != d:
         failures.append(f"leading coefficient {lead} != d_m {d}")
 

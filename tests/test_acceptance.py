@@ -91,9 +91,10 @@ def test_02_root_theorem_to_m26():
 def test_03_closed_form_extremes_to_m30():
     ok = True
     for m in range(1, 31):
-        rational = build_amn_polynomial(m).rational
+        amn = build_amn_polynomial(m)
         c, d = closed_form_extremes(m)
-        ok = ok and rational.coeffs[0] == -c and rational.coeffs[-1] == d
+        constant, lead = amn.integer.coeffs[0], amn.integer.coeffs[-1]
+        ok = ok and constant / amn.scale == -c and lead / amn.scale == d
     announce(3, "constant = -c_m and leading = d_m for m<=30", ok)
 
 

@@ -8,12 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from test_fields import mp_psi
+from test_roots import plus_one
 
 from amnmodes import roots
 from amnmodes.cli import FIELD_GRID_MAX, main
 from amnmodes.fields import ZeroModeField, sample_grid
-from amnmodes.polynomials import RatPoly, primitive_integer_form
-from amnmodes.recurrence import AmnPolynomial, build_amn_polynomial
+from amnmodes.recurrence import build_amn_polynomial
 
 
 def run(args):
@@ -41,8 +41,7 @@ CONFLICTING_SELECTORS = (
 
 def tampered_build(m):
     """P_m with its constant term plus 1: no longer has the predicted roots."""
-    bad = build_amn_polynomial(m).rational + RatPoly([1])
-    return AmnPolynomial(m, bad, *primitive_integer_form(bad))
+    return plus_one(build_amn_polynomial(m))
 
 
 class TestPoly:

@@ -5,7 +5,7 @@ from itertools import zip_longest
 
 import pytest
 
-from amnmodes.polynomials import RatPoly, homogeneous
+from amnmodes.polynomials import homogeneous
 from amnmodes.recurrence import (
     AnsatzSolution,
     CoeffPair,
@@ -15,9 +15,7 @@ from amnmodes.recurrence import (
     coefficient_polynomials,
     instantiate_solution,
     lift_solution,
-    matrix_chain_pair,
     polynomial_report,
-    seed_pair,
     verify_system,
 )
 
@@ -26,29 +24,86 @@ F = Fraction
 PAIR0 = CoeffPair(0, (1,), (1,), 1)
 
 
-def rational(pair):
-    """(p_j, q_j) of an integer pair as RatPoly, each coefficient over pair.den."""
-    return tuple(RatPoly(F(c, pair.den) for c in cs) for cs in (pair.p, pair.q))
+def trim(cs) -> tuple:
+    """Ascending coefficients without trailing zeros; () is the zero polynomial."""
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
 
 
-def horner(p: RatPoly, x) -> Fraction:
-    """The exact value of p at x."""
+def add(a, b) -> tuple:
+    return trim(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def mul(a, b) -> tuple:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trim(out)
+
+
+def horner(p, x) -> Fraction:
+    """The exact value at x of the polynomial with ascending coefficients p."""
     acc = F(0)
-    for c in reversed(p.coeffs):
+    for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def rational_form(amn) -> tuple:
+    """The rational coefficients of P_m, integer / scale."""
+    return tuple(c / amn.scale for c in amn.integer.coeffs)
+
+
+def rational(pair):
+    """(p_j, q_j) of an integer pair as Fractions, each coefficient over pair.den."""
+    return tuple(trim(F(c, pair.den) for c in cs) for cs in (pair.p, pair.q))
+
+
+def seed_pair(m):
+    """The j=1 pair in closed form: p1 = ((2m+3) - 3t)/2, q1 = ((10m+9) - 9t)/10."""
+    if m < 1:
+        raise ValueError("seed defined for m >= 1")
+    return (F(2 * m + 3, 2), F(-3, 2)), (F(10 * m + 9, 10), F(-9, 10))
+
+
+def recurrence_matrix(m, p):
+    """The step matrix on (p, q) pairs, row-major: the matrix of the ansatz
+    on (a, b) with one factor b0 absorbed and b0**2 written as t."""
+    w = 2 * m + 5 - 2 * p
+    d1, d2 = F(1, 2 * p), F(1, 2 * p * (2 * p + 3))
+    return (w * d1,), (0, -3 * d1), (3 * w * d2,), (2 * p * (2 * m + 2 - 2 * p) * d2, -9 * d2)
+
+
+def matrix_chain_pair(m, j):
+    """(p_j, q_j) as K_j K_{j-1} ... K_2 applied to the seed: the matrices
+    are multiplied out first over the rationals, then applied once, a
+    different route from the stepwise `advance_pair`."""
+    acc = ((1,), (), (), (1,))
+    for p in range(2, j + 1):
+        k = recurrence_matrix(m, p)
+        acc = (
+            add(mul(k[0], acc[0]), mul(k[1], acc[2])),
+            add(mul(k[0], acc[1]), mul(k[1], acc[3])),
+            add(mul(k[2], acc[0]), mul(k[3], acc[2])),
+            add(mul(k[2], acc[1]), mul(k[3], acc[3])),
+        )
+    p1, q1 = seed_pair(m)
+    return add(mul(acc[0], p1), mul(acc[1], q1)), add(mul(acc[2], p1), mul(acc[3], q1))
 
 
 class TestSeed:
     def test_m1(self):
         p, q = seed_pair(1)
-        assert p == RatPoly([F(5, 2), F(-3, 2)])
-        assert q == RatPoly([F(19, 10), F(-9, 10)])
+        assert p == (F(5, 2), F(-3, 2))
+        assert q == (F(19, 10), F(-9, 10))
 
     def test_m3(self):
         p, q = seed_pair(3)
-        assert p == RatPoly([F(9, 2), F(-3, 2)])
-        assert q == RatPoly([F(39, 10), F(-9, 10)])
+        assert p == (F(9, 2), F(-3, 2))
+        assert q == (F(39, 10), F(-9, 10))
 
     def test_m1_eval_at_root(self):
         # the order-1 solution has a_1 = -5/3 at t = 25/9
@@ -114,7 +169,7 @@ def pair_route(m):
     """t*q_m - p_m from the pair chain: the reference route of P_m."""
     last = coefficient_polynomials(m)[m]
     cols = zip_longest(last.p, (0,) + last.q, fillvalue=0)
-    return RatPoly(F(c - a, last.den) for a, c in cols)
+    return trim(F(c - a, last.den) for a, c in cols)
 
 
 class TestScalarRoute:
@@ -122,14 +177,12 @@ class TestScalarRoute:
 
     @pytest.mark.parametrize("m", [*range(1, 81), 200])
     def test_equals_pair_route(self, m):
-        assert build_amn_polynomial(m).rational.coefficient_strings() == (
-            pair_route(m).coefficient_strings()
-        )
+        assert rational_form(build_amn_polynomial(m)) == pair_route(m)
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_equals_matrix_route(self, m):
         p, q = matrix_chain_pair(m, m)
-        assert build_amn_polynomial(m).rational == RatPoly([0, 1]) * q + p.scale(-1)
+        assert rational_form(build_amn_polynomial(m)) == add(mul((0, 1), q), mul((-1,), p))
 
 
 class TestAmnPolynomial:
@@ -151,14 +204,14 @@ class TestAmnPolynomial:
 
     def test_degree(self):
         for m in (1, 2, 7, 12):
-            assert build_amn_polynomial(m).rational.degree == m + 1
+            assert build_amn_polynomial(m).integer.degree == m + 1
 
     def test_extremes_match_closed_forms_up_to_30(self):
         for m in range(1, 31):
-            rational = build_amn_polynomial(m).rational
+            rational = rational_form(build_amn_polynomial(m))
             c, d = closed_form_extremes(m)
-            assert rational.coeffs[-1] == d
-            assert rational.coeffs[0] == -c
+            assert rational[-1] == d
+            assert rational[0] == -c
 
 
 class TestClosedForms:
@@ -228,13 +281,13 @@ class TestVerifySystem:
     def test_non_root_last_residual_is_minus_p_of_t(self):
         s = instantiate_solution(1, 2)
         res = verify_system(s)
-        rational = build_amn_polynomial(1).rational
+        rational = rational_form(build_amn_polynomial(1))
         assert res[-1] == -horner(rational, 4)
         assert res[-1] != 0
 
     def test_last_residual_identity_generic(self):
         for m in (2, 3, 5):
-            rational = build_amn_polynomial(m).rational
+            rational = rational_form(build_amn_polynomial(m))
             for b0 in (F(1, 2), 2, F(-7, 5)):
                 res = verify_system(instantiate_solution(m, b0))
                 assert res[-1] == -horner(rational, b0 * b0)
@@ -257,7 +310,7 @@ class TestLift:
     def test_lift_at_unit_root_lands_in_next_root_set(self):
         up = lift_solution(instantiate_solution(1, 1))
         assert all(r == 0 for r in verify_system(up))
-        assert horner(build_amn_polynomial(2).rational, 1) == 0
+        assert horner(rational_form(build_amn_polynomial(2)), 1) == 0
 
     def test_lift_rejects_non_solution(self):
         with pytest.raises(ValueError, match="lift requires an exact"):

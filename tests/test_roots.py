@@ -7,10 +7,10 @@ from itertools import zip_longest
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from test_recurrence import evaluate_pairs
+from test_recurrence import evaluate_pairs, mul, rational_form
 
 from amnmodes import roots
-from amnmodes.polynomials import IntPoly, RatPoly, primitive_integer_form
+from amnmodes.polynomials import IntPoly, primitive_integer_form
 from amnmodes.recurrence import (
     AmnPolynomial,
     CoeffPair,
@@ -33,7 +33,8 @@ F = Fraction
 
 
 def deflate(p, r):
-    """Exact synthetic division of the RatPoly p by (t - r); r must be a root.
+    """Exact synthetic division of p, ascending coefficients, by (t - r); r
+    must be a root.
 
     The reference route for `verify_factorization`: P_m deflated by every
     predicted root leaves the constant d_m.
@@ -41,12 +42,19 @@ def deflate(p, r):
     r = Fraction(r)
     out = []
     acc = Fraction(0)
-    for c in reversed(p.coeffs):
+    for c in reversed(p):
         acc = acc * r + c
         out.append(acc)
     if out[-1] != 0:
         raise ValueError(f"{r} is not a root")
-    return RatPoly(reversed(out[:-1]))
+    return tuple(reversed(out[:-1]))
+
+
+def plus_one(amn):
+    """P_m + 1 in primitive integer form: it vanishes at no predicted root."""
+    bad = list(rational_form(amn))
+    bad[0] += 1
+    return AmnPolynomial(amn.m, *primitive_integer_form(bad))
 
 
 @st.composite
@@ -80,8 +88,8 @@ class TestPredictedRoots:
 class TestFactorization:
     def test_m1_expansion(self):
         # (-9/10)(t - 1)(t - 25/9) must equal t*q1 - p1
-        product = RatPoly([F(-9, 10)]) * RatPoly([-1, 1]) * RatPoly([F(-25, 9), 1])
-        assert product == build_amn_polynomial(1).rational
+        product = mul(mul((F(-9, 10),), (-1, 1)), (F(-25, 9), 1))
+        assert product == rational_form(build_amn_polynomial(1))
         assert verify_factorization(1).ok
 
     def test_printed_range(self):
@@ -126,9 +134,9 @@ class TestOracle:
         # 5 is a double root mod every prime, so the oracle must reduce to
         # the squarefree part; one of 2, 3, 6 is a square mod every odd
         # prime, so a squared quadratic also has a double root mod p
-        poly = RatPoly([3, 7]) * RatPoly([-5, 1]) * RatPoly([-5, 1])
+        poly = mul(mul((3, 7), (-5, 1)), (-5, 1))
         for c in (2, 3, 6):
-            poly = poly * RatPoly([-c, 0, 1]) * RatPoly([-c, 0, 1])
+            poly = mul(mul(poly, (-c, 0, 1)), (-c, 0, 1))
         p = primitive_integer_form(poly)[0]
         assert roots._simple_roots_mod_p(p.coeffs) is None
         assert rational_root_oracle(p) == {5, F(-3, 7)}
@@ -150,9 +158,9 @@ class TestOracle:
     @example([F(1), F(25, 9), F(25, 9), F(-7, 4), F(11, 10)])
     def test_finds_exactly_the_linear_factors(self, rs):
         # prod (q t - n) over the roots n/q, times t^2 + 1, which has none
-        poly = RatPoly([1, 0, 1])
+        poly = (1, 0, 1)
         for r in rs:
-            poly = poly * RatPoly([-r.numerator, r.denominator])
+            poly = mul(poly, (-r.numerator, r.denominator))
         assert rational_root_oracle(primitive_integer_form(poly)[0]) == set(rs)
 
     def test_agrees_with_prediction_small(self):
@@ -163,27 +171,27 @@ class TestOracle:
 
 class TestDeflation:
     def test_simple(self):
-        p = RatPoly([-2, 1]) * RatPoly([-3, 1])
-        assert deflate(p, 2) == RatPoly([-3, 1])
+        p = mul((-2, 1), (-3, 1))
+        assert deflate(p, 2) == (-3, 1)
 
     def test_non_root_rejected(self):
         with pytest.raises(ValueError, match="not a root"):
-            deflate(RatPoly([1, 1]), 5)
+            deflate((1, 1), 5)
 
     def test_all_roots_simple_up_to_30(self):
         for m in range(1, 31):
             amn = build_amn_polynomial(m)
-            current = amn.rational
+            current = rational_form(amn)
             for r in predicted_roots(m).roots:
                 current = deflate(current, r)
-            assert current == RatPoly([closed_form_extremes(m)[1]])
+            assert current == (closed_form_extremes(m)[1],)
             assert verify_factorization(m, amn).ok
 
     def test_integer_division_matches_deflate(self):
         # the pseudo-division behind the oracle's squarefree reduction
         for m in range(1, 11):
             amn = build_amn_polynomial(m)
-            rational, integer = amn.rational, list(amn.integer.coeffs)
+            rational, integer = rational_form(amn), list(amn.integer.coeffs)
             for r in predicted_roots(m).roots:
                 rational = deflate(rational, r)
                 integer, rem = roots._pseudo_divmod(integer, [-r.numerator, r.denominator])
@@ -207,10 +215,7 @@ class TestMonotonicity:
         # P_5 + 1 vanishes at no root of P_4; every other P_m is untouched
         def tampered(m):
             amn = build_amn_polynomial(m)
-            if m != 5:
-                return amn
-            bad = amn.rational + RatPoly([1])
-            return AmnPolynomial(m, bad, *primitive_integer_form(bad))
+            return plus_one(amn) if m == 5 else amn
 
         monkeypatch.setattr(roots, "build_amn_polynomial", tampered)
         report = monotonicity_check(7)
@@ -295,11 +300,7 @@ def test_verification_report_schema():
 
 
 def test_verification_report_tamper_hook(monkeypatch):
-    def tampered(m):
-        bad = build_amn_polynomial(m).rational + RatPoly([1])
-        return AmnPolynomial(m, bad, *primitive_integer_form(bad))
-
-    monkeypatch.setattr(roots, "build_amn_polynomial", tampered)
+    monkeypatch.setattr(roots, "build_amn_polynomial", lambda m: plus_one(build_amn_polynomial(m)))
     report = verification_report(1)
     assert report["factorization_ok"] is False
     assert report["oracle_matches"] is False

@@ -1,0 +1,25 @@
+"""The benchmark's traced pass: `perfbench/tracer.py` wraps package functions
+by name, so a rename in `src/` must fail here, not in `run.py --trace 1`."""
+
+import importlib
+from pathlib import Path
+
+from amnmodes import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_tracer_spans_the_build(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    main = cli.main
+    tracer.install()
+    try:
+        assert cli.main(["poly", "--m", "3", "-o", str(tmp_path / "p.json")]) == 0
+        assert cli.main(["verify", "--m", "3", "-o", str(tmp_path / "v.json")]) == 0
+    finally:
+        tracer.uninstall()
+    assert cli.main is main
+    names = {span[1] for span in tracer.spans}
+    assert {"recurrence.build_amn_polynomial", "polynomials.primitive_integer_form"} <= names
+    assert tracer.max_coeff_bits > 0
