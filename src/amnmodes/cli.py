@@ -13,7 +13,6 @@ import io
 import json
 import math
 import sys
-import time
 from fractions import Fraction
 
 from . import fields, roots
@@ -132,16 +131,10 @@ def cmd_bench(args) -> int:
         return EXIT_USAGE
     rows = []
     for m in range(1, args.m_max + 1):
-        t0 = time.perf_counter()
-        amn = build_amn_polynomial(m)
-        build_ms = (time.perf_counter() - t0) * 1000
-        rows.append(
-            {
-                "m": m,
-                "build_ms": build_ms,
-                "max_coefficient_bits": max(abs(c).bit_length() for c in amn.integer.coeffs),
-            }
-        )
+        row = {"m": m}
+        amn = roots.timed(row, "build_ms", build_amn_polynomial, m)
+        row["max_coefficient_bits"] = max(abs(c).bit_length() for c in amn.integer.coeffs)
+        rows.append(row)
     return _emit(json.dumps(rows, indent=2), args.output)
 
 

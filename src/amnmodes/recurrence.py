@@ -9,8 +9,9 @@ The chain of (p_j, q_j) pairs is built by fraction-free stepwise
 substitution in integers (`advance_pair`); the tests check it against an
 independent 2x2 matrix product over the rationals.  Only the system
 check reads the pairs (`system_polynomials`, which checks every root at
-once in t); `instantiate_solution` steps the same recurrence on numbers
-at one b0.
+once in t), streamed: `coefficient_polynomials` yields them one at a
+time; `instantiate_solution` steps the same recurrence on numbers at
+one b0.
 
 P_m itself comes from a three-term recurrence in p_j alone.  With
 w_j = 2m+5-2j the pair step reads
@@ -35,6 +36,7 @@ which is how `build_amn_polynomial` makes it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -83,12 +85,14 @@ def advance_pair(m: int, j: int, prev: CoeffPair) -> CoeffPair:
     return CoeffPair(j, p, q, prev.den * 2 * j * (2 * j + 3))
 
 
-def coefficient_polynomials(m: int) -> list[CoeffPair]:
-    """Full chain of pairs j = 0..m; pair 0 encodes a_0 = 1, b_0 = b0."""
-    pairs = [CoeffPair(0, (1,), (1,), 1)]
+def coefficient_polynomials(m: int) -> Iterator[CoeffPair]:
+    """The pairs j = 0..m in turn, each stepped from the one before; pair 0
+    encodes a_0 = 1, b_0 = b0.  A generator: it holds only the latest pair."""
+    pair = CoeffPair(0, (1,), (1,), 1)
+    yield pair
     for j in range(1, m + 1):
-        pairs.append(advance_pair(m, j, pairs[-1]))
-    return pairs
+        pair = advance_pair(m, j, pair)
+        yield pair
 
 
 @dataclass(frozen=True)
@@ -181,30 +185,31 @@ def verify_system(s: AnsatzSolution) -> list[Fraction]:
     return res
 
 
-def system_polynomials(m: int, pairs: list[CoeffPair]) -> list[tuple]:
+def system_polynomials(m: int, pairs: Iterable[CoeffPair]) -> Iterator[tuple]:
     """The 2m+1 equations of `verify_system` as integer polynomials in t = b0**2.
 
-    Same order: the a-equations 2j p_j - (2m+5-2j) p_{j-1} + 3t q_{j-1},
-    the b-equations (2k+3) q_k - (2m+2-2k) q_{k-1} - 3 p_k with the
-    common factor b0 removed, then the closing p_m - t q_m; each times
-    the lcm of the denominators of the pairs it reads, so the
-    coefficients are integers (ascending in t).  At b0 != 0 the
+    One pass over the chain j = 0..m: as pair j arrives, the a-equation
+    2j p_j - (2m+5-2j) p_{j-1} + 3t q_{j-1}, then the b-equation
+    (2j+3) q_j - (2m+2-2j) q_{j-1} - 3 p_j with the common factor b0
+    removed; after the last pair, the closing p_m - t q_m.  Each is
+    taken times the lcm of the denominators of the pairs it reads, so
+    the coefficients are integers (ascending in t).  At b0 != 0 the
     residuals of `verify_system` vanish exactly where these do at
     t = b0**2.  The recurrence makes the first 2m identically zero; the
     closing one is a multiple of -P_m, zero only at the roots.
     """
-    a_eqs, b_eqs = [], []
-    for j in range(1, m + 1):
-        prev, cur = pairs[j - 1], pairs[j]
+    pairs = iter(pairs)
+    prev = next(pairs)
+    for j, cur in enumerate(pairs, 1):
         g = math.gcd(prev.den, cur.den)
         u, v = prev.den // g, cur.den // g  # both equations j times lcm(den_{j-1}, den_j)
         wa, wb = 2 * m + 5 - 2 * j, (2 * m + 2 - 2 * j) * v
         cols = zip_longest(cur.p, prev.p, (0,) + prev.q, fillvalue=0)
-        a_eqs.append(tuple(2 * j * u * a - v * (wa * b - 3 * c) for a, b, c in cols))
+        yield tuple(2 * j * u * a - v * (wa * b - 3 * c) for a, b, c in cols)
         cols = zip_longest(cur.q, cur.p, prev.q, fillvalue=0)
-        b_eqs.append(tuple(u * ((2 * j + 3) * a - 3 * b) - wb * c for a, b, c in cols))
-    closing = tuple(a - c for a, c in zip_longest(pairs[m].p, (0,) + pairs[m].q, fillvalue=0))
-    return a_eqs + b_eqs + [closing]
+        yield tuple(u * ((2 * j + 3) * a - 3 * b) - wb * c for a, b, c in cols)
+        prev = cur
+    yield tuple(a - c for a, c in zip_longest(prev.p, (0,) + prev.q, fillvalue=0))
 
 
 def lift_solution(s: AnsatzSolution) -> AnsatzSolution:

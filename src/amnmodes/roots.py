@@ -44,18 +44,16 @@ class FactorizationReport:
     failures: tuple = ()
 
 
-def verify_factorization(m: int, amn: AmnPolynomial | None = None) -> FactorizationReport:
+def verify_factorization(amn: AmnPolynomial) -> FactorizationReport:
     """Check P_m against its claimed complete factorization.
 
     Exact checks: prod(q*t - n) over the predicted roots n/q, primitive
     by Gauss's lemma, equals `amn.integer` (so every root vanishes), and
     P_m = `amn.integer` / `amn.scale` has leading coefficient d_m, so
     P_m = d_m * prod(t - root); the constant term
-    d_m * (-1)**(m+1) * prod(roots) equals -c_m.  `amn` is built from m
-    when not given.
+    d_m * (-1)**(m+1) * prod(roots) equals -c_m.
     """
-    if amn is None:
-        amn = build_amn_polynomial(m)
+    m = amn.m
     roots = predicted_roots(m).roots
     c, d = closed_form_extremes(m)
     failures = []
@@ -85,6 +83,8 @@ def verify_factorization(m: int, amn: AmnPolynomial | None = None) -> Factorizat
 
 # primes tried per search, from the first one above 2*deg upward
 PRIME_SEARCH = 32
+# exact candidate tests per oracle call before it errors
+CANDIDATE_BUDGET = 2_000_000
 
 
 def _value_and_slope(f: tuple, x: int, mod: int) -> tuple[int, int]:
@@ -158,7 +158,7 @@ def _reconstruct(r: int, modulus: int) -> tuple[int, int]:
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def rational_root_oracle(p: IntPoly, candidate_budget: int = 2_000_000) -> frozenset:
+def rational_root_oracle(p: IntPoly) -> frozenset:
     """Complete set of rational roots, by p-adic lifting (R. Loos, SIAM J.
     Comput. 12, 1983); independent of `predicted_roots`.
 
@@ -171,7 +171,7 @@ def rational_root_oracle(p: IntPoly, candidate_budget: int = 2_000_000) -> froze
     n | const and q | lead are tested exactly.  Past p**k >
     2*max(|const|, lead)**2 a rational root cannot fail to reconstruct,
     so lifting stops there and no root is missed.  Errors loudly if more
-    than `candidate_budget` candidates are tested.
+    than `CANDIDATE_BUDGET` candidates are tested.
     """
     if p.degree < 1:
         raise ValueError("oracle requires degree >= 1")
@@ -196,8 +196,8 @@ def rational_root_oracle(p: IntPoly, candidate_budget: int = 2_000_000) -> froze
             n, q = _reconstruct(r, modulus)
             if n and const % n == 0 and lead % q == 0:
                 tested += 1
-                if tested > candidate_budget:
-                    raise ValueError(f"candidate budget {candidate_budget} exceeded")
+                if tested > CANDIDATE_BUDGET:
+                    raise ValueError(f"candidate budget {CANDIDATE_BUDGET} exceeded")
                 if homogeneous(f, n, q) == 0:
                     roots.add(Fraction(n, q))
                     break
@@ -222,11 +222,12 @@ def check_root_solutions(m: int) -> list[Fraction]:
     Empty list means every predicted root, with both signs of b0, yields
     an exact solution of the coefficient system.
 
-    The system is checked in t = b0**2 through `system_polynomials` on
-    the pair chain `coefficient_polynomials(m)`: the 2m recurrence
+    The system is checked in t = b0**2 in one pass: `system_polynomials`
+    reads the pair chain `coefficient_polynomials(m)` as it is built, so
+    only the pairs of the equation at hand are alive.  The 2m recurrence
     equations are integer polynomial identities, so each needs one
-    check, and only the nonzero ones (normally just the closing
-    p_m - t*q_m) are evaluated at each root, in integers as
+    check; only the nonzero ones (normally just the closing
+    p_m - t*q_m) are kept and evaluated at each root, in integers as
     9**D * R((2j+1)**2 / 9).  Both signs of b0 share t.
     """
     nonzero = [r for r in system_polynomials(m, coefficient_polynomials(m)) if any(r)]
@@ -257,6 +258,14 @@ def monotonicity_check(m_max: int) -> MonotonicityReport:
     return MonotonicityReport(m_max, not failures, tuple(failures))
 
 
+def timed(timings: dict, key: str, fn, *args):
+    """fn(*args), with its wall time in milliseconds stored as timings[key]."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    timings[key] = (time.perf_counter() - t0) * 1000
+    return result
+
+
 def verification_report(m: int, chain: bool = False) -> dict:
     """Run the full exact verification for one m; JSON-ready.
 
@@ -266,28 +275,13 @@ def verification_report(m: int, chain: bool = False) -> dict:
     """
     timings: dict[str, float] = {}
     predicted = predicted_roots(m)
-
-    t0 = time.perf_counter()
-    amn = build_amn_polynomial(m)
-    timings["build_ms"] = (time.perf_counter() - t0) * 1000
-
-    t0 = time.perf_counter()
-    oracle = rational_root_oracle(amn.integer)
-    timings["oracle_ms"] = (time.perf_counter() - t0) * 1000
-
-    t0 = time.perf_counter()
-    fact = verify_factorization(m, amn)
-    timings["factorization_ms"] = (time.perf_counter() - t0) * 1000
-
-    t0 = time.perf_counter()
-    system_ok = not check_root_solutions(m)
-    timings["system_ms"] = (time.perf_counter() - t0) * 1000
-
+    amn = timed(timings, "build_ms", build_amn_polynomial, m)
+    oracle = timed(timings, "oracle_ms", rational_root_oracle, amn.integer)
+    fact = timed(timings, "factorization_ms", verify_factorization, amn)
+    system_ok = not timed(timings, "system_ms", check_root_solutions, m)
     monotone_ok = True
     if chain and m >= 2:
-        t0 = time.perf_counter()
-        monotone_ok = monotonicity_check(m).ok
-        timings["monotonicity_ms"] = (time.perf_counter() - t0) * 1000
+        monotone_ok = timed(timings, "monotonicity_ms", monotonicity_check, m).ok
 
     return {
         "m": m,

@@ -1,6 +1,7 @@
 """Exact root verification: prediction, factorization, oracle, chain."""
 
 import math
+import weakref
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -90,15 +91,15 @@ class TestFactorization:
         # (-9/10)(t - 1)(t - 25/9) must equal t*q1 - p1
         product = mul(mul((F(-9, 10),), (-1, 1)), (F(-25, 9), 1))
         assert product == rational_form(build_amn_polynomial(1))
-        assert verify_factorization(1).ok
+        assert verify_factorization(build_amn_polynomial(1)).ok
 
     def test_printed_range(self):
         for m in range(1, 7):
-            report = verify_factorization(m)
+            report = verify_factorization(build_amn_polynomial(m))
             assert report.ok, report.failures
 
     def test_m26(self):
-        assert verify_factorization(26).ok
+        assert verify_factorization(build_amn_polynomial(26)).ok
 
 
 class TestOracle:
@@ -148,10 +149,11 @@ class TestOracle:
         with pytest.raises(ValueError, match="no prime in the search window"):
             rational_root_oracle(IntPoly([-c, 0, 1]))
 
-    def test_candidate_budget_errors_loudly(self):
+    def test_candidate_budget_errors_loudly(self, monkeypatch):
         # (t-1)(t-2)(t-3): the second candidate tested passes the budget of 1
+        monkeypatch.setattr(roots, "CANDIDATE_BUDGET", 1)
         with pytest.raises(ValueError, match="candidate budget 1 exceeded"):
-            rational_root_oracle(IntPoly([-6, 11, -6, 1]), candidate_budget=1)
+            rational_root_oracle(IntPoly([-6, 11, -6, 1]))
 
     @given(root_multisets())
     @example([F(0), F(0), F(-5, 7), F(-5, 7), F(3, 2)])
@@ -185,7 +187,7 @@ class TestDeflation:
             for r in predicted_roots(m).roots:
                 current = deflate(current, r)
             assert current == (closed_form_extremes(m)[1],)
-            assert verify_factorization(m, amn).ok
+            assert verify_factorization(amn).ok
 
     def test_integer_division_matches_deflate(self):
         # the pseudo-division behind the oracle's squarefree reduction
@@ -254,7 +256,7 @@ class TestSystemAtRoots:
 
     def test_matches_reference_route(self):
         for m in range(1, 13):
-            pairs = coefficient_polynomials(m)
+            pairs = list(coefficient_polynomials(m))
             assert check_root_solutions(m) == reference_root_solutions(m, pairs) == []
 
     @pytest.mark.parametrize("m", [1, 3, 6])
@@ -271,16 +273,32 @@ class TestSystemAtRoots:
         ids=["p_j", "q_j", "q_m"],
     )
     def test_negative_controls_flag_every_root(self, m, case, monkeypatch):
-        pairs = case(m, coefficient_polynomials(m))
+        pairs = case(m, list(coefficient_polynomials(m)))
         monkeypatch.setattr(roots, "coefficient_polynomials", lambda _: pairs)
         bad = check_root_solutions(m)
         assert bad == reference_root_solutions(m, pairs)
         assert len(bad) == 2 * (m + 1)
 
+    def test_pair_chain_is_streamed(self, monkeypatch):
+        # each equation reads pairs j-1 and j, so the check holds a few pairs
+        # at a time, never the whole chain of 41
+        alive, sizes = weakref.WeakSet(), []
+
+        def tracked(m):
+            for pair in coefficient_polynomials(m):
+                alive.add(pair)
+                sizes.append(len(alive))
+                yield pair
+
+        monkeypatch.setattr(roots, "coefficient_polynomials", tracked)
+        assert check_root_solutions(40) == []
+        assert len(sizes) == 41
+        assert max(sizes) <= 3
+
     @pytest.mark.parametrize("m", [1, 3, 6])
     def test_broken_identity_is_evaluated_at_each_root(self, m, monkeypatch):
         # (t - 1) on p_1: every broken equation still vanishes at t = 1
-        pairs = perturbed(coefficient_polynomials(m), 1, dp=[-1, 1])
+        pairs = perturbed(list(coefficient_polynomials(m)), 1, dp=[-1, 1])
         monkeypatch.setattr(roots, "coefficient_polynomials", lambda _: pairs)
         bad = check_root_solutions(m)
         assert bad == reference_root_solutions(m, pairs)
