@@ -6,9 +6,11 @@ against the prefactor, so psi = <x>^-3 [F_k(s) + sign (-1)^k F_k(1-s) X] phi0
 with s = |x|^2/(1+|x|^2), X = i sigma.x, phi0 = (1, 0) and
 F_k(s) = 2F1(-k, k+3; 3/2; s) = k!/(3/2)_k P_k^(1/2,3/2)(1-2s), a Jacobi
 polynomial (DLMF 15.8.1, 18.5.7).  Construction checks the lifted
-closed-form coefficients exactly; psi and (sigma.D) psi are evaluated on
-arrays of points, the L2 norm exactly.  The finite-difference residuals
-are the independent per-point oracle.
+closed-form coefficients exactly.  psi and (sigma.D) psi are evaluated on
+arrays of points; their radial parts depend on |x|^2 alone and are
+evaluated once per distinct |x|^2.  The L2 norm is a closed form in k,
+from the Jacobi norms.  The finite-difference residuals are the
+independent per-point oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import eval_jacobi
 
-from .recurrence import AnsatzSolution, instantiate_solution, verify_system
+from .recurrence import AnsatzSolution, instantiate_solution, over_common_denominator, verify_system
 
 SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # sigma_1..3
 SPINOR_FLOOR = 1e-30  # |psi|^2 below this is a vanished spinor; the potential divides by it
@@ -35,23 +37,18 @@ def _sigma_dot(v: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.einsum("...k,kij,...j->...i", v, SIGMA, s)
 
 
-def _radial(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x as floats, u = |x|^2 and the Jacobi argument y = (1-u)/(1+u) = 1 - 2s."""
-    x = np.asarray(x, dtype=float)
-    u = np.sum(x * x, axis=-1)
-    return x, u, (1.0 - u) / (1.0 + u)
-
-
 def _spinor(x: np.ndarray, upper, lower, scale) -> np.ndarray:
     """scale (upper + lower X) phi0 = scale (upper + i lower x3, lower (i x1 - x2))."""
     up, down = upper + 1j * lower * x[..., 2], lower * (1j * x[..., 0] - x[..., 1])
     return np.stack([scale * up, scale * down], axis=-1)
 
 
-def _over_common_denominator(*lists) -> tuple[int, list]:
-    """The lcm of the denominators of Fraction lists, and each list times it, in integers."""
-    den = math.lcm(*(c.denominator for cs in lists for c in cs))
-    return den, [[c.numerator * (den // c.denominator) for c in cs] for cs in lists]
+def _radial_spinor(x, radial) -> np.ndarray:
+    """_spinor(x, *radial(u)), the elementwise radial(u) taken once per distinct u = |x|^2."""
+    x = np.asarray(x, dtype=float)
+    u = np.sum(x * x, axis=-1)
+    distinct, index = np.unique(u, return_inverse=True)
+    return _spinor(x, *(v[index.reshape(u.shape)] for v in radial(distinct)))
 
 
 def _closed_form(m: int, k: int, sign: int) -> AnsatzSolution:
@@ -66,7 +63,7 @@ def _closed_form(m: int, k: int, sign: int) -> AnsatzSolution:
     for n in range(1, k + 1):
         a.append(a[-1] * Fraction(-(k - n + 1) * (2 * k + 5 - 2 * n), n * (2 * n + 1)))
     b = [sign * c * Fraction(2 * k + 3 - 2 * n, 2 * n + 3) for n, c in enumerate(a)]
-    den, ints = _over_common_denominator(a, b)
+    den, ints = over_common_denominator(a, b)
     for _ in range(m - k):
         ints = [[x + y for x, y in zip([0] + cs, cs + [0])] for cs in ints]
     a, b = (tuple(Fraction(c, den) for c in cs) for cs in ints)
@@ -118,8 +115,9 @@ class ZeroModeField:
 
     def evaluate(self, x) -> np.ndarray:
         """psi at points x."""
-        x, u, y = _radial(x)
-        return _spinor(x, *self._jacobi(y, self.k), (1.0 + u) ** -1.5)
+        def radial(u):
+            return *self._jacobi((1.0 - u) / (1.0 + u), self.k), (1.0 + u) ** -1.5
+        return _radial_spinor(x, radial)
 
     def sigma_d(self, x) -> np.ndarray:
         """(sigma.D) psi at points x, D = -i grad, from the Jacobi form.
@@ -127,16 +125,19 @@ class ZeroModeField:
         psi = (f(u) + g(u) X) phi0 with u = |x|^2 gives (sigma.D) psi = [(3g + 2u g') - 2f' X] phi0;
         dy/du = -2/(1+u)^2 and dP_n^(a,b)/dy = (n+a+b+1)/2 P_{n-1}^(a+1,b+1).
         """
-        x, u, y = _radial(x)
-        w = 1.0 + u
-        p, q = self._jacobi(y, self.k)
-        # eval_jacobi is 0 at degree -1, so both derivatives vanish at k = 0
-        dp, dq = ((self.k + 3) / 2 * d for d in self._jacobi(y, self.k - 1, 1.0))
-        return _spinor(x, 3 * q - 4 * u / w * dq, 3 * p + 4 * dp / w, w**-2.5)
+        def radial(u):
+            w = 1.0 + u
+            y = (1.0 - u) / w
+            p, q = self._jacobi(y, self.k)
+            # eval_jacobi is 0 at degree -1, so both derivatives vanish at k = 0
+            dp, dq = ((self.k + 3) / 2 * d for d in self._jacobi(y, self.k - 1, 1.0))
+            return 3 * q - 4 * u / w * dq, 3 * p + 4 * dp / w, w**-2.5
+        return _radial_spinor(x, radial)
 
     def h(self, x):
         """The coupling 3*b0/<x>^2 at points x."""
-        return float(self.alpha) / (1.0 + _radial(x)[1])
+        x = np.asarray(x, dtype=float)
+        return float(self.alpha) / (1.0 + np.sum(x * x, axis=-1))
 
     def vector_potential(self, x) -> np.ndarray:
         """A(x) = h(x) * spin_density(psi(x)) / |psi(x)|^2."""
@@ -182,26 +183,22 @@ def weyl_dirac_residual(f: ZeroModeField, x, step: float = 1e-3) -> float:
 
 
 def l2_norm_squared(f: ZeroModeField) -> float:
-    """The integral of |psi|^2 over R^3, exact: a rational times pi^2, rounded once.
+    """The integral of |psi|^2 over R^3: 2(2k+3) pi^2 / (3(k+1)(k+2)), rounded once.
 
-    |psi|^2 = (1 + r^2)^-(N+1) (A(r^2)^2 + r^2 B(r^2)^2) with N = 2m + 2, and
-    int_0^inf r^2p (1 + r^2)^-(N+1) dr = B(p + 1/2, N - p + 1/2)/2
-    = pi C(2p, p) C(2N-2p, N-p) / (2 4^N C(N, p)).
+    psi = <x>^-3 c (P(y) + sign Q(y) X) phi0 with c = k!/(3/2)_k, P = P_k^(1/2,3/2),
+    Q(y) = P_k^(3/2,1/2)(y) = (-1)^k P(-y) and y = (1-u)/(1+u); then
+    4 pi r^2 |psi|^2 dr = (pi/2) c^2 (1-y)^(1/2) (1+y)^(1/2) (P^2 + Q^2 (1-y)/(1+y)) dy.
+    Reflecting y -> -y in the Q^2 term and adding (1-y) + (1+y) = 2 leaves
+    pi c^2 int P^2 w/(1-y^2) dy, w = (1-y)^a (1+y)^b the Jacobi weight at
+    a = 1/2, b = 3/2.  Split 1/(1-y^2) = (1/(1-y) + 1/(1+y))/2; with
+    P = P(1) + (y-1) R, deg R < k, orthogonality leaves a Beta integral,
+    int w P^2/(1-y) = (2k+a+b+1) h_k/(2a), and likewise at y = -1 with b.
+    So the integral is (2k+3)(1/a + 1/b) h_k/4 = 2(2k+3) h_k/3, and
+    h_k = 8 Gamma(k+3/2) Gamma(k+5/2) / ((2k+3) k! (k+2)!) (DLMF Table 18.3.1)
+    gives c^2 h_k = pi/((k+1)(k+2)).  Neither m (the lifts cancel) nor the
+    sign enters; k = 0 is the base mode's pi^2.
     """
-    big_n = 2 * f.m + 2
-    den, (a, b) = _over_common_denominator(f.a, f.b)
-    c = [0] * big_n  # den^2 (A^2 + u B^2), ascending in u
-    for i in range(f.m + 1):
-        for j in range(f.m + 1):
-            c[i + j] += a[i] * a[j]
-            c[i + j + 1] += b[i] * b[j]
-    binom = [math.comb(big_n, p) for p in range(1, big_n + 1)]
-    lcm = math.lcm(*binom)
-    radial = sum(
-        cn * math.comb(2 * p, p) * math.comb(2 * q, q) * (lcm // bp)
-        for p, q, cn, bp in zip(range(1, big_n + 1), range(big_n - 1, -1, -1), c, binom)
-    )  # den^2 lcm 4^N times the radial integral over pi/2
-    return float(Fraction(2 * radial, den**2 * lcm * 4**big_n)) * math.pi**2  # 4 pi from the angles
+    return float(Fraction(2 * (2 * f.k + 3), 3 * (f.k + 1) * (f.k + 2))) * math.pi**2
 
 
 def enumerate_family(m: int) -> list[ZeroModeField]:

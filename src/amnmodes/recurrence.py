@@ -148,6 +148,12 @@ def closed_form_extremes(m: int) -> tuple[Fraction, Fraction]:
     return c, d
 
 
+def over_common_denominator(*lists) -> tuple[int, list]:
+    """The lcm of the denominators of rational lists, and each list times it, in integers."""
+    den = math.lcm(*(c.denominator for cs in lists for c in cs))
+    return den, [[c.numerator * (den // c.denominator) for c in cs] for cs in lists]
+
+
 def instantiate_solution(m: int, b0) -> AnsatzSolution:
     """Numeric coefficients at b0, stepped from a_0 = 1, b_0 = b0 for j = 1..m:
 
@@ -157,14 +163,25 @@ def instantiate_solution(m: int, b0) -> AnsatzSolution:
     the a- and b-equations of `verify_system` solved for a_j and b_j.
     b0 need not be a root of P_m; `verify_system` reports the defect in
     the closing equation.  m = 0 is the base case (a, b) = ((1,), (b0,)).
+    Fraction-free, b0 = beta/gamma: a_j = A/D and b_j = B/D over one running
+    denominator D, which each step multiplies by 2j(2j+3) gamma^2 before
+    A, B and D are divided by their gcd.
     """
     if m < 0:
         raise ValueError("order must be nonnegative")
     b0 = Fraction(b0)
+    beta, gamma = b0.numerator, b0.denominator
+    big_a, big_b, den = gamma, beta, gamma
     a, b = [Fraction(1)], [b0]
     for j in range(1, m + 1):
-        a.append(((2 * m + 5 - 2 * j) * a[-1] - 3 * b0 * b[-1]) / (2 * j))
-        b.append(((2 * m + 2 - 2 * j) * b[-1] + 3 * b0 * a[-1]) / (2 * j + 3))
+        step = gamma * (2 * m + 5 - 2 * j) * big_a - 3 * beta * big_b  # a_j times 2j gamma D
+        big_b = 2 * j * gamma**2 * (2 * m + 2 - 2 * j) * big_b + 3 * beta * step
+        big_a = gamma * (2 * j + 3) * step
+        den *= 2 * j * (2 * j + 3) * gamma**2
+        g = math.gcd(big_a, big_b, den)
+        big_a, big_b, den = big_a // g, big_b // g, den // g
+        a.append(Fraction(big_a, den))
+        b.append(Fraction(big_b, den))
     return AnsatzSolution(m, b0, tuple(a), tuple(b))
 
 
@@ -173,16 +190,16 @@ def verify_system(s: AnsatzSolution) -> list[Fraction]:
 
     Ordering: the odd-labelled a-equations for j = 1..m, then the
     even-labelled b-equations for k = 1..m, then the closing equation
-    a_m = b0*b_m, whose residual equals -P_m(b0**2).
+    a_m = b0*b_m, whose residual equals -P_m(b0**2).  Each is formed in
+    integers times L gamma, L the lcm denominator of a and b, b0 = beta/gamma.
     """
-    m, b0, a, b = s.m, s.b0, s.a, s.b
-    res = []
-    for j in range(1, m + 1):
-        res.append(2 * j * a[j] - (2 * m + 5 - 2 * j) * a[j - 1] + 3 * b0 * b[j - 1])
-    for k in range(1, m + 1):
-        res.append((2 * k + 3) * b[k] - (2 * m + 2 - 2 * k) * b[k - 1] - 3 * b0 * a[k])
-    res.append(a[m] - b0 * b[m])
-    return res
+    m, beta, gamma = s.m, s.b0.numerator, s.b0.denominator
+    den, (a, b) = over_common_denominator(s.a, s.b)
+    res = [gamma * (2 * j * a[j] - (2 * m + 5 - 2 * j) * a[j - 1]) + 3 * beta * b[j - 1]
+           for j in range(1, m + 1)]
+    res += [gamma * ((2 * k + 3) * b[k] - (2 * m + 2 - 2 * k) * b[k - 1]) - 3 * beta * a[k]
+            for k in range(1, m + 1)]
+    return [Fraction(r, den * gamma) for r in [*res, gamma * a[m] - beta * b[m]]]
 
 
 def system_polynomials(m: int, pairs: Iterable[CoeffPair]) -> Iterator[tuple]:

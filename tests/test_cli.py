@@ -191,6 +191,18 @@ class TestField:
         assert exit_code(["field", "--m", "2", "--grid", "2", *selectors, "-o", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("j", [1, 2, 5])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_bytes_independent_of_order(self, j, sign, tmp_path):
+        # the lifts of the (j, sign) member cancel against the prefactor at every m >= j-1
+        texts = set()
+        for m in range(j - 1, j + 6):
+            out = tmp_path / f"f{m}.csv"
+            assert run(["field", "--m", str(m), "--j", str(j), "--sign", sign, "--grid", "5",
+                        "-o", str(out)]) == 0
+            texts.add(out.read_text())
+        assert len(texts) == 1
+
 
 class TestBench:
     def test_reports_growth(self, tmp_path):

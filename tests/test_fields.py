@@ -89,6 +89,64 @@ def fraction_l2(f: ZeroModeField) -> float:
     return float(2 * radial / 4**big_n) * math.pi**2
 
 
+def beta_sum_l2(f: ZeroModeField) -> Fraction:
+    """The reference route for the closed-form L2 norm: the norm over pi^2, exactly.
+
+    |psi|^2 = (1 + r^2)^-(N+1) (A(r^2)^2 + r^2 B(r^2)^2) with N = 2m + 2, and
+    int_0^inf r^2p (1 + r^2)^-(N+1) dr = B(p + 1/2, N - p + 1/2)/2
+    = pi C(2p, p) C(2N-2p, N-p) / (2 4^N C(N, p)), summed in integers.
+    """
+    big_n = 2 * f.m + 2
+    den, (a, b) = recurrence.over_common_denominator(f.a, f.b)
+    c = [0] * big_n  # den^2 (A^2 + u B^2), ascending in u
+    for i in range(f.m + 1):
+        for j in range(f.m + 1):
+            c[i + j] += a[i] * a[j]
+            c[i + j + 1] += b[i] * b[j]
+    binom = [math.comb(big_n, p) for p in range(1, big_n + 1)]
+    lcm = math.lcm(*binom)
+    radial = sum(
+        cn * math.comb(2 * p, p) * math.comb(2 * q, q) * (lcm // bp)
+        for p, q, cn, bp in zip(range(1, big_n + 1), range(big_n - 1, -1, -1), c, binom)
+    )  # den^2 lcm 4^N times the radial integral over pi/2
+    return Fraction(2 * radial, den**2 * lcm * 4**big_n)  # 4 pi from the angles
+
+
+def assert_l2_closed_form(fs) -> None:
+    """`l2_norm_squared` is 2(2k+3) pi^2 / (3(k+1)(k+2)), equal to the Beta sum exactly."""
+    for f in fs:
+        closed = Fraction(2 * (2 * f.k + 3), 3 * (f.k + 1) * (f.k + 2))
+        assert beta_sum_l2(f) == closed, (f.m, f.label)
+        assert l2_norm_squared(f) == float(closed) * math.pi**2, (f.m, f.label)
+
+
+def reference_evaluate(f: ZeroModeField, x) -> np.ndarray:
+    """The reference route of `evaluate`: the radial functions at every point."""
+    x = np.asarray(x, dtype=float)
+    u = np.sum(x * x, axis=-1)
+    y = (1.0 - u) / (1.0 + u)
+    return fields._spinor(x, *f._jacobi(y, f.k), (1.0 + u) ** -1.5)
+
+
+def reference_sigma_d(f: ZeroModeField, x) -> np.ndarray:
+    """The reference route of `sigma_d`: the radial functions at every point."""
+    x = np.asarray(x, dtype=float)
+    u = np.sum(x * x, axis=-1)
+    y = (1.0 - u) / (1.0 + u)
+    w = 1.0 + u
+    p, q = f._jacobi(y, f.k)
+    dp, dq = ((f.k + 3) / 2 * d for d in f._jacobi(y, f.k - 1, 1.0))
+    return fields._spinor(x, 3 * q - 4 * u / w * dq, 3 * p + 4 * dp / w, w**-2.5)
+
+
+def grid_rows_or_error(f: ZeroModeField, extent: float, n: int):
+    """`_grid_rows` as int64 bit patterns, or the type and text of what it raised."""
+    try:
+        return fields._grid_rows(f, extent, n).view(np.int64).tolist()
+    except (ValueError, FloatingPointError) as exc:
+        return type(exc), str(exc)
+
+
 def csv_reference(f: ZeroModeField, extent: float, n: int) -> str:
     """The reference route for the CSV text: csv.writer and one repr per cell."""
     out = io.StringIO()
@@ -300,6 +358,20 @@ class TestL2Norm:
         for f in members(m) if m <= 12 else [ZeroModeField.designated(m)]:
             assert l2_norm_squared(f) == fraction_l2(f), f.label
 
+    @pytest.mark.parametrize("m", [*range(13), 100, 200, 500])
+    def test_closed_form_equals_beta_sum(self, m):
+        """Every member up to m = 12; the designated and k = 0 members above."""
+        if m <= 12:
+            assert_l2_closed_form(members(m))
+        else:
+            k0 = ZeroModeField(instantiate_solution(m, 1))
+            assert_l2_closed_form([ZeroModeField.designated(m), k0])
+
+    @pytest.mark.parametrize("k", range(51))
+    def test_closed_form_equals_beta_sum_per_k(self, k):
+        assert_l2_closed_form([ZeroModeField(instantiate_solution(m, F(sign * (2 * k + 3), 3)))
+                               for m in (k, k + 3) for sign in (1, -1)])
+
     def test_lift_leaves_the_norm(self):
         # lifting multiplies A, B by 1 + |x|^2 and the prefactor divides it out
         values = [l2_norm_squared(f) for f in members(4) if f.label == (2, -1)]
@@ -354,6 +426,52 @@ def test_closed_form_is_repeated_lift(m):
             for _ in range(m - k):
                 s = recurrence.lift_solution(s)
             assert fields._closed_form(m, k, sign) == s, (k, sign)
+
+
+class TestRadialOncePerRadius:
+    @pytest.mark.parametrize("m", range(51))
+    def test_rows_equal_full_grid_route(self, m, monkeypatch):
+        """`_grid_rows` gives the doubles of evaluating every point, bit for bit."""
+        for f in (ZeroModeField.designated(m), ZeroModeField(instantiate_solution(m, -1))):
+            for n in (2, 5, 16):
+                for extent in (0.7, 2.0, 1e3):
+                    got = grid_rows_or_error(f, extent, n)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(ZeroModeField, "evaluate", reference_evaluate)
+                        patch.setattr(ZeroModeField, "sigma_d", reference_sigma_d)
+                        want = grid_rows_or_error(f, extent, n)
+                    assert got == want, (f.label, n, extent)
+
+    def test_per_point_calls_equal_full_grid_route(self):
+        """Each point on its own gets the doubles the full-grid route gives it in an array.
+
+        numpy's scalar power (libm) and its array loop differ in the last bit
+        of (1+u)^-1.5 at about 1 in 20 points, so one point is evaluated as an
+        array of one, the same path as a grid.
+        """
+        points = np.random.default_rng(9).uniform(-3, 3, (200, 3))
+        for f in (ZeroModeField.designated(7), ZeroModeField(instantiate_solution(7, F(-5, 3)))):
+            routes = ((f.evaluate, reference_evaluate), (f.sigma_d, reference_sigma_d))
+            for method, reference in routes:
+                want = reference(f, points).view(np.int64)
+                got = np.array([method(x) for x in points]).view(np.int64)
+                assert np.array_equal(got, want), f.label
+
+    def test_jacobi_once_per_distinct_radius(self, monkeypatch):
+        sizes = []
+
+        def counted(n, alpha, beta, y):
+            sizes.append(np.size(y))
+            return original(n, alpha, beta, y)
+
+        original = fields.eval_jacobi
+        monkeypatch.setattr(fields, "eval_jacobi", counted)
+        fields._grid_rows(ZeroModeField.designated(5), 2.0, 16)
+        axis = np.linspace(-2.0, 2.0, 16)
+        x = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        distinct = len(np.unique(np.sum(x * x, axis=-1)))
+        assert distinct == 185
+        assert sizes == [distinct] * 6  # p and q for psi, and with p', q' for sigma.D psi
 
 
 class TestFamily:

@@ -249,12 +249,29 @@ def evaluate_pairs(pairs, b0):
     return AnsatzSolution(len(pairs) - 1, b0, a, b)
 
 
+def sweep_b0(m):
+    """Every root of P_m with both signs, then four non-roots."""
+    roots = [F(s * (2 * j + 1), 3) for j in range(1, m + 2) for s in (1, -1)]
+    return [*roots, F(0), F(7, 5), F(-2), F(10**6, 7)]
+
+
+def fraction_verify_system(s):
+    """The reference route of `verify_system`: each residual formed in Fraction."""
+    m, b0, a, b = s.m, s.b0, s.a, s.b
+    res = []
+    for j in range(1, m + 1):
+        res.append(2 * j * a[j] - (2 * m + 5 - 2 * j) * a[j - 1] + 3 * b0 * b[j - 1])
+    for k in range(1, m + 1):
+        res.append((2 * k + 3) * b[k] - (2 * m + 2 - 2 * k) * b[k - 1] - 3 * b0 * a[k])
+    res.append(a[m] - b0 * b[m])
+    return res
+
+
 class TestInstantiate:
     @pytest.mark.parametrize("m", range(41))
     def test_equals_pair_chain_route(self, m):
         pairs = list(coefficient_polynomials(m))
-        roots = [F(s * (2 * j + 1), 3) for j in range(1, m + 2) for s in (1, -1)]
-        for b0 in [*roots, F(0), F(7, 5), F(-2), F(10**6, 7)]:
+        for b0 in sweep_b0(m):
             assert instantiate_solution(m, b0) == evaluate_pairs(pairs, b0), b0
 
     def test_order1_remark_coefficients(self):
@@ -274,6 +291,15 @@ class TestInstantiate:
 
 
 class TestVerifySystem:
+    @pytest.mark.parametrize("m", range(41))
+    def test_equals_fraction_route(self, m):
+        for b0 in sweep_b0(m):
+            s = instantiate_solution(m, b0)
+            got, want = verify_system(s), fraction_verify_system(s)
+            assert len(got) == len(want) == 2 * m + 1
+            for r, ref in zip(got, want):
+                assert isinstance(r, Fraction) and r == ref, (b0, r, ref)
+
     def test_solution_has_zero_residuals(self):
         assert verify_system(instantiate_solution(1, F(5, 3))) == [0, 0, 0]
         assert verify_system(instantiate_solution(2, F(7, 3))) == [0, 0, 0, 0, 0]
