@@ -80,8 +80,9 @@ def advance_pair(m: int, j: int, prev: CoeffPair) -> CoeffPair:
         raise ValueError("pair index must be j-1")
     w = 2 * m + 5 - 2 * j
     v = 2 * j * (2 * m + 2 - 2 * j)
+    pa, pc, qa = (2 * j + 3) * w, 3 * (2 * j + 3), 3 * w
     cols = zip_longest(prev.p, prev.q, (0,) + prev.q, fillvalue=0)  # p, q, t*q
-    p, q = zip(*(((2 * j + 3) * (w * a - 3 * c), 3 * w * a + v * b - 9 * c) for a, b, c in cols))
+    p, q = zip(*((pa * a - pc * c, qa * a + v * b - 9 * c) for a, b, c in cols))
     return CoeffPair(j, p, q, prev.den * 2 * j * (2 * j + 3))
 
 
@@ -220,11 +221,12 @@ def system_polynomials(m: int, pairs: Iterable[CoeffPair]) -> Iterator[tuple]:
     for j, cur in enumerate(pairs, 1):
         g = math.gcd(prev.den, cur.den)
         u, v = prev.den // g, cur.den // g  # both equations j times lcm(den_{j-1}, den_j)
-        wa, wb = 2 * m + 5 - 2 * j, (2 * m + 2 - 2 * j) * v
+        ka, kb, kc = 2 * j * u, (2 * m + 5 - 2 * j) * v, 3 * v
         cols = zip_longest(cur.p, prev.p, (0,) + prev.q, fillvalue=0)
-        yield tuple(2 * j * u * a - v * (wa * b - 3 * c) for a, b, c in cols)
+        yield tuple(ka * a - kb * b + kc * c for a, b, c in cols)
+        ka, kb, kc = (2 * j + 3) * u, 3 * u, (2 * m + 2 - 2 * j) * v
         cols = zip_longest(cur.q, cur.p, prev.q, fillvalue=0)
-        yield tuple(u * ((2 * j + 3) * a - 3 * b) - wb * c for a, b, c in cols)
+        yield tuple(ka * a - kb * b - kc * c for a, b, c in cols)
         prev = cur
     yield tuple(a - c for a, c in zip_longest(prev.p, (0,) + prev.q, fillvalue=0))
 

@@ -3,7 +3,8 @@
 Everything here is exact: the factorization check multiplies out the
 predicted linear factors in integers, and the rational-root oracle finds
 the roots from P_m alone, by p-adic lifting, never consulting the
-predicted set.  No floating-point root finding anywhere.
+predicted set.  No floating-point root finding anywhere; NumPy evaluates
+polynomials modulo word-size moduli only, where every sum fits int64.
 """
 
 from __future__ import annotations
@@ -12,9 +13,12 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import count, islice
 
-from .polynomials import IntPoly, homogeneous, rational_to_string
+import numpy as np
+
+from .polynomials import IntPoly, homogeneous, primitive_integer_form, rational_to_string
 from .recurrence import (
     AmnPolynomial,
     build_amn_polynomial,
@@ -24,10 +28,34 @@ from .recurrence import (
 )
 
 
+def _times_linear(poly: tuple, r: Fraction) -> tuple:
+    """poly * (q*t - n) for r = n/q; ascending ints."""
+    n, q = r.numerator, r.denominator
+    return tuple(q * a - n * b for a, b in zip((0, *poly), (*poly, 0)))
+
+
+def _linear_product(roots) -> tuple:
+    """prod(q*t - n) over the rationals n/q, ascending ints.
+
+    Primitive by Gauss's lemma, with leading coefficient prod(q) > 0: the
+    primitive integer form of every polynomial of degree len(roots)
+    whose roots are exactly these, each simple.
+    """
+    product = (1,)
+    for r in roots:
+        product = _times_linear(product, r)
+    return product
+
+
 @dataclass(frozen=True)
 class RootSet:
     m: int
     roots: tuple
+
+    @cached_property
+    def product(self) -> IntPoly:
+        """`_linear_product(roots)`, formed on first use and then shared."""
+        return IntPoly(_linear_product(self.roots))
 
 
 def predicted_roots(m: int) -> RootSet:
@@ -44,25 +72,21 @@ class FactorizationReport:
     failures: tuple = ()
 
 
-def verify_factorization(amn: AmnPolynomial) -> FactorizationReport:
+def verify_factorization(amn: AmnPolynomial, predicted: RootSet) -> FactorizationReport:
     """Check P_m against its claimed complete factorization.
 
-    Exact checks: prod(q*t - n) over the predicted roots n/q, primitive
-    by Gauss's lemma, equals `amn.integer` (so every root vanishes), and
-    P_m = `amn.integer` / `amn.scale` has leading coefficient d_m, so
-    P_m = d_m * prod(t - root); the constant term
+    Exact checks: the product prod(q*t - n) over the predicted roots n/q
+    of P_m, primitive by Gauss's lemma, equals `amn.integer` (so every
+    root vanishes), and P_m = `amn.integer` / `amn.scale` has leading
+    coefficient d_m, so P_m = d_m * prod(t - root); the constant term
     d_m * (-1)**(m+1) * prod(roots) equals -c_m.
     """
     m = amn.m
-    roots = predicted_roots(m).roots
+    roots = predicted.roots
     c, d = closed_form_extremes(m)
     failures = []
 
-    product = [1]
-    for r in roots:
-        n, q = r.numerator, r.denominator
-        product = [q * a - n * b for a, b in zip([0, *product], [*product, 0])]
-    product = IntPoly(product)
+    product = predicted.product
     if product != amn.integer:
         for i in range(max(product.degree, amn.integer.degree) + 1):
             if product[i] != amn.integer[i]:
@@ -83,8 +107,10 @@ def verify_factorization(amn: AmnPolynomial) -> FactorizationReport:
 
 # primes tried per search, from the first one above 2*deg upward
 PRIME_SEARCH = 32
-# exact candidate tests per oracle call before it errors
+# candidate tests per oracle call before it errors
 CANDIDATE_BUDGET = 2_000_000
+# the largest prime below 2**26: f mod it screens the oracle's candidates
+SCREEN_PRIME = 67_108_859
 
 
 def _value_and_slope(f: tuple, x: int, mod: int) -> tuple[int, int]:
@@ -96,19 +122,69 @@ def _value_and_slope(f: tuple, x: int, mod: int) -> tuple[int, int]:
     return v, d
 
 
+def _values_and_slopes(f: tuple, xs, mod: int) -> tuple[list[int], list[int]]:
+    """The lists of f(x) and of f'(x) mod `mod` over the points xs; f ascending.
+
+    f is reduced mod `mod` once.  While len(f) * mod**2 < 2**63 every sum
+    below fits int64, and all points are evaluated at once: with blocks
+    of B ~ sqrt(len(f)) coefficients, f(x) = sum_b x**(b*B) sum_a
+    c_(a+b*B) x**a, so one product of the powers [x**a] (a < B) with the
+    coefficient blocks of f and f' gives every inner sum, and a row sum
+    against [x**(b*B)] the rest.  Past that bound, one Horner pass per
+    point in Python ints.
+    """
+    f = [c % mod for c in f]
+    n = len(f)
+    if n * mod * mod >= 2**63:
+        pairs = [_value_and_slope(f, x, mod) for x in xs]
+        return [v for v, _ in pairs], [d for _, d in pairs]
+    df = [k * c % mod for k, c in enumerate(f)][1:]
+    width = math.isqrt(n - 1) + 1  # B, with B * B >= n
+    blocks = -(-n // width)
+    pad = [0] * (width * blocks - n)
+    coeffs = np.array([f + pad, df + pad + [0]], dtype=np.int64)
+    coeffs = coeffs.reshape(2 * blocks, width).T  # column b: block b of f, then of f'
+    x = np.array([point % mod for point in xs], dtype=np.int64)
+    powers = np.ones((len(x), width), dtype=np.int64)
+    for a in range(1, width):
+        powers[:, a] = powers[:, a - 1] * x % mod
+    inner = powers @ coeffs % mod
+    step = powers[:, -1] * x % mod  # x**B
+    outer = np.ones((len(x), blocks), dtype=np.int64)
+    for b in range(1, blocks):
+        outer[:, b] = outer[:, b - 1] * step % mod
+    values = (outer * inner[:, :blocks]).sum(axis=1) % mod
+    slopes = (outer * inner[:, blocks:]).sum(axis=1) % mod
+    return values.tolist(), slopes.tolist()
+
+
 def _simple_roots_mod_p(f: tuple) -> tuple[int, list[int]] | None:
     """The first prime p > 2*deg in the search window that does not divide
     the leading coefficient and keeps every root of f mod p simple, with
-    those roots (by brute-force scan); None when no prime qualifies."""
+    those roots (f and f' evaluated at all of 0..p-1 at once); None when
+    no prime qualifies."""
     primes = (k for k in count(2 * len(f) - 1) if all(k % d for d in range(2, math.isqrt(k) + 1)))
     for p in islice(primes, PRIME_SEARCH):
         if f[-1] % p == 0:
             continue
-        fp = tuple(c % p for c in f)
-        values = [_value_and_slope(fp, x, p) for x in range(p)]
-        if (0, 0) not in values:
-            return p, [x for x, (v, _) in enumerate(values) if v == 0]
+        values, slopes = _values_and_slopes(f, range(p), p)
+        if not any(v == 0 == d for v, d in zip(values, slopes)):
+            return p, [x for x, v in enumerate(values) if v == 0]
     return None
+
+
+def _screen(f: tuple, candidates: list) -> list[bool]:
+    """For each candidate n/q, False when f(n/q) != 0 mod `SCREEN_PRIME`.
+
+    A root of f always passes, and so does an n/q whose q the prime
+    divides (n/q has no value mod the prime then).
+    """
+    prime = SCREEN_PRIME
+    points = [
+        r.numerator * pow(r.denominator, -1, prime) if r.denominator % prime else 0 for r in candidates
+    ]
+    values = _values_and_slopes(f, points, prime)[0]
+    return [v == 0 or r.denominator % prime == 0 for r, v in zip(candidates, values)]
 
 
 def _primitive(f: list) -> list:
@@ -166,12 +242,23 @@ def rational_root_oracle(p: IntPoly) -> frozenset:
     q | lead, so for a prime p not dividing lead it reduces to a root of
     P mod p; the prime is chosen so that every such root is simple (P is
     replaced by its squarefree part if no prime in the window qualifies).
-    Each root is Newton-lifted, doubling the precision, and rational
-    reconstruction proposes a candidate after every step; those with
-    n | const and q | lead are tested exactly.  Past p**k >
-    2*max(|const|, lead)**2 a rational root cannot fail to reconstruct,
-    so lifting stops there and no root is missed.  Errors loudly if more
-    than `CANDIDATE_BUDGET` candidates are tested.
+    The residues are Newton-lifted together, level by level, doubling the
+    precision, with P reduced mod p**(2**i) once per level.  After every
+    level rational reconstruction proposes one candidate per residue, and
+    those with n | const and q | lead are screened mod `SCREEN_PRIME`; a
+    residue whose candidate passes stops lifting, the others go on.  Past
+    p**k > 2*max(|const|, lead)**2 a rational root cannot fail to
+    reconstruct, so lifting stops there and no root is missed.
+
+    A root always passes the screen, so every residue that lifts to a
+    rational root ends with a survivor.  The survivors are distinct mod p,
+    so if prod(q*t - n) over them divides P exactly, each of them is a
+    root and the set is complete.  Only otherwise are the survivors'
+    residues taken back and the loop run on with the screen replaced by
+    the exact test q**D * P(n/q) = 0, so that a candidate which passed
+    the screen but is no root keeps lifting.  Errors loudly if more than
+    `CANDIDATE_BUDGET` candidates are tested (an exact re-test counts
+    again).
     """
     if p.degree < 1:
         raise ValueError("oracle requires degree >= 1")
@@ -189,23 +276,44 @@ def rational_root_oracle(p: IntPoly) -> frozenset:
     prime, residues = found
     const, lead = f[0], f[-1]
     stop = 2 * max(abs(const), lead) ** 2
-    tested = 0
-    for r in residues:
-        modulus = prime
-        while True:
+    tested, exact = 0, False
+    lifting = {prime: residues}  # residues still lifting, by modulus
+    accepted = []  # (candidate, its residue, modulus)
+    while lifting:
+        modulus = min(lifting)
+        candidates, rest = [], []
+        for r in lifting.pop(modulus):
             n, q = _reconstruct(r, modulus)
             if n and const % n == 0 and lead % q == 0:
-                tested += 1
-                if tested > CANDIDATE_BUDGET:
-                    raise ValueError(f"candidate budget {CANDIDATE_BUDGET} exceeded")
-                if homogeneous(f, n, q) == 0:
-                    roots.add(Fraction(n, q))
-                    break
-            if modulus > stop:
-                break
-            modulus *= modulus
-            v, d = _value_and_slope(f, r, modulus)
-            r = (r - v * pow(d, -1, modulus)) % modulus
+                candidates.append((Fraction(n, q), r))
+            else:
+                rest.append(r)
+        tested += len(candidates)
+        if tested > CANDIDATE_BUDGET:
+            raise ValueError(f"candidate budget {CANDIDATE_BUDGET} exceeded")
+        if exact:
+            passed = [homogeneous(f, c.numerator, c.denominator) == 0 for c, _ in candidates]
+        else:
+            passed = _screen(f, [c for c, _ in candidates])
+        for (c, r), ok in zip(candidates, passed):
+            if ok:
+                accepted.append((c, r, modulus))
+            else:
+                rest.append(r)
+        if rest and modulus <= stop:
+            lift = modulus * modulus
+            values, slopes = _values_and_slopes(f, rest, lift)
+            lifting.setdefault(lift, []).extend(
+                (r - v * pow(d, -1, lift)) % lift for r, v, d in zip(rest, values, slopes)
+            )
+        if not lifting and not exact:
+            product = _linear_product(c for c, _, _ in accepted)
+            if product != f and _pseudo_divmod(f, product)[1]:
+                exact = True
+                for _, r, level in accepted:
+                    lifting.setdefault(level, []).append(r)
+                accepted = []
+    roots.update(c for c, _, _ in accepted)
     return frozenset(roots)
 
 
@@ -216,21 +324,27 @@ class MonotonicityReport:
     failures: tuple = ()
 
 
-def check_root_solutions(m: int) -> list[Fraction]:
+def check_root_solutions(m: int, product: IntPoly) -> list[Fraction]:
     """b0 values among +-(2j+1)/3 whose instantiated coefficients fail (L_m).
 
     Empty list means every predicted root, with both signs of b0, yields
-    an exact solution of the coefficient system.
+    an exact solution of the coefficient system.  `product` is the
+    predicted prod(q*t - n) over the roots n/q of P_m.
 
     The system is checked in t = b0**2 in one pass: `system_polynomials`
     reads the pair chain `coefficient_polynomials(m)` as it is built, so
     only the pairs of the equation at hand are alive.  The 2m recurrence
     equations are integer polynomial identities, so each needs one
-    check; only the nonzero ones (normally just the closing
-    p_m - t*q_m) are kept and evaluated at each root, in integers as
-    9**D * R((2j+1)**2 / 9).  Both signs of b0 share t.
+    check; only the nonzero ones are kept.  When that is a single one
+    (normally the closing p_m - t*q_m) and its primitive form is
+    `product`, it vanishes at every root and the check is done.
+    Otherwise every nonzero equation is evaluated at each root, in
+    integers as 9**D * R((2j+1)**2 / 9), so the failing b0 are named.
+    Both signs of b0 share t.
     """
     nonzero = [r for r in system_polynomials(m, coefficient_polynomials(m)) if any(r)]
+    if len(nonzero) == 1 and primitive_integer_form(nonzero[0])[0] == product:
+        return []
     bad = []
     for j in range(1, m + 2):
         n = (2 * j + 1) ** 2
@@ -242,19 +356,27 @@ def check_root_solutions(m: int) -> list[Fraction]:
 def monotonicity_check(m_max: int) -> MonotonicityReport:
     """Confirm the root-set chain: every root of P_{m-1} is a root of P_m.
 
-    Each P_m is built on its own (the recurrence depends on m), in turn,
-    and each root n/q is tested in integers as q**D * P_m(n/q) = 0.
+    Each P_m is built on its own (the recurrence depends on m), in turn.
+    One running product prod(q*t - n) over the predicted roots gains the
+    factor of P_m's new root at each order and is compared with the
+    built P_m: equal, P_m vanishes at every root of P_{m-1}.  Only on a
+    mismatch is each root n/q of P_{m-1} tested in integers as
+    q**D * P_m(n/q) = 0, so the failing ones are named.
     """
     if m_max < 2:
         raise ValueError("chain check requires m_max >= 2")
+    roots = predicted_roots(m_max).roots
+    running = _linear_product(roots[:2])
     failures = []
     for m in range(2, m_max + 1):
         integer = build_amn_polynomial(m).integer
-        failures += [
-            (m, r)
-            for r in predicted_roots(m - 1).roots
-            if homogeneous(integer.coeffs, r.numerator, r.denominator) != 0
-        ]
+        running = _times_linear(running, roots[m])
+        if running != integer.coeffs:
+            failures += [
+                (m, r)
+                for r in roots[:m]
+                if homogeneous(integer.coeffs, r.numerator, r.denominator) != 0
+            ]
     return MonotonicityReport(m_max, not failures, tuple(failures))
 
 
@@ -270,15 +392,17 @@ def verification_report(m: int, chain: bool = False) -> dict:
     """Run the full exact verification for one m; JSON-ready.
 
     The build stage makes P_m as `poly` does; the oracle reads only its
-    integer form.  The pair chain is built in the system stage, the only
-    stage that reads it.
+    integer form.  One predicted root set serves the report, and its
+    product, formed in the factorization stage, serves the system stage
+    too.  The pair chain is built in the system stage, the only stage
+    that reads it.
     """
     timings: dict[str, float] = {}
     predicted = predicted_roots(m)
     amn = timed(timings, "build_ms", build_amn_polynomial, m)
     oracle = timed(timings, "oracle_ms", rational_root_oracle, amn.integer)
-    fact = timed(timings, "factorization_ms", verify_factorization, amn)
-    system_ok = not timed(timings, "system_ms", check_root_solutions, m)
+    fact = timed(timings, "factorization_ms", verify_factorization, amn, predicted)
+    system_ok = not timed(timings, "system_ms", check_root_solutions, m, predicted.product)
     monotone_ok = True
     if chain and m >= 2:
         monotone_ok = timed(timings, "monotonicity_ms", monotonicity_check, m).ok

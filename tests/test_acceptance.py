@@ -81,9 +81,9 @@ def test_02_root_theorem_to_m26():
     ok = True
     for m in range(1, 27):
         amn = build_amn_polynomial(m)
-        predicted = set(predicted_roots(m).roots)
-        ok = ok and verify_factorization(amn).ok
-        ok = ok and rational_root_oracle(amn.integer) == predicted
+        predicted = predicted_roots(m)
+        ok = ok and verify_factorization(amn, predicted).ok
+        ok = ok and rational_root_oracle(amn.integer) == set(predicted.roots)
     elapsed = time.perf_counter() - t0
     announce(2, "factorization + oracle agree with prediction m<=26", ok and elapsed < 30.0)
 

@@ -68,6 +68,47 @@ def root_multisets(draw):
     return distinct + draw(st.lists(st.sampled_from(distinct), max_size=2))
 
 
+def forbid_exact_tests(monkeypatch):
+    """Make every exact evaluation in `roots` fail the test."""
+    def forbidden(*args):
+        raise AssertionError("exact evaluation on the product route")
+
+    monkeypatch.setattr(roots, "homogeneous", forbidden)
+
+
+def count_exact_tests(monkeypatch):
+    """The list that records the arguments of every exact evaluation in `roots`."""
+    calls, exact = [], roots.homogeneous
+    monkeypatch.setattr(roots, "homogeneous", lambda *a: calls.append(a) or exact(*a))
+    return calls
+
+
+def squared_factors():
+    """(7t + 3)(t - 5)^2 (t^2 - 2)^2 (t^2 - 3)^2 (t^2 - 6)^2, ascending.
+
+    5 is a double root mod every prime, and one of 2, 3, 6 is a square mod
+    every odd prime, so a squared quadratic also has a double root mod p:
+    the oracle must reduce to the squarefree part.
+    """
+    poly = mul(mul((3, 7), (-5, 1)), (-5, 1))
+    for c in (2, 3, 6):
+        poly = mul(mul(poly, (-c, 0, 1)), (-c, 0, 1))
+    return poly
+
+
+# the polynomials of TestOracle, ascending, with their rational roots
+ORACLE_CASES = [
+    ((25, -34, 9), {1, F(25, 9)}),
+    ((-1225, 1891, -747, 81), {1, F(25, 9), F(49, 9)}),
+    ((1, 0, 1), set()),
+    ((-6, 11, -6, 1), {1, 2, 3}),
+    ((0, 1, 1), {0, -1}),
+    ((4, -4, 1), {2}),
+    ((1000003, 0, 1), set()),
+    (squared_factors(), {5, F(-3, 7)}),
+]
+
+
 class TestPredictedRoots:
     def test_m1(self):
         assert predicted_roots(1).roots == (1, F(25, 9))
@@ -91,15 +132,15 @@ class TestFactorization:
         # (-9/10)(t - 1)(t - 25/9) must equal t*q1 - p1
         product = mul(mul((F(-9, 10),), (-1, 1)), (F(-25, 9), 1))
         assert product == rational_form(build_amn_polynomial(1))
-        assert verify_factorization(build_amn_polynomial(1)).ok
+        assert verify_factorization(build_amn_polynomial(1), predicted_roots(1)).ok
 
     def test_printed_range(self):
         for m in range(1, 7):
-            report = verify_factorization(build_amn_polynomial(m))
+            report = verify_factorization(build_amn_polynomial(m), predicted_roots(m))
             assert report.ok, report.failures
 
     def test_m26(self):
-        assert verify_factorization(build_amn_polynomial(26)).ok
+        assert verify_factorization(build_amn_polynomial(26), predicted_roots(26)).ok
 
 
 class TestOracle:
@@ -132,13 +173,7 @@ class TestOracle:
         assert rational_root_oracle(IntPoly([1000003, 0, 1])) == frozenset()
 
     def test_squared_factors_take_the_squarefree_part(self):
-        # 5 is a double root mod every prime, so the oracle must reduce to
-        # the squarefree part; one of 2, 3, 6 is a square mod every odd
-        # prime, so a squared quadratic also has a double root mod p
-        poly = mul(mul((3, 7), (-5, 1)), (-5, 1))
-        for c in (2, 3, 6):
-            poly = mul(mul(poly, (-c, 0, 1)), (-c, 0, 1))
-        p = primitive_integer_form(poly)[0]
+        p = primitive_integer_form(squared_factors())[0]
         assert roots._simple_roots_mod_p(p.coeffs) is None
         assert rational_root_oracle(p) == {5, F(-3, 7)}
 
@@ -170,6 +205,74 @@ class TestOracle:
             amn = build_amn_polynomial(m)
             assert rational_root_oracle(amn.integer) == set(predicted_roots(m).roots)
 
+    def test_never_reads_the_prediction(self, monkeypatch):
+        expected = {m: set(predicted_roots(m).roots) for m in (1, 6, 40)}
+
+        def forbidden(m):
+            raise AssertionError("the oracle read the predicted roots")
+
+        monkeypatch.setattr(roots, "predicted_roots", forbidden)
+        for m, want in expected.items():
+            assert rational_root_oracle(build_amn_polynomial(m).integer) == want
+
+    @pytest.mark.parametrize("coeffs, want", ORACLE_CASES)
+    def test_exact_route_when_the_screen_passes_everything(self, coeffs, want, monkeypatch):
+        # every candidate survives the screen, so a non-root among them
+        # spoils the product and the exact per-candidate route must recover
+        monkeypatch.setattr(roots, "_screen", lambda f, candidates: [True] * len(candidates))
+        assert rational_root_oracle(primitive_integer_form(coeffs)[0]) == want
+
+    def test_screen_accepting_everything_takes_the_exact_route(self, monkeypatch):
+        monkeypatch.setattr(roots, "_screen", lambda f, candidates: [True] * len(candidates))
+        calls = count_exact_tests(monkeypatch)
+        for m in range(1, 13):
+            amn = build_amn_polynomial(m)
+            assert rational_root_oracle(amn.integer) == set(predicted_roots(m).roots)
+        assert calls
+
+    def test_matching_product_needs_no_exact_test(self, monkeypatch):
+        forbid_exact_tests(monkeypatch)
+        for m in (1, 6, 40):
+            amn = build_amn_polynomial(m)
+            assert rational_root_oracle(amn.integer) == set(predicted_roots(m).roots)
+
+    def test_screen(self):
+        # (t - 1)(2t - 3): 1 and 3/2 pass, 2 and -1/2 are rejected; 5/p has
+        # no value mod the screen prime p and passes unscreened
+        f = (3, -5, 2)
+        candidates = [F(1), F(2), F(3, 2), F(-1, 2), F(5, roots.SCREEN_PRIME)]
+        assert roots._screen(f, candidates) == [True, False, True, False, True]
+
+
+def int64_guard(n):
+    """The largest modulus with n * mod**2 < 2**63: the last one evaluated in int64."""
+    return math.isqrt((2**63 - 1) // n)
+
+
+class TestVectorisedEvaluation:
+    @given(
+        st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=40),
+        st.lists(st.integers(-(10**20), 10**20), max_size=12),
+        st.one_of(st.integers(2, 10**9), st.integers(-2, 2)),
+    )
+    @example([5], [0, 7], 0)
+    @example([-1, 0, 0, 3], [2, -9], 1)
+    def test_equals_horner(self, f, xs, mod):
+        # mod in -2..2 means the int64 guard plus that offset: the last two
+        # moduli of the matrix route and the first two past it
+        if mod <= 2:
+            mod += int64_guard(len(f))
+        values, slopes = roots._values_and_slopes(tuple(f), xs, mod)
+        assert [*zip(values, slopes)] == [roots._value_and_slope(tuple(f), x, mod) for x in xs]
+
+    @pytest.mark.parametrize("offset, horner", [(0, False), (1, True)])
+    def test_guard_selects_the_route(self, offset, horner, monkeypatch):
+        calls = []
+        monkeypatch.setattr(roots, "_value_and_slope", lambda *a: calls.append(a) or (0, 0))
+        f = (1, 2, 3, 4, 5)
+        roots._values_and_slopes(f, [3], int64_guard(len(f)) + offset)
+        assert bool(calls) == horner
+
 
 class TestDeflation:
     def test_simple(self):
@@ -187,7 +290,7 @@ class TestDeflation:
             for r in predicted_roots(m).roots:
                 current = deflate(current, r)
             assert current == (closed_form_extremes(m)[1],)
-            assert verify_factorization(amn).ok
+            assert verify_factorization(amn, predicted_roots(m)).ok
 
     def test_integer_division_matches_deflate(self):
         # the pseudo-division behind the oracle's squarefree reduction
@@ -212,6 +315,10 @@ class TestMonotonicity:
     def test_requires_m_at_least_2(self):
         with pytest.raises(ValueError):
             monotonicity_check(1)
+
+    def test_matching_products_need_no_exact_test(self, monkeypatch):
+        forbid_exact_tests(monkeypatch)
+        assert monotonicity_check(12).ok
 
     def test_broken_member_is_named(self, monkeypatch):
         # P_5 + 1 vanishes at no root of P_4; every other P_m is untouched
@@ -252,12 +359,13 @@ def perturbed(pairs, j, dp=(), dq=()):
 class TestSystemAtRoots:
     def test_both_signs_solve(self):
         for m in (1, 2, 5):
-            assert check_root_solutions(m) == []
+            assert check_root_solutions(m, predicted_roots(m).product) == []
 
     def test_matches_reference_route(self):
         for m in range(1, 13):
             pairs = list(coefficient_polynomials(m))
-            assert check_root_solutions(m) == reference_root_solutions(m, pairs) == []
+            bad = check_root_solutions(m, predicted_roots(m).product)
+            assert bad == reference_root_solutions(m, pairs) == []
 
     @pytest.mark.parametrize("m", [1, 3, 6])
     @pytest.mark.parametrize(
@@ -275,7 +383,7 @@ class TestSystemAtRoots:
     def test_negative_controls_flag_every_root(self, m, case, monkeypatch):
         pairs = case(m, list(coefficient_polynomials(m)))
         monkeypatch.setattr(roots, "coefficient_polynomials", lambda _: pairs)
-        bad = check_root_solutions(m)
+        bad = check_root_solutions(m, predicted_roots(m).product)
         assert bad == reference_root_solutions(m, pairs)
         assert len(bad) == 2 * (m + 1)
 
@@ -291,16 +399,29 @@ class TestSystemAtRoots:
                 yield pair
 
         monkeypatch.setattr(roots, "coefficient_polynomials", tracked)
-        assert check_root_solutions(40) == []
+        assert check_root_solutions(40, predicted_roots(40).product) == []
         assert len(sizes) == 41
         assert max(sizes) <= 3
+
+    def test_matching_product_needs_no_evaluation(self, monkeypatch):
+        forbid_exact_tests(monkeypatch)
+        for m in (1, 5, 20):
+            assert check_root_solutions(m, predicted_roots(m).product) == []
+
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_other_product_falls_back_to_each_root(self, m, monkeypatch):
+        # the roots of P_{m+1}: a product the closing equation is not, though
+        # every root of P_m is among them
+        calls = count_exact_tests(monkeypatch)
+        assert check_root_solutions(m, predicted_roots(m + 1).product) == []
+        assert [n for _, n, _ in calls] == [(2 * j + 1) ** 2 for j in range(1, m + 2)]
 
     @pytest.mark.parametrize("m", [1, 3, 6])
     def test_broken_identity_is_evaluated_at_each_root(self, m, monkeypatch):
         # (t - 1) on p_1: every broken equation still vanishes at t = 1
         pairs = perturbed(list(coefficient_polynomials(m)), 1, dp=[-1, 1])
         monkeypatch.setattr(roots, "coefficient_polynomials", lambda _: pairs)
-        bad = check_root_solutions(m)
+        bad = check_root_solutions(m, predicted_roots(m).product)
         assert bad == reference_root_solutions(m, pairs)
         assert bad == [F(s * (2 * j + 1), 3) for j in range(2, m + 2) for s in (1, -1)]
 
