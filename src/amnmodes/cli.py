@@ -28,6 +28,7 @@ FIELD_M_MAX = 50
 # points per axis; all n^3 are evaluated at once: --grid 64 at m = 50 takes
 # about 1.3 s and 267 MB (2-vCPU VM, Python 3.11.7)
 FIELD_GRID_MAX = 64
+B0_BITS = 32  # --b0 numerator and denominator below 2**B0_BITS (README time table)
 
 
 def _emit(text: str, path: str | None) -> int:
@@ -45,14 +46,32 @@ def _emit(text: str, path: str | None) -> int:
     return EXIT_OK
 
 
+def _parse_b0(text: str) -> Fraction:
+    """--b0 as a Fraction whose numerator and denominator are below 2**B0_BITS.
+
+    `Fraction` expands 10**|e| for a decimal exponent e (for minutes at
+    1e-1000000), so e is bounded on the string first: past len(text) +
+    B0_BITS no literal but a zero can meet the bound.
+    """
+    _, marker, exponent = text.lower().partition("e")
+    try:
+        too_far = bool(marker) and abs(int(exponent)) > len(text) + B0_BITS
+    except ValueError:  # no exponent after all; Fraction names the malformed literal
+        too_far = False
+    try:
+        b0 = None if too_far else Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"b0 {text!r} has a zero denominator") from None
+    if b0 is None or max(abs(b0.numerator), b0.denominator) >= 2**B0_BITS:
+        raise ValueError(f"--b0 numerator and denominator must be below 2**{B0_BITS}")
+    return b0
+
+
 def _select_b0(args) -> Fraction:
     if args.sign is not None and args.j is None:
         raise ValueError("--sign selects a root sign and needs --j")
     if args.b0 is not None:
-        try:
-            return Fraction(args.b0)
-        except ZeroDivisionError:
-            raise ValueError(f"b0 {args.b0!r} has a zero denominator") from None
+        return _parse_b0(args.b0)
     if args.designated:
         j, sign = args.m + 1, 1
     else:
@@ -98,7 +117,14 @@ def cmd_mode(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = solution_report(instantiate_solution(args.m, b0))
+    # inside the --b0 bound the numbers outgrow Python's default int-to-str
+    # limit of 4,300 digits (about 19,000 at m = 500), so lift it while printing
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        report = solution_report(instantiate_solution(args.m, b0))
+    finally:
+        sys.set_int_max_str_digits(limit)
     return _emit(json.dumps(report, indent=2), args.output)
 
 

@@ -21,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import eval_jacobi
 
-from .recurrence import AnsatzSolution, instantiate_solution, over_common_denominator, verify_system
+from .polynomials import over_common_denominator, times_linear
+from .recurrence import AnsatzSolution, instantiate_solution, verify_system
 
 SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # sigma_1..3
 SPINOR_FLOOR = 1e-30  # |psi|^2 below this is a vanished spinor; the potential divides by it
@@ -56,8 +57,8 @@ def _closed_form(m: int, k: int, sign: int) -> AnsatzSolution:
 
     a_n/a_{n-1} = -(k-n+1)(2k+5-2n)/(n(2n+1)) from a_0 = 1, and
     b_n = sign a_n (2k+3-2n)/(2n+3).  Each lift multiplies A and B by
-    1 + u: the adjacent-pair sums of `lift_solution`, here in integers
-    over one common denominator and without re-verifying each order.
+    1 + u, as `lift_solution` does, here in integers over one common
+    denominator and without re-verifying each order.
     """
     a = [Fraction(1)]
     for n in range(1, k + 1):
@@ -65,7 +66,7 @@ def _closed_form(m: int, k: int, sign: int) -> AnsatzSolution:
     b = [sign * c * Fraction(2 * k + 3 - 2 * n, 2 * n + 3) for n, c in enumerate(a)]
     den, ints = over_common_denominator(a, b)
     for _ in range(m - k):
-        ints = [[x + y for x, y in zip([0] + cs, cs + [0])] for cs in ints]
+        ints = [times_linear(cs, -1, 1) for cs in ints]
     a, b = (tuple(Fraction(c, den) for c in cs) for cs in ints)
     return AnsatzSolution(m, Fraction(sign * (2 * k + 3), 3), a, b)
 

@@ -3,13 +3,15 @@
 Coefficients are stored in ascending power order.  A rational polynomial
 is kept as its primitive integer form (`IntPoly`) plus the scale that
 clears its denominators; nothing in this module touches floating point.
+This is the package's one exact kernel: the linear-factor product, the
+common denominator and the primitive normaliser live here and nowhere else.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 
 def rational_to_string(q: Fraction) -> str:
@@ -35,13 +37,29 @@ def homogeneous(coeffs: tuple, n: int, q: int) -> int:
     return acc
 
 
+def times_linear(poly, n, q) -> tuple:
+    """poly * (q*t - n), ascending; ints or Fractions.
+
+    (n, q) = (-1, 1) multiplies by 1 + t: the adjacent-pair sums.
+    """
+    return tuple(q * a - n * b for a, b in zip((0, *poly), (*poly, 0)))
+
+
+def over_common_denominator(*lists) -> tuple[int, list]:
+    """The lcm of the denominators of rational lists, and each list times it, in integers."""
+    den = math.lcm(*(c.denominator for cs in lists for c in cs))
+    return den, [[c.numerator * (den // c.denominator) for c in cs] for cs in lists]
+
+
+@dataclass(frozen=True)
 class IntPoly:
-    """Primitive integer polynomial: content 1, positive leading coefficient."""
+    """Primitive integer polynomial: content 1, positive leading coefficient;
+    `coeffs` is a tuple of ints, ascending."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple
 
-    def __init__(self, coeffs: Iterable[int]):
-        cs = [int(c) for c in coeffs]
+    def __post_init__(self):
+        cs = [int(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         if not cs:
@@ -52,36 +70,9 @@ class IntPoly:
             raise ValueError("coefficients must have content 1")
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPoly is immutable")
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> int:
-        if 0 <= n < len(self.coeffs):
-            return self.coeffs[n]
-        return 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def coefficient_strings(self) -> list[str]:
-        """Decimal strings, ascending power order (JSON wire format).
-
-        Strings, not native numbers: coefficients outgrow 64-bit range
-        quickly as the degree climbs.
-        """
-        return [str(c) for c in self.coeffs]
-
-    def __repr__(self):
-        return f"IntPoly({list(self.coeffs)})"
 
 
 def primitive_integer_form(coeffs) -> tuple[IntPoly, Fraction]:
@@ -90,14 +81,10 @@ def primitive_integer_form(coeffs) -> tuple[IntPoly, Fraction]:
     `coeffs` are ints or Fractions, ascending.  Returns (q, s) with
     q = s * p, q having content 1 and positive leading coefficient.
     """
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        raise ValueError("cannot normalize zero polynomial")
-    den = math.lcm(*(c.denominator for c in cs))
-    ints = [c.numerator * (den // c.denominator) for c in cs]
+    den, (ints,) = over_common_denominator(list(coeffs))
     g = math.gcd(*ints)
-    sign = 1 if ints[-1] > 0 else -1
-    scale = Fraction(sign * den, g)
-    return IntPoly(sign * c // g for c in ints), scale
+    if not g:
+        raise ValueError("cannot normalize zero polynomial")
+    if next(c for c in reversed(ints) if c) < 0:
+        g = -g
+    return IntPoly(c // g for c in ints), Fraction(den, g)

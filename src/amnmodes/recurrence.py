@@ -6,12 +6,11 @@ variable t = b0**2 halves every degree, and the order-m closing
 polynomial is P_m(t) = t*q_m(t) - p_m(t).
 
 The chain of (p_j, q_j) pairs is built by fraction-free stepwise
-substitution in integers (`advance_pair`); the tests check it against an
-independent 2x2 matrix product over the rationals.  Only the system
-check reads the pairs (`system_polynomials`, which checks every root at
-once in t), streamed: `coefficient_polynomials` yields them one at a
-time; `instantiate_solution` steps the same recurrence on numbers at
-one b0.
+substitution in integers and streamed: `coefficient_polynomials` yields
+the pairs one at a time; the tests check it against an independent 2x2
+matrix product over the rationals.  Only the system check reads the
+pairs (`system_polynomials`, which checks every root at once in t);
+`instantiate_solution` steps the same recurrence on numbers at one b0.
 
 P_m itself comes from a three-term recurrence in p_j alone.  With
 w_j = 2m+5-2j the pair step reads
@@ -41,7 +40,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .polynomials import IntPoly, primitive_integer_form, rational_to_string
+from .polynomials import (
+    IntPoly,
+    over_common_denominator,
+    primitive_integer_form,
+    rational_to_string,
+    times_linear,
+)
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,6 @@ class CoeffPair:
     """(p_j, q_j) as integer coefficient tuples, ascending in t, over one
     common denominator: p_j = p(t)/den and q_j = q(t)/den, den > 0."""
 
-    j: int
     p: tuple
     q: tuple
     den: int
@@ -65,8 +69,9 @@ class AnsatzSolution:
     b: tuple
 
 
-def advance_pair(m: int, j: int, prev: CoeffPair) -> CoeffPair:
-    """One recurrence step: pair j-1 -> pair j, for 1 <= j <= m.
+def coefficient_polynomials(m: int) -> Iterator[CoeffPair]:
+    """The pairs j = 0..m in turn, each stepped from the one before; pair 0
+    encodes a_0 = 1, b_0 = b0.  A generator: it holds only the latest pair.
 
     The rational step p_j = (w p_{j-1} - 3t q_{j-1}) / 2j,
     q_j = (3w p_{j-1} + 2j(2m+2-2j) q_{j-1} - 9t q_{j-1}) / 2j(2j+3),
@@ -74,25 +79,15 @@ def advance_pair(m: int, j: int, prev: CoeffPair) -> CoeffPair:
     From pair 0 = (1, 1) the j = 1 step gives the closed form
     p_1 = ((2m+3) - 3t)/2, q_1 = ((10m+9) - 9t)/10.
     """
-    if not 1 <= j <= m:
-        raise ValueError("advance defined for 1 <= j <= m")
-    if prev.j != j - 1:
-        raise ValueError("pair index must be j-1")
-    w = 2 * m + 5 - 2 * j
-    v = 2 * j * (2 * m + 2 - 2 * j)
-    pa, pc, qa = (2 * j + 3) * w, 3 * (2 * j + 3), 3 * w
-    cols = zip_longest(prev.p, prev.q, (0,) + prev.q, fillvalue=0)  # p, q, t*q
-    p, q = zip(*((pa * a - pc * c, qa * a + v * b - 9 * c) for a, b, c in cols))
-    return CoeffPair(j, p, q, prev.den * 2 * j * (2 * j + 3))
-
-
-def coefficient_polynomials(m: int) -> Iterator[CoeffPair]:
-    """The pairs j = 0..m in turn, each stepped from the one before; pair 0
-    encodes a_0 = 1, b_0 = b0.  A generator: it holds only the latest pair."""
-    pair = CoeffPair(0, (1,), (1,), 1)
+    pair = CoeffPair((1,), (1,), 1)
     yield pair
     for j in range(1, m + 1):
-        pair = advance_pair(m, j, pair)
+        w = 2 * m + 5 - 2 * j
+        v = 2 * j * (2 * m + 2 - 2 * j)
+        pa, pc, qa = (2 * j + 3) * w, 3 * (2 * j + 3), 3 * w
+        cols = zip_longest(pair.p, pair.q, (0,) + pair.q, fillvalue=0)  # p, q, t*q
+        p, q = zip(*((pa * a - pc * c, qa * a + v * b - 9 * c) for a, b, c in cols))
+        pair = CoeffPair(p, q, pair.den * 2 * j * (2 * j + 3))
         yield pair
 
 
@@ -147,12 +142,6 @@ def closed_form_extremes(m: int) -> tuple[Fraction, Fraction]:
     c = Fraction(odd, 2**m * fact)
     d = Fraction((-1) ** m * 3 ** (2 * m), odd * 2**m * fact)
     return c, d
-
-
-def over_common_denominator(*lists) -> tuple[int, list]:
-    """The lcm of the denominators of rational lists, and each list times it, in integers."""
-    den = math.lcm(*(c.denominator for cs in lists for c in cs))
-    return den, [[c.numerator * (den // c.denominator) for c in cs] for cs in lists]
 
 
 def instantiate_solution(m: int, b0) -> AnsatzSolution:
@@ -234,14 +223,13 @@ def system_polynomials(m: int, pairs: Iterable[CoeffPair]) -> Iterator[tuple]:
 def lift_solution(s: AnsatzSolution) -> AnsatzSolution:
     """Order m -> m+1 via multiplication by (1 + |x|**2).
 
-    The lifted coefficients are the adjacent-pair sums; the lift of an
-    exact solution solves the order-(m+1) system with the same b0.
+    The lifted coefficients are those of the polynomials in |x|**2 times
+    1 + |x|**2, the adjacent-pair sums; the lift of an exact solution
+    solves the order-(m+1) system with the same b0.
     """
     if any(r != 0 for r in verify_system(s)):
         raise ValueError("lift requires an exact (L_m) solution")
-    a = (s.a[0],) + tuple(s.a[n - 1] + s.a[n] for n in range(1, s.m + 1)) + (s.a[s.m],)
-    b = (s.b[0],) + tuple(s.b[n - 1] + s.b[n] for n in range(1, s.m + 1)) + (s.b[s.m],)
-    return AnsatzSolution(s.m + 1, s.b0, a, b)
+    return AnsatzSolution(s.m + 1, s.b0, times_linear(s.a, -1, 1), times_linear(s.b, -1, 1))
 
 
 def polynomial_report(m: int) -> dict:
@@ -251,7 +239,7 @@ def polynomial_report(m: int) -> dict:
     return {
         "m": m,
         "rational_coefficients": [rational_to_string(k / amn.scale) for k in amn.integer.coeffs],
-        "integer_coefficients": amn.integer.coefficient_strings(),
+        "integer_coefficients": [str(c) for c in amn.integer.coeffs],
         "scale": rational_to_string(amn.scale),
         "c_m": rational_to_string(c),
         "d_m": rational_to_string(d),

@@ -14,11 +14,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, islice
+from itertools import count, islice, zip_longest
 
 import numpy as np
 
-from .polynomials import IntPoly, homogeneous, primitive_integer_form, rational_to_string
+from .polynomials import IntPoly, homogeneous, primitive_integer_form, rational_to_string, times_linear
 from .recurrence import (
     AmnPolynomial,
     build_amn_polynomial,
@@ -26,12 +26,6 @@ from .recurrence import (
     coefficient_polynomials,
     system_polynomials,
 )
-
-
-def _times_linear(poly: tuple, r: Fraction) -> tuple:
-    """poly * (q*t - n) for r = n/q; ascending ints."""
-    n, q = r.numerator, r.denominator
-    return tuple(q * a - n * b for a, b in zip((0, *poly), (*poly, 0)))
 
 
 def _linear_product(roots) -> tuple:
@@ -43,7 +37,7 @@ def _linear_product(roots) -> tuple:
     """
     product = (1,)
     for r in roots:
-        product = _times_linear(product, r)
+        product = times_linear(product, r.numerator, r.denominator)
     return product
 
 
@@ -88,13 +82,10 @@ def verify_factorization(amn: AmnPolynomial, predicted: RootSet) -> Factorizatio
 
     product = predicted.product
     if product != amn.integer:
-        for i in range(max(product.degree, amn.integer.degree) + 1):
-            if product[i] != amn.integer[i]:
-                failures.append(
-                    f"coefficient of t^{i}: product {product[i]} != P_m {amn.integer[i]}"
-                )
-                break
-    lead = amn.integer[amn.integer.degree] / amn.scale
+        columns = zip_longest(product.coeffs, amn.integer.coeffs, fillvalue=0)
+        i, x, y = next((i, x, y) for i, (x, y) in enumerate(columns) if x != y)
+        failures.append(f"coefficient of t^{i}: product {x} != P_m {y}")
+    lead = amn.integer.coeffs[-1] / amn.scale
     if lead != d:
         failures.append(f"leading coefficient {lead} != d_m {d}")
 
@@ -187,11 +178,6 @@ def _screen(f: tuple, candidates: list) -> list[bool]:
     return [v == 0 or r.denominator % prime == 0 for r, v in zip(candidates, values)]
 
 
-def _primitive(f: list) -> list:
-    g = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
-    return [c // g for c in f]
-
-
 def _pseudo_divmod(a: list, b: list) -> tuple[list, list]:
     """(q, r) with lc(b)**k * a = q*b + r and deg r < deg b; ascending ints."""
     a, q, lc, db = list(a), [0] * max(len(a) - len(b) + 1, 0), b[-1], len(b) - 1
@@ -210,12 +196,11 @@ def _pseudo_divmod(a: list, b: list) -> tuple[list, list]:
 
 def _squarefree_part(f: tuple) -> tuple:
     """f / gcd(f, f') over Z, primitive: same roots, each of them simple."""
-    a, b = list(f), [k * c for k, c in enumerate(f)][1:]
-    while b:
+    a, b = f, [k * c for k, c in enumerate(f)][1:]
+    while b:  # Euclid on primitive remainders; a ends as gcd(f, f'), primitive
+        b = primitive_integer_form(b)[0].coeffs
         a, b = b, _pseudo_divmod(a, b)[1]
-        if b:
-            b = _primitive(b)
-    return tuple(_primitive(_pseudo_divmod(f, _primitive(a))[0]))
+    return primitive_integer_form(_pseudo_divmod(f, a)[0])[0].coeffs
 
 
 def _reconstruct(r: int, modulus: int) -> tuple[int, int]:
@@ -370,7 +355,7 @@ def monotonicity_check(m_max: int) -> MonotonicityReport:
     failures = []
     for m in range(2, m_max + 1):
         integer = build_amn_polynomial(m).integer
-        running = _times_linear(running, roots[m])
+        running = times_linear(running, roots[m].numerator, roots[m].denominator)
         if running != integer.coeffs:
             failures += [
                 (m, r)

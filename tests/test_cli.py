@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from test_fields import mp_psi
 from test_roots import plus_one
 
 from amnmodes import roots
-from amnmodes.cli import FIELD_GRID_MAX, main
+from amnmodes.cli import B0_BITS, FIELD_GRID_MAX, main
 from amnmodes.fields import ZeroModeField, sample_grid
 from amnmodes.recurrence import build_amn_polynomial
 
@@ -111,6 +112,28 @@ class TestMode:
         assert run(["mode", "--m", "1", "--b0", "2", "-o", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["residuals"][-1] != "0"
+
+    def test_small_b0_at_the_highest_order_prints(self, tmp_path):
+        # its numbers pass Python's default int-to-str limit of 4,300 digits,
+        # which main lifts only to print and then puts back
+        out = tmp_path / "m.json"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert run(["mode", "--m", "500", "--b0", "1/100000", "-o", str(out)]) == 0
+            assert sys.get_int_max_str_digits() == 4300
+            sys.set_int_max_str_digits(0)
+            values = [Fraction(r) for r in json.loads(out.read_text())["residuals"]]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert values[:-1] == [0] * 1000
+        assert values[-1] != 0  # 1/100000 is no root of P_500
+
+    @pytest.mark.parametrize("b0", [f"{2**B0_BITS - 1}/{2**B0_BITS - 2}", f"-1/{2**B0_BITS - 1}", "1e-9"])
+    def test_b0_just_inside_the_bound(self, b0, tmp_path):
+        out = tmp_path / "m.json"
+        assert run(["mode", "--m", "3", f"--b0={b0}", "-o", str(out)]) == 0
+        assert Fraction(json.loads(out.read_text())["b0"]) == Fraction(b0)
 
     def test_j_and_sign(self, tmp_path):
         out = tmp_path / "m.json"
@@ -289,6 +312,21 @@ def test_removed_surface_is_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["mode", "field"])
+@pytest.mark.parametrize(
+    "b0",
+    # the first two are short literals that Fraction would expand to 10**1000000 and
+    # 10**30000000 (about 27 s for the second alone), so they are refused on the
+    # string; so is a zero with a far exponent
+    ["1e-1000000", "1e-30000000", str(2**B0_BITS), f"1/{2**B0_BITS}", "1e-10", "0e-99999"],
+)
+def test_b0_past_the_bound_is_usage_error(command, b0, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([command, "--m", "1", "--b0", b0, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --b0 numerator and denominator must be below 2**{B0_BITS}\n"
+    assert not out.exists()
 
 
 def test_usage_error_on_unknown_command():

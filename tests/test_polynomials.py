@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from test_recurrence import add, horner, mul, trim
 
@@ -13,6 +13,7 @@ from amnmodes.polynomials import (
     homogeneous,
     primitive_integer_form,
     rational_to_string,
+    times_linear,
 )
 
 rationals = st.fractions(
@@ -91,9 +92,23 @@ def test_intpoly_invariants_enforced():
 
 def test_intpoly_json_round_trip():
     p = IntPoly([10**30, -3, 1])
-    strings = p.coefficient_strings()
+    strings = [str(c) for c in p.coeffs]
     assert strings == [str(10**30), "-3", "1"]
     assert IntPoly(int(s) for s in strings) == p
+
+
+def test_intpoly_is_immutable():
+    p = IntPoly([-1, 1])
+    with pytest.raises(AttributeError):
+        p.coeffs = (1,)
+    assert p.coeffs == (-1, 1)
+
+
+def test_equal_intpolys_hash_equal():
+    a, b = IntPoly([3, 0, 5, 0]), IntPoly(iter([3, 0, 5]))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b, IntPoly([3, 5])}) == 2
 
 
 def test_rational_canonicalization_bulk():
@@ -124,3 +139,20 @@ int_polys = (
 def test_homogeneous_matches_rational_horner(p, x):
     n, q = x.numerator, x.denominator
     assert homogeneous(p.coeffs, n, q) == horner(p.coeffs, x) * q**p.degree
+
+
+nonzero_leads = st.one_of(st.integers(-50, 50), rationals).filter(bool)
+linear_factors = st.tuples(st.one_of(st.integers(-50, 50), rationals), st.integers(1, 30))
+
+
+@given(
+    st.one_of(st.lists(st.integers(-50, 50), max_size=6), st.lists(rationals, max_size=6)),
+    nonzero_leads,
+    linear_factors,
+)
+@example([3, 1], 2, (-1, 1))  # (1 + t) times, the lift
+@example([Fraction(1, 2)], Fraction(-3, 4), (-1, 1))
+def test_times_linear_is_the_product(low, lead, factor):
+    n, q = factor
+    p = (*low, lead)
+    assert times_linear(p, n, q) == mul(p, (-n, q))

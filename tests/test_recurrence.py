@@ -9,7 +9,6 @@ from amnmodes.polynomials import homogeneous
 from amnmodes.recurrence import (
     AnsatzSolution,
     CoeffPair,
-    advance_pair,
     build_amn_polynomial,
     closed_form_extremes,
     coefficient_polynomials,
@@ -21,7 +20,7 @@ from amnmodes.recurrence import (
 
 F = Fraction
 
-PAIR0 = CoeffPair(0, (1,), (1,), 1)
+PAIR0 = CoeffPair((1,), (1,), 1)
 
 
 def trim(cs) -> tuple:
@@ -80,7 +79,7 @@ def recurrence_matrix(m, p):
 def matrix_chain_pair(m, j):
     """(p_j, q_j) as K_j K_{j-1} ... K_2 applied to the seed: the matrices
     are multiplied out first over the rationals, then applied once, a
-    different route from the stepwise `advance_pair`."""
+    different route from the stepwise `coefficient_polynomials`."""
     acc = ((1,), (), (), (1,))
     for p in range(2, j + 1):
         k = recurrence_matrix(m, p)
@@ -118,12 +117,12 @@ class TestSeed:
 class TestAdvance:
     def test_first_step_is_seed(self):
         for m in range(1, 31):
-            assert rational(advance_pair(m, 1, PAIR0)) == seed_pair(m)
+            assert rational(list(coefficient_polynomials(m))[1]) == seed_pair(m)
 
     def test_m2_values_at_root(self):
         # forward substitution in the order-2 system with b0 = 7/3 gives
         # a = (1, -14/3, 7/3), b = (7/3, -14/3, 1)
-        p2, q2 = rational(advance_pair(2, 2, advance_pair(2, 1, PAIR0)))
+        p2, q2 = rational(list(coefficient_polynomials(2))[2])
         t = F(49, 9)
         assert horner(p2, t) == F(7, 3)
         assert horner(q2, t) == F(3, 7)  # b2 = b0*q2(t) = 1
@@ -132,10 +131,6 @@ class TestAdvance:
         pairs = list(coefficient_polynomials(5))
         assert len(pairs[4].p) - 1 == 4
         assert len(pairs[4].q) - 1 == 4
-
-    def test_index_mismatch(self):
-        with pytest.raises(ValueError, match="pair index must be j-1"):
-            advance_pair(3, 3, advance_pair(3, 1, PAIR0))
 
 
 class TestChain:
@@ -231,7 +226,7 @@ class TestClosedForms:
         amn = build_amn_polynomial(3)
         c, _ = closed_form_extremes(3)
         assert amn.scale * (-c) == 11025
-        assert amn.integer[0] == 11025
+        assert amn.integer.coeffs[0] == 11025
 
 
 def evaluate_pairs(pairs, b0):

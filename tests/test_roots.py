@@ -301,7 +301,7 @@ class TestDeflation:
                 rational = deflate(rational, r)
                 integer, rem = roots._pseudo_divmod(integer, [-r.numerator, r.denominator])
                 assert rem == []
-                integer = roots._primitive(integer)
+                integer = primitive_integer_form(integer)[0].coeffs
                 assert IntPoly(integer) == primitive_integer_form(rational)[0]
 
 
@@ -348,7 +348,6 @@ def perturbed(pairs, j, dp=(), dq=()):
     out = list(pairs)
     p, q, den = pairs[j].p, pairs[j].q, pairs[j].den
     out[j] = CoeffPair(
-        j,
         tuple(c + den * d for c, d in zip_longest(p, dp, fillvalue=0)),
         tuple(c + den * d for c, d in zip_longest(q, dq, fillvalue=0)),
         den,
