@@ -2,8 +2,12 @@
 
 Subcommands: poly, verify, mode, field, bench.  Exit codes are the
 contract: 0 pass, 1 verification failure, 2 usage error, 3 I/O error.
-Large integers are serialized as decimal strings; native JSON numbers
-lose precision once coefficients pass 2**53.
+Each `cmd_*` returns its text and verdict or raises, and `main` alone
+maps the outcome: ValueError -> 2, FloatingPointError (a non-finite
+field value) -> 1, OSError while writing -> 3, each with one `error:`
+line and no output; otherwise the text is written and the verdict gives
+0 or 1.  Large integers are serialized as decimal strings; native JSON
+numbers lose precision once coefficients pass 2**53.
 """
 
 from __future__ import annotations
@@ -31,19 +35,14 @@ FIELD_GRID_MAX = 64
 B0_BITS = 32  # --b0 numerator and denominator below 2**B0_BITS (README time table)
 
 
-def _emit(text: str, path: str | None) -> int:
-    try:
-        if path is None:
-            sys.stdout.write(text)
-            if not text.endswith("\n"):
-                sys.stdout.write("\n")
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+def _emit(text: str, path: str | None) -> None:
+    if path is None:
+        sys.stdout.write(text)
+        if not text.endswith("\n"):
+            sys.stdout.write("\n")
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _parse_b0(text: str) -> Fraction:
@@ -83,85 +82,51 @@ def _select_b0(args) -> Fraction:
     return Fraction(sign * (2 * j + 1), 3)
 
 
-def cmd_poly(args) -> int:
+def cmd_poly(args) -> tuple[str, bool]:
     if not 1 <= args.m <= POLY_M_MAX:
-        print(f"error: P_m defined for m >= 1 (supported up to {POLY_M_MAX})", file=sys.stderr)
-        return EXIT_USAGE
-    report = polynomial_report(args.m)
-    return _emit(json.dumps(report, indent=2), args.output)
+        raise ValueError(f"P_m defined for m >= 1 (supported up to {POLY_M_MAX})")
+    return json.dumps(polynomial_report(args.m), indent=2), True
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, bool]:
     if not 1 <= args.m <= POLY_M_MAX:
-        print(f"error: verification defined for m in 1..{POLY_M_MAX}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"verification defined for m in 1..{POLY_M_MAX}")
     report = roots.verification_report(args.m, chain=args.chain)
-    ok = (
-        report["oracle_matches"]
-        and report["factorization_ok"]
-        and report["system_ok"]
-        and report["monotonicity_ok"]
-    )
-    rc = _emit(json.dumps(report, indent=2), args.output)
-    if rc != EXIT_OK:
-        return rc
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    checks = ("oracle_matches", "factorization_ok", "system_ok", "monotonicity_ok")
+    return json.dumps(report, indent=2), all(report[k] for k in checks)
 
 
-def cmd_mode(args) -> int:
+def cmd_mode(args) -> tuple[str, bool]:
     if not 0 <= args.m <= POLY_M_MAX:
-        print(f"error: mode defined for m in 0..{POLY_M_MAX}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        b0 = _select_b0(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    # inside the --b0 bound the numbers outgrow Python's default int-to-str
-    # limit of 4,300 digits (about 19,000 at m = 500), so lift it while printing
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        report = solution_report(instantiate_solution(args.m, b0))
-    finally:
-        sys.set_int_max_str_digits(limit)
-    return _emit(json.dumps(report, indent=2), args.output)
+        raise ValueError(f"mode defined for m in 0..{POLY_M_MAX}")
+    report = solution_report(instantiate_solution(args.m, _select_b0(args)))
+    return json.dumps(report, indent=2), True
 
 
-def cmd_field(args) -> int:
+def cmd_field(args) -> tuple[str, bool]:
     if not 0 <= args.m <= FIELD_M_MAX:
-        print(f"error: field operations defined for m in 0..{FIELD_M_MAX}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if not 0 <= args.grid <= FIELD_GRID_MAX:
-            raise ValueError(f"--grid must be in 0..{FIELD_GRID_MAX}")
-        if not math.isfinite(args.extent):
-            raise ValueError("--extent must be finite")
-        b0 = _select_b0(args)
-        f = fields.ZeroModeField(instantiate_solution(args.m, b0))
-        buf = io.StringIO()
-        # raises where the spinor underflows to zero, far out on a large --extent
-        fields.sample_grid(f, buf, extent=args.extent, n=args.grid)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FloatingPointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    return _emit(buf.getvalue(), args.output)
+        raise ValueError(f"field operations defined for m in 0..{FIELD_M_MAX}")
+    if not 0 <= args.grid <= FIELD_GRID_MAX:
+        raise ValueError(f"--grid must be in 0..{FIELD_GRID_MAX}")
+    if not math.isfinite(args.extent):
+        raise ValueError("--extent must be finite")
+    f = fields.ZeroModeField(instantiate_solution(args.m, _select_b0(args)))
+    buf = io.StringIO()
+    # raises where the spinor underflows to zero, far out on a large --extent
+    fields.sample_grid(f, buf, extent=args.extent, n=args.grid)
+    return buf.getvalue(), True
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> tuple[str, bool]:
     if not 1 <= args.m_max <= POLY_M_MAX:
-        print(f"error: bench defined for m-max in 1..{POLY_M_MAX}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"bench defined for m-max in 1..{POLY_M_MAX}")
     rows = []
     for m in range(1, args.m_max + 1):
         row = {"m": m}
         amn = roots.timed(row, "build_ms", build_amn_polynomial, m)
         row["max_coefficient_bits"] = max(abs(c).bit_length() for c in amn.integer.coeffs)
         rows.append(row)
-    return _emit(json.dumps(rows, indent=2), args.output)
+    return json.dumps(rows, indent=2), True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,7 +186,26 @@ PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
-    return args.func(args)
+    # inside the --b0 bound the numbers outgrow Python's default int-to-str limit
+    # of 4,300 digits (about 19,000 at m = 500), and so may an in-bound --b0 literal
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text, ok = args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
+    finally:
+        sys.set_int_max_str_digits(limit)
+    try:
+        _emit(text, args.output)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK if ok else EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

@@ -1,18 +1,24 @@
 """CLI contract: subcommands, exit codes, golden JSON/CSV schemas."""
 
+import contextlib
 import io
 import json
 import math
+import os
 import sys
+import tempfile
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from test_fields import mp_psi
 from test_roots import plus_one
 
 from amnmodes import roots
-from amnmodes.cli import B0_BITS, FIELD_GRID_MAX, main
+from amnmodes.cli import B0_BITS, FIELD_GRID_MAX, FIELD_M_MAX, POLY_M_MAX, main
 from amnmodes.fields import ZeroModeField, sample_grid
 from amnmodes.recurrence import build_amn_polynomial
 
@@ -115,7 +121,7 @@ class TestMode:
 
     def test_small_b0_at_the_highest_order_prints(self, tmp_path):
         # its numbers pass Python's default int-to-str limit of 4,300 digits,
-        # which main lifts only to print and then puts back
+        # which main lifts for the whole request and then puts back
         out = tmp_path / "m.json"
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
@@ -360,3 +366,141 @@ def test_one_parser_serves_a_sequence_of_requests(tmp_path, capsys):
     # defaults come back on the next parse: no --chain, no chain stage
     assert run(["verify", "--m", "2", "-o", str(out)]) == 0
     assert "monotonicity_ms" not in json.loads(out.read_text())["timings_ms"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--m", "1"],
+    ["mode", "--m", "1", "--designated"],
+    ["field", "--m", "1", "--designated"],
+    ["bench", "--m-max", "2"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_is_io_error(argv, capsys):
+    assert run([*argv, "-o", "/nonexistent/dir/x"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+
+
+def test_b0_that_is_no_root_is_usage_error_for_field(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    assert run(["field", "--m", "1", "--b0", "2", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: coefficients do not solve the order-m system\n"
+    assert not out.exists()
+
+
+class TestDigitLimit:
+    """main lifts Python's int-to-str digit limit for the whole request, --b0 parsing
+    included, and gives the caller's value back on every path."""
+
+    BOUND_LINE = f"error: --b0 numerator and denominator must be below 2**{B0_BITS}\n"
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(limit)
+
+    def test_long_literal_past_the_bound(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert run(["mode", "--m", "1", "--b0", "1" + "0" * 5000, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == self.BOUND_LINE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("b0, want", [("1.5" + "0" * 5000, "3/2"), ("0" * 5000 + "5/3", "5/3")],
+                             ids=["trailing-zeros", "leading-zeros"])
+    def test_long_literal_inside_the_bound(self, b0, want, tmp_path):
+        out = tmp_path / "m.json"
+        assert run(["mode", "--m", "1", "--b0", b0, "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["b0"] == want
+
+    def test_literal_at_the_argv_cap(self, tmp_path, capsys):
+        # Linux refuses a single argv string past MAX_ARG_STRLEN = 131,072 bytes
+        out = tmp_path / "f.csv"
+        start = time.perf_counter()
+        assert run(["field", "--m", "1", "--b0", "1" + "0" * 131071, "-o", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == self.BOUND_LINE
+        assert not out.exists()
+
+    def test_error_path(self, capsys):
+        assert run(["field", "--m", "1", "--designated", "--grid", str(FIELD_GRID_MAX + 1)]) == 2
+
+
+# malformed literals, offered to every value flag
+MALFORMED = ["nan", "inf", "1/0", "0x10", "1_000", "-0", "e", "1e-1000000"]
+# member selectors drawn together: the valid sets, then none, a --sign alone and conflicts
+MEMBERS = [["--designated"], ["--j"], ["--j", "--sign"], ["--b0"],
+           [], ["--sign"], ["--j", "--b0"], ["--designated", "--sign"]]
+
+
+def values(*good):
+    """A good value in four draws of five, else a malformed literal."""
+    return st.integers(0, 4).flatmap(lambda i: st.sampled_from(MALFORMED if i == 4 else good))
+
+
+@st.composite
+def requests(draw):
+    """An argv over every subcommand and flag; None stands for a writable output path."""
+    command = draw(st.sampled_from(["poly", "verify", "mode", "field", "bench"]))
+    orders = values(*range(-1, 7), FIELD_M_MAX, FIELD_M_MAX + 1, POLY_M_MAX + 1)
+    flags = {"--m-max" if command == "bench" else "--m": orders}
+    if command == "verify" and draw(st.booleans()):
+        flags["--chain"] = None
+    if command == "field":
+        for name, value in (
+            ("--grid", values(*range(-1, 4), FIELD_GRID_MAX + 1)),
+            ("--extent", values("2.0", "1e-320", "1e8", "1e160", "-inf")),
+        ):
+            if draw(st.booleans()):
+                flags[name] = value
+    if command in ("mode", "field"):
+        member = {
+            "--j": values(*range(0, 9)),
+            "--sign": st.sampled_from(["+", "-", "*"]),
+            "--designated": None,
+            "--b0": values(
+                "5/3", "7/3", "-1", "1e-9", "1.5" + "0" * 5000,
+                f"{2**B0_BITS - 1}/{2**B0_BITS - 2}", str(2**B0_BITS), f"1/{2**B0_BITS}",
+                "1e-10", "1" + "0" * 5000,
+            ),
+        }
+        flags.update((name, member[name]) for name in draw(st.sampled_from(MEMBERS)))
+    argv = [command]
+    for name, value in flags.items():
+        argv.append(name if value is None else f"{name}={draw(value)}")
+    output = draw(st.sampled_from(["stdout", "file", "unwritable"]))
+    if output != "stdout":
+        argv += ["-o", None if output == "file" else "/nonexistent/dir/x"]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(requests())
+def test_every_request_ends_in_a_documented_exit_code(argv):
+    limit = sys.get_int_max_str_digits()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out")
+        argv = [path if a is None else a for a in argv]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse: usage lines, then "amnmodes: error: ..."
+                assert exc.code == 2
+                assert "error:" in stderr.getvalue().splitlines()[-1]
+                rc = None
+        written = os.path.exists(path)
+    assert sys.get_int_max_str_digits() == limit
+    if rc is None:
+        assert not written and stdout.getvalue() == ""
+        return
+    assert rc in (0, 1, 2, 3)
+    if rc in (2, 3) or (rc == 1 and argv[0] == "field"):
+        err = stderr.getvalue()
+        assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+        assert not written and stdout.getvalue() == ""
+    else:
+        assert stderr.getvalue() == ""
+        assert "/nonexistent/dir/x" not in argv
+        assert written or stdout.getvalue().endswith("\n")
