@@ -4,10 +4,11 @@ Subcommands: poly, verify, mode, field, bench.  Exit codes are the
 contract: 0 pass, 1 verification failure, 2 usage error, 3 I/O error.
 Each `cmd_*` returns its text and verdict or raises, and `main` alone
 maps the outcome: ValueError -> 2, FloatingPointError (a non-finite
-field value) -> 1, OSError while writing -> 3, each with one `error:`
-line and no output; otherwise the text is written and the verdict gives
-0 or 1.  Large integers are serialized as decimal strings; native JSON
-numbers lose precision once coefficients pass 2**53.
+field value) -> 1, OSError or ValueError (a NUL byte in the path) while
+writing -> 3, each with one `error:` line and no output; otherwise the
+text is written and the verdict gives 0 or 1.  Large integers are
+serialized as decimal strings; native JSON numbers lose precision once
+coefficients pass 2**53.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import sys
 from fractions import Fraction
 
 from . import fields, roots
-from .recurrence import build_amn_polynomial, instantiate_solution, polynomial_report, solution_report
+from .recurrence import (build_amn_polynomial, family_b0, instantiate_solution, polynomial_report,
+                         solution_report)
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -72,14 +74,12 @@ def _select_b0(args) -> Fraction:
     if args.b0 is not None:
         return _parse_b0(args.b0)
     if args.designated:
-        j, sign = args.m + 1, 1
-    else:
-        if args.j is None:
-            raise ValueError("select b0 with --j/--sign, --designated, or --b0")
-        j, sign = args.j, -1 if args.sign == "-" else 1
-        if not 1 <= j <= args.m + 1:
-            raise ValueError(f"root index j must be in 1..{args.m + 1}")
-    return Fraction(sign * (2 * j + 1), 3)
+        return family_b0(args.m + 1)
+    if args.j is None:
+        raise ValueError("select b0 with --j/--sign, --designated, or --b0")
+    if not 1 <= args.j <= args.m + 1:
+        raise ValueError(f"root index j must be in 1..{args.m + 1}")
+    return family_b0(args.j, -1 if args.sign == "-" else 1)
 
 
 def cmd_poly(args) -> tuple[str, bool]:
@@ -91,9 +91,8 @@ def cmd_poly(args) -> tuple[str, bool]:
 def cmd_verify(args) -> tuple[str, bool]:
     if not 1 <= args.m <= POLY_M_MAX:
         raise ValueError(f"verification defined for m in 1..{POLY_M_MAX}")
-    report = roots.verification_report(args.m, chain=args.chain)
-    checks = ("oracle_matches", "factorization_ok", "system_ok", "monotonicity_ok")
-    return json.dumps(report, indent=2), all(report[k] for k in checks)
+    report, ok = roots.verification_report(args.m, chain=args.chain)
+    return json.dumps(report, indent=2), ok
 
 
 def cmd_mode(args) -> tuple[str, bool]:
@@ -202,7 +201,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(limit)
     try:
         _emit(text, args.output)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK if ok else EXIT_VERIFICATION

@@ -19,10 +19,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import eval_jacobi
 
 from .polynomials import over_common_denominator, times_linear
-from .recurrence import AnsatzSolution, instantiate_solution, verify_system
+from .recurrence import AnsatzSolution, family_b0, family_member, instantiate_solution, verify_system
 
 SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # sigma_1..3
 SPINOR_FLOOR = 1e-30  # |psi|^2 below this is a vanished spinor; the potential divides by it
@@ -68,7 +67,7 @@ def _closed_form(m: int, k: int, sign: int) -> AnsatzSolution:
     for _ in range(m - k):
         ints = [times_linear(cs, -1, 1) for cs in ints]
     a, b = (tuple(Fraction(c, den) for c in cs) for cs in ints)
-    return AnsatzSolution(m, Fraction(sign * (2 * k + 3), 3), a, b)
+    return AnsatzSolution(m, family_b0(k + 1, sign), a, b)
 
 
 class ZeroModeField:
@@ -76,15 +75,16 @@ class ZeroModeField:
 
     Construction verifies the coefficient system exactly, and that the
     coefficients are the lifted closed form of (k, sign); it refuses
-    anything else.  `label` is the family index (j, sign) = (k+1, sign).
-    Methods take points of shape (..., 3) and return spinors of shape (..., 2).
+    anything else.  `label` is the family index (j, sign) =
+    `family_member(b0)`, k = j-1.  Methods take points of shape (..., 3)
+    and return spinors of shape (..., 2).
     """
 
     def __init__(self, solution: AnsatzSolution):
         if any(r != 0 for r in verify_system(solution)):
             raise ValueError("coefficients do not solve the order-m system")
-        self.k = k = int((3 * abs(solution.b0) - 3) / 2)
-        self.sign = 1 if solution.b0 > 0 else -1
+        j, self.sign = self.label = family_member(solution.b0)
+        self.k = k = j - 1
         closed = _closed_form(solution.m, k, self.sign)
         if (closed.a, closed.b) != (solution.a, solution.b):
             raise ValueError("coefficients differ from the lifted closed form")
@@ -93,7 +93,6 @@ class ZeroModeField:
         self.a = solution.a
         self.b = solution.b
         self.alpha = 3 * solution.b0
-        self.label = (k + 1, self.sign)
         # k!/(3/2)_k, which turns P_k^(1/2,3/2)(1-2s) into F_k(s)
         self._norm = float(Fraction(math.factorial(k) * 2**k, math.prod(range(3, 2 * k + 2, 2))))
 
@@ -105,10 +104,12 @@ class ZeroModeField:
     @classmethod
     def designated(cls, m: int) -> "ZeroModeField":
         """The designated member: j = m+1 with positive sign, b0 = (2m+3)/3."""
-        return cls(instantiate_solution(m, Fraction(2 * m + 3, 3)))
+        return cls(instantiate_solution(m, family_b0(m + 1)))
 
     def _jacobi(self, y, n: int, shift: float = 0.0):
         """k!/(3/2)_k times P_n^(1/2+shift,3/2+shift)(y) and sign P_n^(3/2+shift,1/2+shift)(y)."""
+        from scipy.special import eval_jacobi  # here, so that only field requests import scipy
+
         return (
             self._norm * eval_jacobi(n, 0.5 + shift, 1.5 + shift, y),
             self.sign * self._norm * eval_jacobi(n, 1.5 + shift, 0.5 + shift, y),
@@ -210,7 +211,7 @@ def enumerate_family(m: int) -> list[ZeroModeField]:
     """
     if m < 1:
         raise ValueError("family enumeration defined for m >= 1")
-    return [ZeroModeField(instantiate_solution(m, Fraction(sign * (2 * j + 1), 3)))
+    return [ZeroModeField(instantiate_solution(m, family_b0(j, sign)))
             for j in range(1, m + 2) for sign in (1, -1)]
 
 

@@ -69,6 +69,20 @@ class AnsatzSolution:
     b: tuple
 
 
+def family_b0(j: int, sign: int = 1) -> Fraction:
+    """b0 = sign (2j+1)/3 of the family member (j, sign), j >= 1: b0**2 is the
+    j-th root of P_m for every m >= j-1, and (m+1, +) is the designated member."""
+    return Fraction(sign * (2 * j + 1), 3)
+
+
+def family_member(b0) -> tuple[int, int]:
+    """(j, sign) with family_b0(j, sign) == b0, the inverse of `family_b0`."""
+    j = (3 * abs(Fraction(b0)) - 1) / 2
+    if j.denominator != 1 or j < 1:
+        raise ValueError(f"b0 = {b0} is no family member")
+    return int(j), 1 if b0 > 0 else -1
+
+
 def coefficient_polynomials(m: int) -> Iterator[CoeffPair]:
     """The pairs j = 0..m in turn, each stepped from the one before; pair 0
     encodes a_0 = 1, b_0 = b0.  A generator: it holds only the latest pair.

@@ -24,6 +24,7 @@ from .recurrence import (
     build_amn_polynomial,
     closed_form_extremes,
     coefficient_polynomials,
+    family_b0,
     system_polynomials,
 )
 
@@ -53,21 +54,14 @@ class RootSet:
 
 
 def predicted_roots(m: int) -> RootSet:
-    """The claimed root set of P_m: ((2j+1)/3)**2 for j = 1..m+1."""
+    """The claimed root set of P_m: family_b0(j)**2 = ((2j+1)/3)**2 for j = 1..m+1."""
     if m < 1:
         raise ValueError("root set defined for m >= 1")
-    return RootSet(m, tuple(Fraction(2 * j + 1, 3) ** 2 for j in range(1, m + 2)))
+    return RootSet(m, tuple(family_b0(j) ** 2 for j in range(1, m + 2)))
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
-    m: int
-    ok: bool
-    failures: tuple = ()
-
-
-def verify_factorization(amn: AmnPolynomial, predicted: RootSet) -> FactorizationReport:
-    """Check P_m against its claimed complete factorization.
+def verify_factorization(amn: AmnPolynomial, predicted: RootSet) -> tuple:
+    """The failures of P_m against its claimed complete factorization; empty on a pass.
 
     Exact checks: the product prod(q*t - n) over the predicted roots n/q
     of P_m, primitive by Gauss's lemma, equals `amn.integer` (so every
@@ -75,12 +69,9 @@ def verify_factorization(amn: AmnPolynomial, predicted: RootSet) -> Factorizatio
     coefficient d_m, so P_m = d_m * prod(t - root); the constant term
     d_m * (-1)**(m+1) * prod(roots) equals -c_m.
     """
-    m = amn.m
-    roots = predicted.roots
+    m, product = amn.m, predicted.product
     c, d = closed_form_extremes(m)
     failures = []
-
-    product = predicted.product
     if product != amn.integer:
         columns = zip_longest(product.coeffs, amn.integer.coeffs, fillvalue=0)
         i, x, y = next((i, x, y) for i, (x, y) in enumerate(columns) if x != y)
@@ -88,12 +79,9 @@ def verify_factorization(amn: AmnPolynomial, predicted: RootSet) -> Factorizatio
     lead = amn.integer.coeffs[-1] / amn.scale
     if lead != d:
         failures.append(f"leading coefficient {lead} != d_m {d}")
-
-    prod_roots = math.prod(roots, start=Fraction(1))
-    if d * (-1) ** (m + 1) * prod_roots != -c:
+    if d * (-1) ** (m + 1) * math.prod(predicted.roots, start=Fraction(1)) != -c:
         failures.append("constant-term cross-check against closed forms failed")
-
-    return FactorizationReport(m, not failures, tuple(failures))
+    return tuple(failures)
 
 
 # primes tried per search, from the first one above 2*deg upward
@@ -302,15 +290,8 @@ def rational_root_oracle(p: IntPoly) -> frozenset:
     return frozenset(roots)
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    m_max: int
-    ok: bool
-    failures: tuple = ()
-
-
 def check_root_solutions(m: int, product: IntPoly) -> list[Fraction]:
-    """b0 values among +-(2j+1)/3 whose instantiated coefficients fail (L_m).
+    """The b0 = `family_b0(j, +-1)`, j = 1..m+1, whose instantiated coefficients fail (L_m).
 
     Empty list means every predicted root, with both signs of b0, yields
     an exact solution of the coefficient system.  `product` is the
@@ -324,7 +305,7 @@ def check_root_solutions(m: int, product: IntPoly) -> list[Fraction]:
     (normally the closing p_m - t*q_m) and its primitive form is
     `product`, it vanishes at every root and the check is done.
     Otherwise every nonzero equation is evaluated at each root, in
-    integers as 9**D * R((2j+1)**2 / 9), so the failing b0 are named.
+    integers as 9**D * R((3 b0)**2 / 9), so the failing b0 are named.
     Both signs of b0 share t.
     """
     nonzero = [r for r in system_polynomials(m, coefficient_polynomials(m)) if any(r)]
@@ -332,14 +313,16 @@ def check_root_solutions(m: int, product: IntPoly) -> list[Fraction]:
         return []
     bad = []
     for j in range(1, m + 2):
-        n = (2 * j + 1) ** 2
+        b0 = family_b0(j)
+        n = int(3 * b0) ** 2
         if any(homogeneous(r, n, 9) != 0 for r in nonzero):
-            bad += [Fraction(2 * j + 1, 3), Fraction(-(2 * j + 1), 3)]
+            bad += [b0, -b0]
     return bad
 
 
-def monotonicity_check(m_max: int) -> MonotonicityReport:
-    """Confirm the root-set chain: every root of P_{m-1} is a root of P_m.
+def monotonicity_check(m_max: int) -> tuple:
+    """The failures (m, root) of the root-set chain, where a root of P_{m-1}
+    is no root of P_m; empty when the chain holds up to m_max.
 
     Each P_m is built on its own (the recurrence depends on m), in turn.
     One running product prod(q*t - n) over the predicted roots gains the
@@ -362,7 +345,7 @@ def monotonicity_check(m_max: int) -> MonotonicityReport:
                 for r in roots[:m]
                 if homogeneous(integer.coeffs, r.numerator, r.denominator) != 0
             ]
-    return MonotonicityReport(m_max, not failures, tuple(failures))
+    return tuple(failures)
 
 
 def timed(timings: dict, key: str, fn, *args):
@@ -373,8 +356,9 @@ def timed(timings: dict, key: str, fn, *args):
     return result
 
 
-def verification_report(m: int, chain: bool = False) -> dict:
-    """Run the full exact verification for one m; JSON-ready.
+def verification_report(m: int, chain: bool = False) -> tuple[dict, bool]:
+    """Run the full exact verification for one m: the JSON-ready report and
+    the verdict, True when every check passed.
 
     The build stage makes P_m as `poly` does; the oracle reads only its
     integer form.  One predicted root set serves the report, and its
@@ -386,20 +370,19 @@ def verification_report(m: int, chain: bool = False) -> dict:
     predicted = predicted_roots(m)
     amn = timed(timings, "build_ms", build_amn_polynomial, m)
     oracle = timed(timings, "oracle_ms", rational_root_oracle, amn.integer)
-    fact = timed(timings, "factorization_ms", verify_factorization, amn, predicted)
+    factor_failures = timed(timings, "factorization_ms", verify_factorization, amn, predicted)
     system_ok = not timed(timings, "system_ms", check_root_solutions, m, predicted.product)
-    monotone_ok = True
-    if chain and m >= 2:
-        monotone_ok = timed(timings, "monotonicity_ms", monotonicity_check, m).ok
-
-    return {
+    chain_failures = timed(timings, "monotonicity_ms", monotonicity_check, m) if chain and m >= 2 else ()
+    matches = oracle == set(predicted.roots)
+    report = {
         "m": m,
         "predicted": [rational_to_string(r) for r in predicted.roots],
         "oracle": [rational_to_string(r) for r in sorted(oracle)],
-        "oracle_matches": set(oracle) == set(predicted.roots),
-        "factorization_ok": fact.ok,
-        "factorization_failures": list(fact.failures),
+        "oracle_matches": matches,
+        "factorization_ok": not factor_failures,
+        "factorization_failures": list(factor_failures),
         "system_ok": system_ok,
-        "monotonicity_ok": monotone_ok,
+        "monotonicity_ok": not chain_failures,
         "timings_ms": timings,
     }
+    return report, matches and not factor_failures and system_ok and not chain_failures

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from test_fields import mp_psi
 from test_roots import plus_one
 
+import amnmodes
 from amnmodes import roots
 from amnmodes.cli import B0_BITS, FIELD_GRID_MAX, FIELD_M_MAX, POLY_M_MAX, main
 from amnmodes.fields import ZeroModeField, sample_grid
@@ -380,6 +382,40 @@ def test_unwritable_output_is_io_error(argv, capsys):
     assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["poly", "--m", "1"],
+    ["verify", "--m", "1"],
+    ["mode", "--m", "1", "--designated"],
+    ["field", "--m", "1", "--designated"],
+    ["bench", "--m-max", "2"],
+], ids=lambda argv: argv[0])
+def test_nul_byte_in_output_path_is_io_error(argv, capsys):
+    # open() refuses the path with ValueError, before the file system is touched
+    assert run([*argv, "-o", "a\0b"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "--m", "3"],
+    ["verify", "--m", "3", "--chain"],
+    ["mode", "--m", "3", "--designated"],
+    ["bench", "--m-max", "3"],
+    ["field", "--m", "3", "--designated", "--grid", "2"],
+], ids=lambda argv: argv[0])
+def test_only_field_imports_scipy(argv, tmp_path):
+    # a fresh interpreter: this one has imported scipy for the field tests
+    src = os.path.dirname(os.path.dirname(amnmodes.__file__))
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    script = "import sys; from amnmodes.cli import main; print(main(sys.argv[1:]), 'scipy' in sys.modules)"
+    child = subprocess.run([sys.executable, "-c", script, *argv, "-o", str(tmp_path / "out")],
+                           capture_output=True, text=True, env=env, check=True)
+    assert child.stdout.split() == ["0", str(argv[0] == "field")]
+    assert (tmp_path / "out").stat().st_size > 0
+
+
 def test_b0_that_is_no_root_is_usage_error_for_field(tmp_path, capsys):
     out = tmp_path / "f.csv"
     assert run(["field", "--m", "1", "--b0", "2", "-o", str(out)]) == 2
@@ -427,6 +463,8 @@ class TestDigitLimit:
         assert run(["field", "--m", "1", "--designated", "--grid", str(FIELD_GRID_MAX + 1)]) == 2
 
 
+# a missing directory, and a NUL byte, which open() refuses
+UNWRITABLE = ["/nonexistent/dir/x", "a\0b"]
 # malformed literals, offered to every value flag
 MALFORMED = ["nan", "inf", "1/0", "0x10", "1_000", "-0", "e", "1e-1000000"]
 # member selectors drawn together: the valid sets, then none, a --sign alone and conflicts
@@ -469,9 +507,9 @@ def requests(draw):
     argv = [command]
     for name, value in flags.items():
         argv.append(name if value is None else f"{name}={draw(value)}")
-    output = draw(st.sampled_from(["stdout", "file", "unwritable"]))
+    output = draw(st.sampled_from(["stdout", "file", *UNWRITABLE]))
     if output != "stdout":
-        argv += ["-o", None if output == "file" else "/nonexistent/dir/x"]
+        argv += ["-o", None if output == "file" else output]
     return argv
 
 
@@ -502,5 +540,5 @@ def test_every_request_ends_in_a_documented_exit_code(argv):
         assert not written and stdout.getvalue() == ""
     else:
         assert stderr.getvalue() == ""
-        assert "/nonexistent/dir/x" not in argv
+        assert not set(UNWRITABLE) & set(argv)
         assert written or stdout.getvalue().endswith("\n")

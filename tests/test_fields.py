@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from scipy.integrate import quad
 
 from amnmodes import fields, recurrence, roots
@@ -464,8 +465,8 @@ class TestRadialOncePerRadius:
             sizes.append(np.size(y))
             return original(n, alpha, beta, y)
 
-        original = fields.eval_jacobi
-        monkeypatch.setattr(fields, "eval_jacobi", counted)
+        original = scipy.special.eval_jacobi
+        monkeypatch.setattr(scipy.special, "eval_jacobi", counted)  # `_jacobi` imports it per call
         fields._grid_rows(ZeroModeField.designated(5), 2.0, 16)
         axis = np.linspace(-2.0, 2.0, 16)
         x = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)

@@ -12,6 +12,8 @@ from amnmodes.recurrence import (
     build_amn_polynomial,
     closed_form_extremes,
     coefficient_polynomials,
+    family_b0,
+    family_member,
     instantiate_solution,
     lift_solution,
     polynomial_report,
@@ -227,6 +229,20 @@ class TestClosedForms:
         c, _ = closed_form_extremes(3)
         assert amn.scale * (-c) == 11025
         assert amn.integer.coeffs[0] == 11025
+
+
+class TestFamilyMap:
+    def test_round_trip(self):
+        for j in range(1, 502):
+            for sign in (1, -1):
+                b0 = family_b0(j, sign)
+                assert b0 == F(sign * (2 * j + 1), 3)
+                assert family_member(b0) == (j, sign)
+
+    @pytest.mark.parametrize("b0", [0, F(1, 3), F(-1, 3), F(2, 3), F(5, 6), 2])
+    def test_non_member_refused(self, b0):
+        with pytest.raises(ValueError, match="no family member"):
+            family_member(b0)
 
 
 def evaluate_pairs(pairs, b0):

@@ -18,6 +18,7 @@ from amnmodes.recurrence import (
     build_amn_polynomial,
     closed_form_extremes,
     coefficient_polynomials,
+    family_b0,
     verify_system,
 )
 from amnmodes.roots import (
@@ -116,6 +117,9 @@ class TestPredictedRoots:
     def test_m3(self):
         assert predicted_roots(3).roots == (1, F(25, 9), F(49, 9), 9)
 
+    def test_squares_of_the_family_map(self):
+        assert predicted_roots(500).roots == tuple(family_b0(j) ** 2 for j in range(1, 502))
+
     def test_m6(self):
         assert predicted_roots(6).roots == (
             1, F(25, 9), F(49, 9), 9, F(121, 9), F(169, 9), 25,
@@ -132,15 +136,15 @@ class TestFactorization:
         # (-9/10)(t - 1)(t - 25/9) must equal t*q1 - p1
         product = mul(mul((F(-9, 10),), (-1, 1)), (F(-25, 9), 1))
         assert product == rational_form(build_amn_polynomial(1))
-        assert verify_factorization(build_amn_polynomial(1), predicted_roots(1)).ok
+        assert verify_factorization(build_amn_polynomial(1), predicted_roots(1)) == ()
 
     def test_printed_range(self):
         for m in range(1, 7):
-            report = verify_factorization(build_amn_polynomial(m), predicted_roots(m))
-            assert report.ok, report.failures
+            failures = verify_factorization(build_amn_polynomial(m), predicted_roots(m))
+            assert failures == (), failures
 
     def test_m26(self):
-        assert verify_factorization(build_amn_polynomial(26), predicted_roots(26)).ok
+        assert verify_factorization(build_amn_polynomial(26), predicted_roots(26)) == ()
 
 
 class TestOracle:
@@ -290,7 +294,7 @@ class TestDeflation:
             for r in predicted_roots(m).roots:
                 current = deflate(current, r)
             assert current == (closed_form_extremes(m)[1],)
-            assert verify_factorization(amn, predicted_roots(m)).ok
+            assert verify_factorization(amn, predicted_roots(m)) == ()
 
     def test_integer_division_matches_deflate(self):
         # the pseudo-division behind the oracle's squarefree reduction
@@ -307,10 +311,10 @@ class TestDeflation:
 
 class TestMonotonicity:
     def test_chain_m6(self):
-        assert monotonicity_check(6).ok
+        assert monotonicity_check(6) == ()
 
     def test_single_inclusion(self):
-        assert monotonicity_check(2).ok
+        assert monotonicity_check(2) == ()
 
     def test_requires_m_at_least_2(self):
         with pytest.raises(ValueError):
@@ -318,7 +322,7 @@ class TestMonotonicity:
 
     def test_matching_products_need_no_exact_test(self, monkeypatch):
         forbid_exact_tests(monkeypatch)
-        assert monotonicity_check(12).ok
+        assert monotonicity_check(12) == ()
 
     def test_broken_member_is_named(self, monkeypatch):
         # P_5 + 1 vanishes at no root of P_4; every other P_m is untouched
@@ -327,9 +331,9 @@ class TestMonotonicity:
             return plus_one(amn) if m == 5 else amn
 
         monkeypatch.setattr(roots, "build_amn_polynomial", tampered)
-        report = monotonicity_check(7)
-        assert not report.ok
-        assert report.failures == tuple((5, r) for r in predicted_roots(4).roots)
+        failures = monotonicity_check(7)
+        assert failures
+        assert failures == tuple((5, r) for r in predicted_roots(4).roots)
 
 
 def reference_root_solutions(m, pairs):
@@ -426,7 +430,8 @@ class TestSystemAtRoots:
 
 
 def test_verification_report_schema():
-    report = verification_report(2, chain=True)
+    report, ok = verification_report(2, chain=True)
+    assert ok is True
     assert report["m"] == 2
     assert report["predicted"] == ["1", "25/9", "49/9"]
     assert report["oracle"] == ["1", "25/9", "49/9"]
@@ -439,6 +444,7 @@ def test_verification_report_schema():
 
 def test_verification_report_tamper_hook(monkeypatch):
     monkeypatch.setattr(roots, "build_amn_polynomial", lambda m: plus_one(build_amn_polynomial(m)))
-    report = verification_report(1)
+    report, ok = verification_report(1)
+    assert ok is False
     assert report["factorization_ok"] is False
     assert report["oracle_matches"] is False
