@@ -44,7 +44,6 @@ def _linear_product(roots) -> tuple:
 
 @dataclass(frozen=True)
 class RootSet:
-    m: int
     roots: tuple
 
     @cached_property
@@ -57,7 +56,7 @@ def predicted_roots(m: int) -> RootSet:
     """The claimed root set of P_m: family_b0(j)**2 = ((2j+1)/3)**2 for j = 1..m+1."""
     if m < 1:
         raise ValueError("root set defined for m >= 1")
-    return RootSet(m, tuple(family_b0(j) ** 2 for j in range(1, m + 2)))
+    return RootSet(tuple(family_b0(j) ** 2 for j in range(1, m + 2)))
 
 
 def verify_factorization(amn: AmnPolynomial, predicted: RootSet) -> tuple:
@@ -86,8 +85,6 @@ def verify_factorization(amn: AmnPolynomial, predicted: RootSet) -> tuple:
 
 # primes tried per search, from the first one above 2*deg upward
 PRIME_SEARCH = 32
-# candidate tests per oracle call before it errors
-CANDIDATE_BUDGET = 2_000_000
 # the largest prime below 2**26: f mod it screens the oracle's candidates
 SCREEN_PRIME = 67_108_859
 
@@ -207,6 +204,42 @@ def _reconstruct(r: int, modulus: int) -> tuple[int, int]:
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
+def _lift(f: tuple, prime: int, residues: list, test) -> list:
+    """The candidates n/q that `test` accepts, one per residue at most, by
+    Newton lifting of the simple roots `residues` of f mod `prime`.
+
+    At each level, modulus p**(2**i), rational reconstruction proposes one
+    candidate per residue; those with n | const and q | lead go to
+    `test(f, candidates)`, and a residue whose candidate it accepts stops
+    lifting.  The rest are lifted once, to the squared modulus, with f
+    reduced there once.  Past p**k > stop = 2*max(|const|, lead)**2 a
+    rational root cannot fail to reconstruct, so the loop stops there: it
+    calls `test` at most ceil(log2 log_p(stop)) + 1 times, with at most
+    len(residues) candidates each.
+    """
+    const, lead = f[0], f[-1]
+    stop = 2 * max(abs(const), lead) ** 2
+    modulus, kept = prime, []
+    while True:
+        candidates, rest = [], []
+        for r in residues:
+            n, q = _reconstruct(r, modulus)
+            if n and const % n == 0 and lead % q == 0:
+                candidates.append((Fraction(n, q), r))
+            else:
+                rest.append(r)
+        for (c, r), ok in zip(candidates, test(f, [c for c, _ in candidates])):
+            if ok:
+                kept.append(c)
+            else:
+                rest.append(r)
+        if not rest or modulus > stop:
+            return kept
+        modulus *= modulus
+        steps = zip(rest, *_values_and_slopes(f, rest, modulus))
+        residues = [(r - v * pow(d, -1, modulus)) % modulus for r, v, d in steps]
+
+
 def rational_root_oracle(p: IntPoly) -> frozenset:
     """Complete set of rational roots, by p-adic lifting (R. Loos, SIAM J.
     Comput. 12, 1983); independent of `predicted_roots`.
@@ -215,23 +248,13 @@ def rational_root_oracle(p: IntPoly) -> frozenset:
     q | lead, so for a prime p not dividing lead it reduces to a root of
     P mod p; the prime is chosen so that every such root is simple (P is
     replaced by its squarefree part if no prime in the window qualifies).
-    The residues are Newton-lifted together, level by level, doubling the
-    precision, with P reduced mod p**(2**i) once per level.  After every
-    level rational reconstruction proposes one candidate per residue, and
-    those with n | const and q | lead are screened mod `SCREEN_PRIME`; a
-    residue whose candidate passes stops lifting, the others go on.  Past
-    p**k > 2*max(|const|, lead)**2 a rational root cannot fail to
-    reconstruct, so lifting stops there and no root is missed.
-
-    A root always passes the screen, so every residue that lifts to a
-    rational root ends with a survivor.  The survivors are distinct mod p,
-    so if prod(q*t - n) over them divides P exactly, each of them is a
-    root and the set is complete.  Only otherwise are the survivors'
-    residues taken back and the loop run on with the screen replaced by
-    the exact test q**D * P(n/q) = 0, so that a candidate which passed
-    the screen but is no root keeps lifting.  Errors loudly if more than
-    `CANDIDATE_BUDGET` candidates are tested (an exact re-test counts
-    again).
+    `_lift` lifts those residues together, each candidate screened mod
+    `SCREEN_PRIME`.  A root always passes the screen, so every residue
+    that lifts to a rational root ends with a survivor.  The survivors are
+    distinct mod p, so if prod(q*t - n) over them divides P exactly, each
+    of them is a root and the set is complete.  Only otherwise is the
+    lifting run again from p, with the exact test q**D * P(n/q) = 0 in
+    place of the screen.
     """
     if p.degree < 1:
         raise ValueError("oracle requires degree >= 1")
@@ -246,54 +269,19 @@ def rational_root_oracle(p: IntPoly) -> frozenset:
         found = _simple_roots_mod_p(f)
     if found is None:
         raise ValueError("no prime in the search window keeps the roots of P mod p simple")
-    prime, residues = found
-    const, lead = f[0], f[-1]
-    stop = 2 * max(abs(const), lead) ** 2
-    tested, exact = 0, False
-    lifting = {prime: residues}  # residues still lifting, by modulus
-    accepted = []  # (candidate, its residue, modulus)
-    while lifting:
-        modulus = min(lifting)
-        candidates, rest = [], []
-        for r in lifting.pop(modulus):
-            n, q = _reconstruct(r, modulus)
-            if n and const % n == 0 and lead % q == 0:
-                candidates.append((Fraction(n, q), r))
-            else:
-                rest.append(r)
-        tested += len(candidates)
-        if tested > CANDIDATE_BUDGET:
-            raise ValueError(f"candidate budget {CANDIDATE_BUDGET} exceeded")
-        if exact:
-            passed = [homogeneous(f, c.numerator, c.denominator) == 0 for c, _ in candidates]
-        else:
-            passed = _screen(f, [c for c, _ in candidates])
-        for (c, r), ok in zip(candidates, passed):
-            if ok:
-                accepted.append((c, r, modulus))
-            else:
-                rest.append(r)
-        if rest and modulus <= stop:
-            lift = modulus * modulus
-            values, slopes = _values_and_slopes(f, rest, lift)
-            lifting.setdefault(lift, []).extend(
-                (r - v * pow(d, -1, lift)) % lift for r, v, d in zip(rest, values, slopes)
-            )
-        if not lifting and not exact:
-            product = _linear_product(c for c, _, _ in accepted)
-            if product != f and _pseudo_divmod(f, product)[1]:
-                exact = True
-                for _, r, level in accepted:
-                    lifting.setdefault(level, []).append(r)
-                accepted = []
-    roots.update(c for c, _, _ in accepted)
-    return frozenset(roots)
+    kept = _lift(f, *found, _screen)
+    product = _linear_product(kept)
+    if product != f and _pseudo_divmod(f, product)[1]:
+        kept = _lift(
+            f, *found, lambda f, cs: [homogeneous(f, c.numerator, c.denominator) == 0 for c in cs]
+        )
+    return frozenset(roots.union(kept))
 
 
-def check_root_solutions(m: int, product: IntPoly) -> list[Fraction]:
+def check_root_solutions(m: int, product: IntPoly) -> tuple:
     """The b0 = `family_b0(j, +-1)`, j = 1..m+1, whose instantiated coefficients fail (L_m).
 
-    Empty list means every predicted root, with both signs of b0, yields
+    An empty tuple means every predicted root, with both signs of b0, yields
     an exact solution of the coefficient system.  `product` is the
     predicted prod(q*t - n) over the roots n/q of P_m.
 
@@ -310,13 +298,13 @@ def check_root_solutions(m: int, product: IntPoly) -> list[Fraction]:
     """
     nonzero = [r for r in system_polynomials(m, coefficient_polynomials(m)) if any(r)]
     if len(nonzero) == 1 and primitive_integer_form(nonzero[0])[0] == product:
-        return []
-    bad = []
+        return ()
+    bad = ()
     for j in range(1, m + 2):
         b0 = family_b0(j)
         n = int(3 * b0) ** 2
         if any(homogeneous(r, n, 9) != 0 for r in nonzero):
-            bad += [b0, -b0]
+            bad += (b0, -b0)
     return bad
 
 

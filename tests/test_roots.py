@@ -84,6 +84,16 @@ def count_exact_tests(monkeypatch):
     return calls
 
 
+def accept_all(f, candidates):
+    """A screen that lets every candidate through."""
+    return [True] * len(candidates)
+
+
+def accept_none(f, candidates):
+    """A test that accepts no candidate."""
+    return [False] * len(candidates)
+
+
 def squared_factors():
     """(7t + 3)(t - 5)^2 (t^2 - 2)^2 (t^2 - 3)^2 (t^2 - 6)^2, ascending.
 
@@ -188,21 +198,41 @@ class TestOracle:
         with pytest.raises(ValueError, match="no prime in the search window"):
             rational_root_oracle(IntPoly([-c, 0, 1]))
 
-    def test_candidate_budget_errors_loudly(self, monkeypatch):
-        # (t-1)(t-2)(t-3): the second candidate tested passes the budget of 1
-        monkeypatch.setattr(roots, "CANDIDATE_BUDGET", 1)
-        with pytest.raises(ValueError, match="candidate budget 1 exceeded"):
-            rational_root_oracle(IntPoly([-6, 11, -6, 1]))
-
+    @pytest.mark.parametrize("screen", [roots._screen, accept_all], ids=["screen", "accept_all"])
     @given(root_multisets())
     @example([F(0), F(0), F(-5, 7), F(-5, 7), F(3, 2)])
     @example([F(1), F(25, 9), F(25, 9), F(-7, 4), F(11, 10)])
-    def test_finds_exactly_the_linear_factors(self, rs):
-        # prod (q t - n) over the roots n/q, times t^2 + 1, which has none
+    def test_finds_exactly_the_linear_factors(self, screen, rs):
+        # prod (q t - n) over the roots n/q, times t^2 + 1, which has none;
+        # under accept_all the exact pass finds them
         poly = (1, 0, 1)
         for r in rs:
             poly = mul(poly, (-r.numerator, r.denominator))
-        assert rational_root_oracle(primitive_integer_form(poly)[0]) == set(rs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(roots, "_screen", screen)
+            assert rational_root_oracle(primitive_integer_form(poly)[0]) == set(rs)
+
+    @pytest.mark.parametrize("accept", [roots._screen, accept_none], ids=["screen", "accept_none"])
+    def test_lifting_is_bounded_by_residues_and_levels(self, accept):
+        # the bound in place of a candidate budget: at most one candidate per
+        # residue per level, one level per doubling of the p-adic precision;
+        # under accept_none every residue lifts to the last level
+        f = build_amn_polynomial(40).integer.coeffs
+        prime, residues = roots._simple_roots_mod_p(f)
+        sizes = []
+
+        def counting(f, candidates):
+            sizes.append(len(candidates))
+            return accept(f, candidates)
+
+        kept = roots._lift(f, prime, residues, counting)
+        levels = math.ceil(math.log2(math.log(2 * max(abs(f[0]), f[-1]) ** 2, prime))) + 1
+        assert max(sizes) <= len(residues) == 41
+        assert len(sizes) <= levels
+        if accept is accept_none:
+            assert kept == [] and len(sizes) == levels
+        else:
+            assert set(kept) == set(predicted_roots(40).roots)
 
     def test_agrees_with_prediction_small(self):
         for m in [*range(1, 81), 200]:
@@ -338,12 +368,12 @@ class TestMonotonicity:
 
 def reference_root_solutions(m, pairs):
     """The per-root route: evaluate the chain at each b0 = +-(2j+1)/3, run verify_system."""
-    bad = []
+    bad = ()
     for j in range(1, m + 2):
         for sign in (1, -1):
             b0 = F(sign * (2 * j + 1), 3)
             if any(r != 0 for r in verify_system(evaluate_pairs(pairs, b0))):
-                bad.append(b0)
+                bad += (b0,)
     return bad
 
 
@@ -362,13 +392,13 @@ def perturbed(pairs, j, dp=(), dq=()):
 class TestSystemAtRoots:
     def test_both_signs_solve(self):
         for m in (1, 2, 5):
-            assert check_root_solutions(m, predicted_roots(m).product) == []
+            assert check_root_solutions(m, predicted_roots(m).product) == ()
 
     def test_matches_reference_route(self):
         for m in range(1, 13):
             pairs = list(coefficient_polynomials(m))
             bad = check_root_solutions(m, predicted_roots(m).product)
-            assert bad == reference_root_solutions(m, pairs) == []
+            assert bad == reference_root_solutions(m, pairs) == ()
 
     @pytest.mark.parametrize("m", [1, 3, 6])
     @pytest.mark.parametrize(
@@ -402,21 +432,21 @@ class TestSystemAtRoots:
                 yield pair
 
         monkeypatch.setattr(roots, "coefficient_polynomials", tracked)
-        assert check_root_solutions(40, predicted_roots(40).product) == []
+        assert check_root_solutions(40, predicted_roots(40).product) == ()
         assert len(sizes) == 41
         assert max(sizes) <= 3
 
     def test_matching_product_needs_no_evaluation(self, monkeypatch):
         forbid_exact_tests(monkeypatch)
         for m in (1, 5, 20):
-            assert check_root_solutions(m, predicted_roots(m).product) == []
+            assert check_root_solutions(m, predicted_roots(m).product) == ()
 
     @pytest.mark.parametrize("m", [1, 3, 6])
     def test_other_product_falls_back_to_each_root(self, m, monkeypatch):
         # the roots of P_{m+1}: a product the closing equation is not, though
         # every root of P_m is among them
         calls = count_exact_tests(monkeypatch)
-        assert check_root_solutions(m, predicted_roots(m + 1).product) == []
+        assert check_root_solutions(m, predicted_roots(m + 1).product) == ()
         assert [n for _, n, _ in calls] == [(2 * j + 1) ** 2 for j in range(1, m + 2)]
 
     @pytest.mark.parametrize("m", [1, 3, 6])
@@ -426,7 +456,7 @@ class TestSystemAtRoots:
         monkeypatch.setattr(roots, "coefficient_polynomials", lambda _: pairs)
         bad = check_root_solutions(m, predicted_roots(m).product)
         assert bad == reference_root_solutions(m, pairs)
-        assert bad == [F(s * (2 * j + 1), 3) for j in range(2, m + 2) for s in (1, -1)]
+        assert bad == tuple(F(s * (2 * j + 1), 3) for j in range(2, m + 2) for s in (1, -1))
 
 
 def test_verification_report_schema():
