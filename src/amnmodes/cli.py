@@ -8,7 +8,8 @@ field value) -> 1, OSError or ValueError (a NUL byte in the path) while
 writing -> 3, each with one `error:` line and no output; otherwise the
 text is written and the verdict gives 0 or 1.  Large integers are
 serialized as decimal strings; native JSON numbers lose precision once
-coefficients pass 2**53.
+coefficients pass 2**53.  `roots` and `fields` load numpy, so only the
+commands that use them import them: `poly` and `mode` load neither.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 import sys
 from fractions import Fraction
 
-from . import fields, roots
 from .recurrence import (build_amn_polynomial, family_b0, instantiate_solution, polynomial_report,
                          solution_report)
 
@@ -91,7 +91,8 @@ def cmd_poly(args) -> tuple[str, bool]:
 def cmd_verify(args) -> tuple[str, bool]:
     if not 1 <= args.m <= POLY_M_MAX:
         raise ValueError(f"verification defined for m in 1..{POLY_M_MAX}")
-    report, ok = roots.verification_report(args.m, chain=args.chain)
+    from . import roots
+    report, ok = roots.verification_report(args.m)
     return json.dumps(report, indent=2), ok
 
 
@@ -109,6 +110,7 @@ def cmd_field(args) -> tuple[str, bool]:
         raise ValueError(f"--grid must be in 0..{FIELD_GRID_MAX}")
     if not math.isfinite(args.extent):
         raise ValueError("--extent must be finite")
+    from . import fields
     f = fields.ZeroModeField(instantiate_solution(args.m, _select_b0(args)))
     buf = io.StringIO()
     # raises where the spinor underflows to zero, far out on a large --extent
@@ -119,6 +121,7 @@ def cmd_field(args) -> tuple[str, bool]:
 def cmd_bench(args) -> tuple[str, bool]:
     if not 1 <= args.m_max <= POLY_M_MAX:
         raise ValueError(f"bench defined for m-max in 1..{POLY_M_MAX}")
+    from . import roots
     rows = []
     for m in range(1, args.m_max + 1):
         row = {"m": m}
@@ -154,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="full exact verification for one m")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--chain", action="store_true",
-                   help="also check the inclusion chain up to m")
     common(p)
     p.set_defaults(func=cmd_verify)
 

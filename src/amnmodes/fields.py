@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polynomials import over_common_denominator, times_linear
-from .recurrence import AnsatzSolution, family_b0, family_member, instantiate_solution, verify_system
+from .recurrence import (AnsatzSolution, closed_form_solution, family_b0, family_member,
+                         instantiate_solution, verify_system)
 
 SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # sigma_1..3
 SPINOR_FLOOR = 1e-30  # |psi|^2 below this is a vanished spinor; the potential divides by it
@@ -51,25 +51,6 @@ def _radial_spinor(x, radial) -> np.ndarray:
     return _spinor(x, *(v[index.reshape(u.shape)] for v in radial(distinct)))
 
 
-def _closed_form(m: int, k: int, sign: int) -> AnsatzSolution:
-    """The order-k designated coefficients with b0 = sign (2k+3)/3, lifted to order m.
-
-    a_n/a_{n-1} = -(k-n+1)(2k+5-2n)/(n(2n+1)) from a_0 = 1, and
-    b_n = sign a_n (2k+3-2n)/(2n+3).  Each lift multiplies A and B by
-    1 + u, as `lift_solution` does, here in integers over one common
-    denominator and without re-verifying each order.
-    """
-    a = [Fraction(1)]
-    for n in range(1, k + 1):
-        a.append(a[-1] * Fraction(-(k - n + 1) * (2 * k + 5 - 2 * n), n * (2 * n + 1)))
-    b = [sign * c * Fraction(2 * k + 3 - 2 * n, 2 * n + 3) for n, c in enumerate(a)]
-    den, ints = over_common_denominator(a, b)
-    for _ in range(m - k):
-        ints = [times_linear(cs, -1, 1) for cs in ints]
-    a, b = (tuple(Fraction(c, den) for c in cs) for cs in ints)
-    return AnsatzSolution(m, family_b0(k + 1, sign), a, b)
-
-
 class ZeroModeField:
     """Evaluatable spinor field of order m with coupling h = 3*b0/<x>^2.
 
@@ -85,7 +66,7 @@ class ZeroModeField:
             raise ValueError("coefficients do not solve the order-m system")
         j, self.sign = self.label = family_member(solution.b0)
         self.k = k = j - 1
-        closed = _closed_form(solution.m, k, self.sign)
+        closed = closed_form_solution(solution.m, k, self.sign)
         if (closed.a, closed.b) != (solution.a, solution.b):
             raise ValueError("coefficients differ from the lifted closed form")
         self.m = solution.m

@@ -38,6 +38,7 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
 
 from .polynomials import (
@@ -189,21 +190,108 @@ def instantiate_solution(m: int, b0) -> AnsatzSolution:
     return AnsatzSolution(m, b0, tuple(a), tuple(b))
 
 
+def closed_form_solution(m: int, k: int, sign: int) -> AnsatzSolution:
+    """The order-k designated coefficients with b0 = sign (2k+3)/3, lifted to order m.
+
+    a_n/a_{n-1} = -(k-n+1)(2k+5-2n)/(n(2n+1)) from a_0 = 1, and
+    b_n = sign a_n (2k+3-2n)/(2n+3).  Each lift multiplies a and b by
+    1 + |x|**2, as `lift_solution` does, here in integers over one common
+    denominator and without re-verifying each order.
+    """
+    a = [Fraction(1)]
+    for n in range(1, k + 1):
+        a.append(a[-1] * Fraction(-(k - n + 1) * (2 * k + 5 - 2 * n), n * (2 * n + 1)))
+    b = [sign * c * Fraction(2 * k + 3 - 2 * n, 2 * n + 3) for n, c in enumerate(a)]
+    den, ints = over_common_denominator(a, b)
+    for _ in range(m - k):
+        ints = [times_linear(cs, -1, 1) for cs in ints]
+    a, b = (tuple(Fraction(c, den) for c in cs) for cs in ints)
+    return AnsatzSolution(m, family_b0(k + 1, sign), a, b)
+
+
+def _residuals(m: int, beta: int, gamma: int, a, b) -> list:
+    """The integer core of `verify_system`: its 2m+1 equations times gamma,
+    on integer lists a, b of length m+1 at b0 = beta/gamma.
+
+    Linear in (a, b) and, separately, in (beta, gamma); every coefficient
+    is affine in m and in the equation index.
+    """
+    res = [gamma * (2 * j * a[j] - (2 * m + 5 - 2 * j) * a[j - 1]) + 3 * beta * b[j - 1]
+           for j in range(1, m + 1)]
+    res += [gamma * ((2 * k + 3) * b[k] - (2 * m + 2 - 2 * k) * b[k - 1]) - 3 * beta * a[k]
+            for k in range(1, m + 1)]
+    return [*res, gamma * a[m] - beta * b[m]]
+
+
 def verify_system(s: AnsatzSolution) -> list[Fraction]:
     """Exact residuals of the 2m+1 coefficient equations.
 
     Ordering: the odd-labelled a-equations for j = 1..m, then the
     even-labelled b-equations for k = 1..m, then the closing equation
-    a_m = b0*b_m, whose residual equals -P_m(b0**2).  Each is formed in
-    integers times L gamma, L the lcm denominator of a and b, b0 = beta/gamma.
+    a_m = b0*b_m, whose residual equals -P_m(b0**2).  Each is formed by
+    `_residuals` in integers times L gamma, L the lcm denominator of a
+    and b, b0 = beta/gamma.
     """
-    m, beta, gamma = s.m, s.b0.numerator, s.b0.denominator
+    gamma = s.b0.denominator
     den, (a, b) = over_common_denominator(s.a, s.b)
-    res = [gamma * (2 * j * a[j] - (2 * m + 5 - 2 * j) * a[j - 1]) + 3 * beta * b[j - 1]
-           for j in range(1, m + 1)]
-    res += [gamma * ((2 * k + 3) * b[k] - (2 * m + 2 - 2 * k) * b[k - 1]) - 3 * beta * a[k]
-            for k in range(1, m + 1)]
-    return [Fraction(r, den * gamma) for r in [*res, gamma * a[m] - beta * b[m]]]
+    return [Fraction(r, den * gamma) for r in _residuals(s.m, s.b0.numerator, gamma, a, b)]
+
+
+@cache
+def root_theorem_failures() -> tuple:
+    """The failures of a certificate that, for every m >= 1, the roots of
+    P_m are ((2k+3)/3)**2 for k = 0..m, each simple; empty on a pass.  It
+    reads no input, so it runs once per process.
+
+    Each identity is checked through `_residuals` on a grid with one point
+    more per variable than its degree in that variable, which proves a
+    polynomial identity (Petkovsek, Wilf and Zeilberger, "A = B", 1996).
+
+    Designated solution `closed_form_solution(m, m, 1)`, b0 = (2m+3)/3:
+    a_j = r_1...r_j and b_n = beta_n a_n, with r_j = -(m-j+1)(2m+5-2j)/(j(2j+1))
+    and beta_n = (2m+3-2n)/(2n+3), so a_0 = 1 and b_0 = b0.  The a- and
+    b-equations at j are a_{j-1} times 2j r_j - (2m+5-2j) + 3 b0 beta_{j-1}
+    and (2j+3) beta_j r_j - (2m+2-2j) beta_{j-1} - 3 b0 r_j; times j(2j+1)
+    both are integer polynomials of degree <= 3 in m and in j.  The closing
+    one is a_m (1 - b0 beta_m), of degree <= 1 in m times 2m+3.  r_i = 0
+    only at i = m+1, so the residuals at m = 4..7 check them on a 4 x 4 grid
+    (j = 1..4, where a_{j-1} != 0).
+
+    Lift: with A_n, B_n, C the a-, b- and closing residuals of (a, b) at
+    order m and A', B', C' those of the lift times_linear(., -1, 1) at m+1,
+    A'_n = A_n + A_{n-1} (A_0 := 0) and B'_n = B_n + B_{n-1}
+    (B_0 := 3(gamma b_0 - beta a_0)) for n = 1..m, A'_{m+1} = A_m - 3C,
+    B'_{m+1} = B_m and C' = C.  Both sides are linear in (a, b) and in
+    (beta, gamma), with a coefficient affine in (m, n) at each offset below
+    n (or m), so the unit vectors at m = 3, 4 with (beta, gamma) = (1, 0), (0, 1)
+    meet every offset on a 2 x 2 grid (n = 2, 3).
+
+    Hence: the equations fix the solution from a_0 = 1 and b_0 = b0 a_0
+    (B_0 = 0); it is `instantiate_solution(m, b0)`, whose closing residual
+    is -P_m(b0**2).  The order-k designated solution lifted m-k times is
+    that solution at b0 = (2k+3)/3, so P_m has the m+1 distinct roots
+    ((2k+3)/3)**2, k <= m.  Its degree is m+1 (d_m != 0), so these are all
+    its roots, each simple, and every root of P_{m-1} is one of P_m.
+    """
+    failures = []
+    for m in range(4, 8):
+        res = verify_system(closed_form_solution(m, m, 1))
+        names = ["a-identity"] * m + ["b-identity"] * m + ["closing identity"]
+        failures += [f"designated {name} at m = {m}" for name, r in zip(names, res) if r]
+    for m in (3, 4):
+        names = (["A'_n = A_n + A_(n-1)"] * m + ["A'_(m+1) = A_m - 3C"]
+                 + ["B'_n = B_n + B_(n-1)"] * m + ["B'_(m+1) = B_m", "C' = C"])
+        for beta, gamma in ((1, 0), (0, 1)):
+            for i in range(2 * m + 2):
+                unit = [int(k == i) for k in range(2 * m + 2)]
+                a, b = unit[:m + 1], unit[m + 1:]
+                res = _residuals(m, beta, gamma, a, b)
+                sums_a = times_linear((0, *res[:m]), -1, 1)[1:]
+                sums_b = times_linear((3 * (gamma * b[0] - beta * a[0]), *res[m:-1]), -1, 1)[1:]
+                want = [*sums_a[:-1], sums_a[-1] - 3 * res[-1], *sums_b, res[-1]]
+                got = _residuals(m + 1, beta, gamma, times_linear(a, -1, 1), times_linear(b, -1, 1))
+                failures += [f"lift {name} at m = {m}" for name, x, y in zip(names, got, want) if x != y]
+    return tuple(dict.fromkeys(failures))
 
 
 def system_polynomials(m: int, pairs: Iterable[CoeffPair]) -> Iterator[tuple]:

@@ -25,6 +25,7 @@ from .recurrence import (
     closed_form_extremes,
     coefficient_polynomials,
     family_b0,
+    root_theorem_failures,
     system_polynomials,
 )
 
@@ -308,34 +309,6 @@ def check_root_solutions(m: int, product: IntPoly) -> tuple:
     return bad
 
 
-def monotonicity_check(m_max: int) -> tuple:
-    """The failures (m, root) of the root-set chain, where a root of P_{m-1}
-    is no root of P_m; empty when the chain holds up to m_max.
-
-    Each P_m is built on its own (the recurrence depends on m), in turn.
-    One running product prod(q*t - n) over the predicted roots gains the
-    factor of P_m's new root at each order and is compared with the
-    built P_m: equal, P_m vanishes at every root of P_{m-1}.  Only on a
-    mismatch is each root n/q of P_{m-1} tested in integers as
-    q**D * P_m(n/q) = 0, so the failing ones are named.
-    """
-    if m_max < 2:
-        raise ValueError("chain check requires m_max >= 2")
-    roots = predicted_roots(m_max).roots
-    running = _linear_product(roots[:2])
-    failures = []
-    for m in range(2, m_max + 1):
-        integer = build_amn_polynomial(m).integer
-        running = times_linear(running, roots[m].numerator, roots[m].denominator)
-        if running != integer.coeffs:
-            failures += [
-                (m, r)
-                for r in roots[:m]
-                if homogeneous(integer.coeffs, r.numerator, r.denominator) != 0
-            ]
-    return tuple(failures)
-
-
 def timed(timings: dict, key: str, fn, *args):
     """fn(*args), with its wall time in milliseconds stored as timings[key]."""
     t0 = time.perf_counter()
@@ -344,7 +317,7 @@ def timed(timings: dict, key: str, fn, *args):
     return result
 
 
-def verification_report(m: int, chain: bool = False) -> tuple[dict, bool]:
+def verification_report(m: int) -> tuple[dict, bool]:
     """Run the full exact verification for one m: the JSON-ready report and
     the verdict, True when every check passed.
 
@@ -352,7 +325,8 @@ def verification_report(m: int, chain: bool = False) -> tuple[dict, bool]:
     integer form.  One predicted root set serves the report, and its
     product, formed in the factorization stage, serves the system stage
     too.  The pair chain is built in the system stage, the only stage
-    that reads it.
+    that reads it.  `monotonicity_ok` reports `root_theorem_failures`, the
+    certificate for every m, which runs once per process and is not timed.
     """
     timings: dict[str, float] = {}
     predicted = predicted_roots(m)
@@ -360,7 +334,7 @@ def verification_report(m: int, chain: bool = False) -> tuple[dict, bool]:
     oracle = timed(timings, "oracle_ms", rational_root_oracle, amn.integer)
     factor_failures = timed(timings, "factorization_ms", verify_factorization, amn, predicted)
     system_ok = not timed(timings, "system_ms", check_root_solutions, m, predicted.product)
-    chain_failures = timed(timings, "monotonicity_ms", monotonicity_check, m) if chain and m >= 2 else ()
+    certified = not root_theorem_failures()
     matches = oracle == set(predicted.roots)
     report = {
         "m": m,
@@ -370,7 +344,7 @@ def verification_report(m: int, chain: bool = False) -> tuple[dict, bool]:
         "factorization_ok": not factor_failures,
         "factorization_failures": list(factor_failures),
         "system_ok": system_ok,
-        "monotonicity_ok": not chain_failures,
+        "monotonicity_ok": certified,
         "timings_ms": timings,
     }
-    return report, matches and not factor_failures and system_ok and not chain_failures
+    return report, matches and not factor_failures and system_ok and certified

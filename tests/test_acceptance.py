@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from test_fields import PowerBasisField
+from test_roots import monotonicity_check
 
 from amnmodes.fields import (
     ZeroModeField,
@@ -27,7 +28,6 @@ from amnmodes.recurrence import (
     verify_system,
 )
 from amnmodes.roots import (
-    monotonicity_check,
     predicted_roots,
     rational_root_oracle,
     verify_factorization,

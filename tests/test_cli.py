@@ -22,7 +22,7 @@ import amnmodes
 from amnmodes import roots
 from amnmodes.cli import B0_BITS, FIELD_GRID_MAX, FIELD_M_MAX, POLY_M_MAX, main
 from amnmodes.fields import ZeroModeField, sample_grid
-from amnmodes.recurrence import build_amn_polynomial
+from amnmodes.recurrence import build_amn_polynomial, root_theorem_failures
 
 
 def run(args):
@@ -85,12 +85,6 @@ class TestVerify:
         assert doc["predicted"] == ["1", "25/9", "49/9", "9", "121/9", "169/9", "25"]
         assert doc["oracle"] == doc["predicted"]
         assert doc["factorization_ok"] and doc["system_ok"]
-
-    @pytest.mark.parametrize("m", [4, 5])
-    def test_chain(self, tmp_path, m):
-        out = tmp_path / "v.json"
-        assert run(["verify", "--m", str(m), "--chain", "-o", str(out)]) == 0
-        assert json.loads(out.read_text())["monotonicity_ok"] is True
 
     def test_tamper_hook_fails(self, tmp_path, monkeypatch):
         monkeypatch.setattr(roots, "build_amn_polynomial", tampered_build)
@@ -276,14 +270,16 @@ class TestGolden:
             assert out.read_text() == json.dumps(self.expected_poly(m), indent=2), m
 
     @pytest.mark.parametrize(
-        "m, chain",
-        [(m, chain) for m in (1, 2, 5, 12) for chain in (False, True)] + [(64, False), (200, False)],
+        "m, cold",
+        [(m, cold) for m in (1, 2, 5, 12) for cold in (False, True)] + [(64, False), (200, False)],
     )
-    def test_verify_document(self, tmp_path, m, chain):
+    def test_verify_document(self, tmp_path, m, cold):
+        # cold: the root-theorem certificate runs inside this request; the
+        # document is the same, with no stage of its own
+        if cold:
+            root_theorem_failures.cache_clear()
         predicted = [str(Fraction(2 * j + 1, 3) ** 2) for j in range(1, m + 2)]
         stages = ["build_ms", "oracle_ms", "factorization_ms", "system_ms"]
-        if chain and m >= 2:
-            stages.append("monotonicity_ms")
         expected = {
             "m": m,
             "predicted": predicted,
@@ -296,7 +292,7 @@ class TestGolden:
             "timings_ms": dict.fromkeys(stages),
         }
         out = tmp_path / "v.json"
-        assert run(["verify", "--m", str(m), *(["--chain"] * chain), "-o", str(out)]) == 0
+        assert run(["verify", "--m", str(m), "-o", str(out)]) == 0
         text = out.read_text()
         doc = json.loads(text)
         assert text == json.dumps(doc, indent=2)
@@ -310,11 +306,12 @@ class TestGolden:
     [
         ["roots", "--m", "3"],
         ["poly", "--m", "1", "--format", "json"],
-        ["verify", "--m", "5", "--chain", "--threads", "2"],
+        ["verify", "--m", "5", "--threads", "2"],
         ["verify", "--m", "1", "--tamper"],
         ["field", "--m", "1", "--designated", "--step", "1e-3"],
+        ["verify", "--m", "5", "--chain"],
     ],
-    ids=["roots", "format", "threads", "tamper", "step"],
+    ids=["roots", "format", "threads", "tamper", "step", "chain"],
 )
 def test_removed_surface_is_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
@@ -350,11 +347,10 @@ def test_one_parser_serves_a_sequence_of_requests(tmp_path, capsys):
     assert run(["poly", "--m", "3", "-o", str(out)]) == 0
     assert out.read_text() == json.dumps(TestGolden.expected_poly(3), indent=2)
 
-    assert run(["verify", "--m", "4", "--chain", "-o", str(out)]) == 0
+    assert run(["verify", "--m", "4", "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["oracle"] == [str(Fraction(2 * j + 1, 3) ** 2) for j in range(1, 6)]
     assert doc["oracle_matches"] and doc["factorization_ok"] and doc["system_ok"]
-    assert "monotonicity_ms" in doc["timings_ms"]
 
     # conflicting selectors: argparse exits 2 and must leave no state behind
     assert exit_code(["field", "--m", "2", "--j", "1", "--designated"]) == 2
@@ -365,9 +361,11 @@ def test_one_parser_serves_a_sequence_of_requests(tmp_path, capsys):
     sample_grid(ZeroModeField.designated(2), buf, extent=2.0, n=2)
     assert out.read_bytes() == buf.getvalue().encode()
 
-    # defaults come back on the next parse: no --chain, no chain stage
-    assert run(["verify", "--m", "2", "-o", str(out)]) == 0
-    assert "monotonicity_ms" not in json.loads(out.read_text())["timings_ms"]
+    # defaults come back on the next parse: no --grid, the default 5 points per axis
+    assert run(["field", "--m", "2", "--designated", "-o", str(out)]) == 0
+    buf = io.StringIO()
+    sample_grid(ZeroModeField.designated(2), buf, extent=2.0, n=5)
+    assert out.read_bytes() == buf.getvalue().encode()
 
 
 @pytest.mark.parametrize("argv", [
@@ -397,23 +395,36 @@ def test_nul_byte_in_output_path_is_io_error(argv, capsys):
     assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
 
 
+def loaded_in_child(argv, tmp_path, module):
+    """Whether `main(argv)` loads `module` in a fresh interpreter, after it exits 0
+    with output; this one has imported numpy and scipy for other tests."""
+    src = os.path.dirname(os.path.dirname(amnmodes.__file__))
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    script = ("import sys; from amnmodes.cli import main; "
+              f"print(main(sys.argv[1:]), {module!r} in sys.modules)")
+    child = subprocess.run([sys.executable, "-c", script, *argv, "-o", str(tmp_path / "out")],
+                           capture_output=True, text=True, env=env, check=True)
+    rc, loaded = child.stdout.split()
+    assert rc == "0" and (tmp_path / "out").stat().st_size > 0
+    return loaded == "True"
+
+
 @pytest.mark.parametrize("argv", [
     ["poly", "--m", "3"],
-    ["verify", "--m", "3", "--chain"],
+    ["verify", "--m", "3"],
     ["mode", "--m", "3", "--designated"],
     ["bench", "--m-max", "3"],
     ["field", "--m", "3", "--designated", "--grid", "2"],
 ], ids=lambda argv: argv[0])
 def test_only_field_imports_scipy(argv, tmp_path):
-    # a fresh interpreter: this one has imported scipy for the field tests
-    src = os.path.dirname(os.path.dirname(amnmodes.__file__))
-    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    script = "import sys; from amnmodes.cli import main; print(main(sys.argv[1:]), 'scipy' in sys.modules)"
-    child = subprocess.run([sys.executable, "-c", script, *argv, "-o", str(tmp_path / "out")],
-                           capture_output=True, text=True, env=env, check=True)
-    assert child.stdout.split() == ["0", str(argv[0] == "field")]
-    assert (tmp_path / "out").stat().st_size > 0
+    assert loaded_in_child(argv, tmp_path, "scipy") == (argv[0] == "field")
+
+
+@pytest.mark.parametrize("argv", [["poly", "--m", "3"], ["mode", "--m", "3", "--designated"]],
+                         ids=lambda argv: argv[0])
+def test_exact_builds_load_no_numpy(argv, tmp_path):
+    assert not loaded_in_child(argv, tmp_path, "numpy")
 
 
 def test_b0_that_is_no_root_is_usage_error_for_field(tmp_path, capsys):
@@ -483,8 +494,6 @@ def requests(draw):
     command = draw(st.sampled_from(["poly", "verify", "mode", "field", "bench"]))
     orders = values(*range(-1, 7), FIELD_M_MAX, FIELD_M_MAX + 1, POLY_M_MAX + 1)
     flags = {"--m-max" if command == "bench" else "--m": orders}
-    if command == "verify" and draw(st.booleans()):
-        flags["--chain"] = None
     if command == "field":
         for name, value in (
             ("--grid", values(*range(-1, 4), FIELD_GRID_MAX + 1)),

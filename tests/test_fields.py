@@ -423,10 +423,10 @@ def test_every_accepted_order(m):
 def test_closed_form_is_repeated_lift(m):
     for k in range(m + 1):
         for sign in (1, -1):
-            s = fields._closed_form(k, k, sign)
+            s = recurrence.closed_form_solution(k, k, sign)
             for _ in range(m - k):
                 s = recurrence.lift_solution(s)
-            assert fields._closed_form(m, k, sign) == s, (k, sign)
+            assert recurrence.closed_form_solution(m, k, sign) == s, (k, sign)
 
 
 class TestRadialOncePerRadius:

@@ -1,5 +1,6 @@
-"""Exact root verification: prediction, factorization, oracle, chain."""
+"""Exact root verification: prediction, factorization, oracle, root theorem, chain."""
 
+import json
 import math
 import weakref
 from fractions import Fraction
@@ -10,21 +11,24 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from test_recurrence import evaluate_pairs, mul, rational_form
 
-from amnmodes import roots
-from amnmodes.polynomials import IntPoly, primitive_integer_form
+from amnmodes import recurrence, roots
+from amnmodes.cli import main
+from amnmodes.polynomials import IntPoly, primitive_integer_form, times_linear
 from amnmodes.recurrence import (
     AmnPolynomial,
+    AnsatzSolution,
     CoeffPair,
     build_amn_polynomial,
     closed_form_extremes,
     coefficient_polynomials,
     family_b0,
+    instantiate_solution,
+    root_theorem_failures,
     verify_system,
 )
 from amnmodes.roots import (
     PRIME_SEARCH,
     check_root_solutions,
-    monotonicity_check,
     predicted_roots,
     rational_root_oracle,
     verification_report,
@@ -339,6 +343,30 @@ class TestDeflation:
                 assert IntPoly(integer) == primitive_integer_form(rational)[0]
 
 
+def monotonicity_check(m_max):
+    """The reference chain: the failures (m, root) where a root of P_{m-1}
+    is no root of P_m, for m = 2..m_max; empty when the chain holds.
+
+    Builds every P_m in turn and compares it with one running product
+    prod(q*t - n) over the predicted roots, which gains the factor of
+    P_m's new root at each order; only on a mismatch is each root n/q of
+    P_{m-1} tested as q**D * P_m(n/q) = 0.  It reads the build and the
+    exact test through `roots`, so the hooks of the tests below apply.
+    """
+    if m_max < 2:
+        raise ValueError("chain check requires m_max >= 2")
+    rs = predicted_roots(m_max).roots
+    running = roots._linear_product(rs[:2])
+    failures = []
+    for m in range(2, m_max + 1):
+        integer = roots.build_amn_polynomial(m).integer
+        running = times_linear(running, rs[m].numerator, rs[m].denominator)
+        if running != integer.coeffs:
+            failures += [(m, r) for r in rs[:m]
+                         if roots.homogeneous(integer.coeffs, r.numerator, r.denominator) != 0]
+    return tuple(failures)
+
+
 class TestMonotonicity:
     def test_chain_m6(self):
         assert monotonicity_check(6) == ()
@@ -364,6 +392,92 @@ class TestMonotonicity:
         failures = monotonicity_check(7)
         assert failures
         assert failures == tuple((5, r) for r in predicted_roots(4).roots)
+
+
+def designated_ratio(m, j):
+    """r_j = a_j/a_{j-1} of the designated order-m solution."""
+    return F(-(m - j + 1) * (2 * m + 5 - 2 * j), j * (2 * j + 1))
+
+
+def designated_beta(m, n):
+    """beta_n = b_n/a_n of the designated order-m solution."""
+    return F(2 * m + 3 - 2 * n, 2 * n + 3)
+
+
+@pytest.fixture
+def broken_b_equations(monkeypatch):
+    """The residual core with 2m+3-2k in place of 2m+2-2k in every b-equation;
+    the certificate's cache is cleared before and after, so no other test
+    sees its result."""
+    core = recurrence._residuals
+
+    def broken(m, beta, gamma, a, b):
+        res = core(m, beta, gamma, a, b)
+        return [*res[:m], *(r - gamma * b[k] for k, r in enumerate(res[m:-1])), res[-1]]
+
+    monkeypatch.setattr(recurrence, "_residuals", broken)
+    root_theorem_failures.cache_clear()
+    yield
+    root_theorem_failures.cache_clear()
+
+
+@st.composite
+def rational_systems(draw):
+    """An order m in 0..6, a b0 and free rational lists a, b of length m+1."""
+    m = draw(st.integers(0, 6))
+    values = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    a, b = (tuple(draw(st.lists(values, min_size=m + 1, max_size=m + 1))) for _ in "ab")
+    return AnsatzSolution(m, draw(values), a, b)
+
+
+class TestRootTheorem:
+    def test_passes(self):
+        assert root_theorem_failures() == ()
+
+    def test_designated_ratios_are_the_instantiated_solution(self):
+        for m in range(60):
+            s = instantiate_solution(m, family_b0(m + 1))
+            assert [s.a[j] / s.a[j - 1] for j in range(1, m + 1)] == [
+                designated_ratio(m, j) for j in range(1, m + 1)
+            ]
+            assert [y / x for x, y in zip(s.a, s.b)] == [designated_beta(m, n) for n in range(m + 1)]
+
+    @given(rational_systems())
+    def test_lift_identities_on_free_systems(self, s):
+        # the residuals of any (a, b), not only of a solution, lift as the
+        # certificate states: A_0 := 0 and B_0 := 3(b_0 - b0 a_0)
+        m, res = s.m, verify_system(s)
+        lift = AnsatzSolution(m + 1, s.b0, times_linear(s.a, -1, 1), times_linear(s.b, -1, 1))
+        lifted = verify_system(lift)
+        big_a, big_b, c = [F(0), *res[:m]], [3 * (s.b[0] - s.b0 * s.a[0]), *res[m:2 * m]], res[-1]
+        assert lifted[:m] == [big_a[n] + big_a[n - 1] for n in range(1, m + 1)]
+        assert lifted[m] == big_a[m] - 3 * c
+        assert lifted[m + 1:2 * m + 1] == [big_b[n] + big_b[n - 1] for n in range(1, m + 1)]
+        assert lifted[2 * m + 1] == big_b[m]
+        assert lifted[-1] == c
+
+    def test_broken_identity_is_named(self, broken_b_equations):
+        assert root_theorem_failures() == (
+            *(f"designated b-identity at m = {m}" for m in range(4, 8)),
+            "lift B'_(m+1) = B_m at m = 3",
+            "lift B'_(m+1) = B_m at m = 4",
+        )
+
+    def test_broken_identity_fails_verify(self, broken_b_equations, tmp_path):
+        out = tmp_path / "v.json"
+        assert main(["verify", "--m", "3", "-o", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["monotonicity_ok"] is False
+        assert doc["oracle_matches"] and doc["factorization_ok"] and doc["system_ok"]
+
+    def test_runs_once_per_process(self, monkeypatch):
+        calls, core = [], recurrence._residuals
+        monkeypatch.setattr(recurrence, "_residuals", lambda *a: calls.append(a) or core(*a))
+        root_theorem_failures.cache_clear()
+        verification_report(3)
+        first = len(calls)
+        verification_report(4)
+        assert first and len(calls) == first
 
 
 def reference_root_solutions(m, pairs):
@@ -460,7 +574,7 @@ class TestSystemAtRoots:
 
 
 def test_verification_report_schema():
-    report, ok = verification_report(2, chain=True)
+    report, ok = verification_report(2)
     assert ok is True
     assert report["m"] == 2
     assert report["predicted"] == ["1", "25/9", "49/9"]
