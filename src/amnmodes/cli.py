@@ -8,8 +8,9 @@ field value) -> 1, OSError or ValueError (a NUL byte in the path) while
 writing -> 3, each with one `error:` line and no output; otherwise the
 text is written and the verdict gives 0 or 1.  Large integers are
 serialized as decimal strings; native JSON numbers lose precision once
-coefficients pass 2**53.  `roots` and `fields` load numpy, so only the
-commands that use them import them: `poly` and `mode` load neither.
+coefficients pass 2**53.  `fields` loads numpy and the oracle in
+`roots` imports it when it runs, so only the commands that use them
+import them: `poly`, `mode` and `bench` load neither.
 """
 
 from __future__ import annotations

@@ -184,18 +184,6 @@ def l2_norm_squared(f: ZeroModeField) -> float:
     return float(Fraction(2 * (2 * f.k + 3), 3 * (f.k + 1) * (f.k + 2))) * math.pi**2
 
 
-def enumerate_family(m: int) -> list[ZeroModeField]:
-    """All 2(m+1) verified fields of order m, both root signs.
-
-    Ordered by (j, sign) with the positive sign first; the designated
-    field is the (j = m+1, +) member.
-    """
-    if m < 1:
-        raise ValueError("family enumeration defined for m >= 1")
-    return [ZeroModeField(instantiate_solution(m, family_b0(j, sign)))
-            for j in range(1, m + 2) for sign in (1, -1)]
-
-
 CSV_COLUMNS = [
     "x1", "x2", "x3",
     "re_psi1", "im_psi1", "re_psi2", "im_psi2",

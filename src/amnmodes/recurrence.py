@@ -8,8 +8,9 @@ polynomial is P_m(t) = t*q_m(t) - p_m(t).
 The chain of (p_j, q_j) pairs is built by fraction-free stepwise
 substitution in integers and streamed: `coefficient_polynomials` yields
 the pairs one at a time; the tests check it against an independent 2x2
-matrix product over the rationals.  Only the system check reads the
-pairs (`system_polynomials`, which checks every root at once in t);
+matrix product over the rationals, and check that it solves all 2m
+recurrence equations.  Only the system check reads the pairs, and of
+them only the last, through the closing equation p_m - t*q_m = 0;
 `instantiate_solution` steps the same recurrence on numbers at one b0.
 
 P_m itself comes from a three-term recurrence in p_j alone.  With
@@ -35,7 +36,7 @@ which is how `build_amn_polynomial` makes it.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -195,8 +196,8 @@ def closed_form_solution(m: int, k: int, sign: int) -> AnsatzSolution:
 
     a_n/a_{n-1} = -(k-n+1)(2k+5-2n)/(n(2n+1)) from a_0 = 1, and
     b_n = sign a_n (2k+3-2n)/(2n+3).  Each lift multiplies a and b by
-    1 + |x|**2, as `lift_solution` does, here in integers over one common
-    denominator and without re-verifying each order.
+    1 + |x|**2, in integers over one common denominator; the lift of an
+    exact solution solves the next order's system (`root_theorem_failures`).
     """
     a = [Fraction(1)]
     for n in range(1, k + 1):
@@ -292,46 +293,6 @@ def root_theorem_failures() -> tuple:
                 got = _residuals(m + 1, beta, gamma, times_linear(a, -1, 1), times_linear(b, -1, 1))
                 failures += [f"lift {name} at m = {m}" for name, x, y in zip(names, got, want) if x != y]
     return tuple(dict.fromkeys(failures))
-
-
-def system_polynomials(m: int, pairs: Iterable[CoeffPair]) -> Iterator[tuple]:
-    """The 2m+1 equations of `verify_system` as integer polynomials in t = b0**2.
-
-    One pass over the chain j = 0..m: as pair j arrives, the a-equation
-    2j p_j - (2m+5-2j) p_{j-1} + 3t q_{j-1}, then the b-equation
-    (2j+3) q_j - (2m+2-2j) q_{j-1} - 3 p_j with the common factor b0
-    removed; after the last pair, the closing p_m - t q_m.  Each is
-    taken times the lcm of the denominators of the pairs it reads, so
-    the coefficients are integers (ascending in t).  At b0 != 0 the
-    residuals of `verify_system` vanish exactly where these do at
-    t = b0**2.  The recurrence makes the first 2m identically zero; the
-    closing one is a multiple of -P_m, zero only at the roots.
-    """
-    pairs = iter(pairs)
-    prev = next(pairs)
-    for j, cur in enumerate(pairs, 1):
-        g = math.gcd(prev.den, cur.den)
-        u, v = prev.den // g, cur.den // g  # both equations j times lcm(den_{j-1}, den_j)
-        ka, kb, kc = 2 * j * u, (2 * m + 5 - 2 * j) * v, 3 * v
-        cols = zip_longest(cur.p, prev.p, (0,) + prev.q, fillvalue=0)
-        yield tuple(ka * a - kb * b + kc * c for a, b, c in cols)
-        ka, kb, kc = (2 * j + 3) * u, 3 * u, (2 * m + 2 - 2 * j) * v
-        cols = zip_longest(cur.q, cur.p, prev.q, fillvalue=0)
-        yield tuple(ka * a - kb * b - kc * c for a, b, c in cols)
-        prev = cur
-    yield tuple(a - c for a, c in zip_longest(prev.p, (0,) + prev.q, fillvalue=0))
-
-
-def lift_solution(s: AnsatzSolution) -> AnsatzSolution:
-    """Order m -> m+1 via multiplication by (1 + |x|**2).
-
-    The lifted coefficients are those of the polynomials in |x|**2 times
-    1 + |x|**2, the adjacent-pair sums; the lift of an exact solution
-    solves the order-(m+1) system with the same b0.
-    """
-    if any(r != 0 for r in verify_system(s)):
-        raise ValueError("lift requires an exact (L_m) solution")
-    return AnsatzSolution(s.m + 1, s.b0, times_linear(s.a, -1, 1), times_linear(s.b, -1, 1))
 
 
 def polynomial_report(m: int) -> dict:

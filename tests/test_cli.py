@@ -421,8 +421,11 @@ def test_only_field_imports_scipy(argv, tmp_path):
     assert loaded_in_child(argv, tmp_path, "scipy") == (argv[0] == "field")
 
 
-@pytest.mark.parametrize("argv", [["poly", "--m", "3"], ["mode", "--m", "3", "--designated"]],
-                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", [
+    ["poly", "--m", "3"],
+    ["mode", "--m", "3", "--designated"],
+    ["bench", "--m-max", "3"],
+], ids=lambda argv: argv[0])
 def test_exact_builds_load_no_numpy(argv, tmp_path):
     assert not loaded_in_child(argv, tmp_path, "numpy")
 

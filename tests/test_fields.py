@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from reference import enumerate_family, lift_solution
 from scipy.integrate import quad
 
 from amnmodes import fields, recurrence, roots
@@ -17,7 +18,6 @@ from amnmodes.fields import (
     SIGMA,
     ZeroModeField,
     _sigma_d,
-    enumerate_family,
     l2_norm_squared,
     loss_yau_residual,
     sample_grid,
@@ -425,7 +425,7 @@ def test_closed_form_is_repeated_lift(m):
         for sign in (1, -1):
             s = recurrence.closed_form_solution(k, k, sign)
             for _ in range(m - k):
-                s = recurrence.lift_solution(s)
+                s = lift_solution(s)
             assert recurrence.closed_form_solution(m, k, sign) == s, (k, sign)
 
 

@@ -1,11 +1,14 @@
 """The coefficient recurrence, closed forms, instantiation, and the lift."""
 
+import math
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
+from reference import lift_solution
 
-from amnmodes.polynomials import homogeneous
+from amnmodes.polynomials import homogeneous, primitive_integer_form
 from amnmodes.recurrence import (
     AnsatzSolution,
     CoeffPair,
@@ -15,7 +18,6 @@ from amnmodes.recurrence import (
     family_b0,
     family_member,
     instantiate_solution,
-    lift_solution,
     polynomial_report,
     verify_system,
 )
@@ -160,6 +162,56 @@ class TestChain:
             -494991,
             6561,
         )
+
+
+def system_polynomials(m: int, pairs: Iterable[CoeffPair]) -> Iterator[tuple]:
+    """The 2m+1 equations of `verify_system` as integer polynomials in t = b0**2.
+
+    One pass over the chain j = 0..m: as pair j arrives, the a-equation
+    2j p_j - (2m+5-2j) p_{j-1} + 3t q_{j-1}, then the b-equation
+    (2j+3) q_j - (2m+2-2j) q_{j-1} - 3 p_j with the common factor b0
+    removed; after the last pair, the closing p_m - t q_m.  Each is
+    taken times the lcm of the denominators of the pairs it reads, so
+    the coefficients are integers (ascending in t).  At b0 != 0 the
+    residuals of `verify_system` vanish exactly where these do at
+    t = b0**2.  The recurrence makes the first 2m identically zero; the
+    closing one is a multiple of -P_m, zero only at the roots.
+    """
+    pairs = iter(pairs)
+    prev = next(pairs)
+    for j, cur in enumerate(pairs, 1):
+        g = math.gcd(prev.den, cur.den)
+        u, v = prev.den // g, cur.den // g  # both equations j times lcm(den_{j-1}, den_j)
+        ka, kb, kc = 2 * j * u, (2 * m + 5 - 2 * j) * v, 3 * v
+        cols = zip_longest(cur.p, prev.p, (0,) + prev.q, fillvalue=0)
+        yield tuple(ka * a - kb * b + kc * c for a, b, c in cols)
+        ka, kb, kc = (2 * j + 3) * u, 3 * u, (2 * m + 2 - 2 * j) * v
+        cols = zip_longest(cur.q, cur.p, prev.q, fillvalue=0)
+        yield tuple(ka * a - kb * b - kc * c for a, b, c in cols)
+        prev = cur
+    yield tuple(a - c for a, c in zip_longest(prev.p, (0,) + prev.q, fillvalue=0))
+
+
+class TestRecurrenceIdentities:
+    """The pair chain solves the 2m recurrence equations; the system check
+    reads only its closing equation, so these identities are checked here."""
+
+    def test_chain_solves_every_recurrence_equation(self):
+        for m in [*range(1, 41), 200]:
+            *identities, closing = system_polynomials(m, coefficient_polynomials(m))
+            assert len(identities) == 2 * m
+            assert not any(any(r) for r in identities), m
+            assert any(closing)
+            assert primitive_integer_form(closing)[0] == build_amn_polynomial(m).integer
+
+    def test_broken_step_is_flagged(self):
+        # q_3 + 1 breaks b-identity 3 and a- and b-identity 4, at indices 5 to 7;
+        # the closing equation, last, is nonzero anyway
+        pairs = list(coefficient_polynomials(6))
+        p, q, den = pairs[3].p, pairs[3].q, pairs[3].den
+        pairs[3] = CoeffPair(p, (q[0] + den, *q[1:]), den)
+        nonzero = [i for i, r in enumerate(system_polynomials(6, pairs)) if any(r)]
+        assert nonzero == [5, 6, 7, 12]
 
 
 def pair_route(m):

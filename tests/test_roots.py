@@ -518,14 +518,13 @@ class TestSystemAtRoots:
     @pytest.mark.parametrize(
         "case",
         [
-            # p_j enters a-identities j and j+1 and b-identity j
-            lambda m, pairs: perturbed(pairs, 1, dp=[1]),
-            # q_j, j < m, enters b-identities j and j+1 and a-identity j+1
-            lambda m, pairs: perturbed(pairs, m - 1, dq=[1]),
-            # q_m enters only b-identity m and the closing equation
+            # the check reads only the last pair, through p_m - t*q_m: each
+            # perturbation adds to it a polynomial with no root t >= 1
+            lambda m, pairs: perturbed(pairs, m, dp=[1]),
             lambda m, pairs: perturbed(pairs, m, dq=[1]),
+            lambda m, pairs: perturbed(pairs, m, dp=[1], dq=[-1]),
         ],
-        ids=["p_j", "q_j", "q_m"],
+        ids=["p_m", "q_m", "p_m_q_m"],
     )
     def test_negative_controls_flag_every_root(self, m, case, monkeypatch):
         pairs = case(m, list(coefficient_polynomials(m)))
@@ -535,8 +534,8 @@ class TestSystemAtRoots:
         assert len(bad) == 2 * (m + 1)
 
     def test_pair_chain_is_streamed(self, monkeypatch):
-        # each equation reads pairs j-1 and j, so the check holds a few pairs
-        # at a time, never the whole chain of 41
+        # the check keeps only the last pair, so at most the pair it holds and
+        # the one just stepped are alive, never the whole chain of 41
         alive, sizes = weakref.WeakSet(), []
 
         def tracked(m):
@@ -548,7 +547,7 @@ class TestSystemAtRoots:
         monkeypatch.setattr(roots, "coefficient_polynomials", tracked)
         assert check_root_solutions(40, predicted_roots(40).product) == ()
         assert len(sizes) == 41
-        assert max(sizes) <= 3
+        assert max(sizes) <= 2
 
     def test_matching_product_needs_no_evaluation(self, monkeypatch):
         forbid_exact_tests(monkeypatch)
@@ -565,8 +564,9 @@ class TestSystemAtRoots:
 
     @pytest.mark.parametrize("m", [1, 3, 6])
     def test_broken_identity_is_evaluated_at_each_root(self, m, monkeypatch):
-        # (t - 1) on p_1: every broken equation still vanishes at t = 1
-        pairs = perturbed(list(coefficient_polynomials(m)), 1, dp=[-1, 1])
+        # (t - 1) on p_m and q_m: the closing equation gains -(t - 1)**2, which
+        # vanishes at t = 1 alone, as every broken equation does
+        pairs = perturbed(list(coefficient_polynomials(m)), m, dp=[-1, 1], dq=[-1, 1])
         monkeypatch.setattr(roots, "coefficient_polynomials", lambda _: pairs)
         bad = check_root_solutions(m, predicted_roots(m).product)
         assert bad == reference_root_solutions(m, pairs)

@@ -22,4 +22,6 @@ def test_tracer_spans_the_build(tmp_path, monkeypatch):
     assert cli.main is main
     names = {span[1] for span in tracer.spans}
     assert {"recurrence.build_amn_polynomial", "polynomials.primitive_integer_form"} <= names
+    # the system stage's layers, which the benchmark reports per layer
+    assert {"roots.check_root_solutions", "recurrence.coefficient_polynomials"} <= names
     assert tracer.max_coeff_bits > 0
