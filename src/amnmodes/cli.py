@@ -2,7 +2,7 @@
 
 Subcommands: poly, verify, mode, field, bench.  Exit codes are the
 contract: 0 pass, 1 verification failure, 2 usage error, 3 I/O error.
-Each `cmd_*` returns its text and verdict or raises, and `main` alone
+Each `cmd_*` returns its text chunks and verdict or raises, and `main` alone
 maps the outcome: ValueError -> 2, FloatingPointError (a non-finite
 field value) -> 1, OSError or ValueError (a NUL byte in the path) while
 writing -> 3, each with one `error:` line and no output; otherwise the
@@ -16,10 +16,10 @@ import them: `poly`, `mode` and `bench` load neither.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .recurrence import (build_amn_polynomial, family_b0, instantiate_solution, polynomial_report,
@@ -33,19 +33,21 @@ EXIT_IO = 3
 POLY_M_MAX = 500
 FIELD_M_MAX = 50
 # points per axis; all n^3 are evaluated at once: --grid 64 at m = 50 takes
-# about 1.3 s and 267 MB (2-vCPU VM, Python 3.11.7)
+# 2.5-3.2 s and 181 MB (2-vCPU VM, Python 3.11.7)
 FIELD_GRID_MAX = 64
 B0_BITS = 32  # --b0 numerator and denominator below 2**B0_BITS (README time table)
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(chunks: Iterable[str], path: str | None) -> None:
     if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        chunk = ""
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        if not chunk.endswith("\n"):
             sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _parse_b0(text: str) -> Fraction:
@@ -83,28 +85,28 @@ def _select_b0(args) -> Fraction:
     return family_b0(args.j, -1 if args.sign == "-" else 1)
 
 
-def cmd_poly(args) -> tuple[str, bool]:
+def cmd_poly(args) -> tuple[Iterable[str], bool]:
     if not 1 <= args.m <= POLY_M_MAX:
         raise ValueError(f"P_m defined for m >= 1 (supported up to {POLY_M_MAX})")
-    return json.dumps(polynomial_report(args.m), indent=2), True
+    return (json.dumps(polynomial_report(args.m), indent=2),), True
 
 
-def cmd_verify(args) -> tuple[str, bool]:
+def cmd_verify(args) -> tuple[Iterable[str], bool]:
     if not 1 <= args.m <= POLY_M_MAX:
         raise ValueError(f"verification defined for m in 1..{POLY_M_MAX}")
     from . import roots
     report, ok = roots.verification_report(args.m)
-    return json.dumps(report, indent=2), ok
+    return (json.dumps(report, indent=2),), ok
 
 
-def cmd_mode(args) -> tuple[str, bool]:
+def cmd_mode(args) -> tuple[Iterable[str], bool]:
     if not 0 <= args.m <= POLY_M_MAX:
         raise ValueError(f"mode defined for m in 0..{POLY_M_MAX}")
     report = solution_report(instantiate_solution(args.m, _select_b0(args)))
-    return json.dumps(report, indent=2), True
+    return (json.dumps(report, indent=2),), True
 
 
-def cmd_field(args) -> tuple[str, bool]:
+def cmd_field(args) -> tuple[Iterable[str], bool]:
     if not 0 <= args.m <= FIELD_M_MAX:
         raise ValueError(f"field operations defined for m in 0..{FIELD_M_MAX}")
     if not 0 <= args.grid <= FIELD_GRID_MAX:
@@ -113,13 +115,11 @@ def cmd_field(args) -> tuple[str, bool]:
         raise ValueError("--extent must be finite")
     from . import fields
     f = fields.ZeroModeField(instantiate_solution(args.m, _select_b0(args)))
-    buf = io.StringIO()
     # raises where the spinor underflows to zero, far out on a large --extent
-    fields.sample_grid(f, buf, extent=args.extent, n=args.grid)
-    return buf.getvalue(), True
+    return fields.sample_grid(f, extent=args.extent, n=args.grid), True
 
 
-def cmd_bench(args) -> tuple[str, bool]:
+def cmd_bench(args) -> tuple[Iterable[str], bool]:
     if not 1 <= args.m_max <= POLY_M_MAX:
         raise ValueError(f"bench defined for m-max in 1..{POLY_M_MAX}")
     from . import roots
@@ -129,7 +129,7 @@ def cmd_bench(args) -> tuple[str, bool]:
         amn = roots.timed(row, "build_ms", build_amn_polynomial, m)
         row["max_coefficient_bits"] = max(abs(c).bit_length() for c in amn.integer.coeffs)
         rows.append(row)
-    return json.dumps(rows, indent=2), True
+    return (json.dumps(rows, indent=2),), True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,7 +192,7 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        text, ok = args.func(args)
+        chunks, ok = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
     finally:
         sys.set_int_max_str_digits(limit)
     try:
-        _emit(text, args.output)
+        _emit(chunks, args.output)
     except (OSError, ValueError) as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO

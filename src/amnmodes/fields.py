@@ -219,20 +219,30 @@ def _grid_rows(f: ZeroModeField, extent: float, n: int) -> np.ndarray:
     return rows
 
 
-def sample_grid(f: ZeroModeField, out, extent: float = 2.0, n: int = 5):
-    """Write field samples on a cubic grid as CSV, x3 varying fastest.
+def sample_grid(f: ZeroModeField, extent: float = 2.0, n: int = 5):
+    """Field samples on a cubic grid as CSV text chunks, x3 varying fastest.
 
     The rows are those of `_grid_rows`, which raises on the first bad row
-    before anything is written.  Floats use repr, which round-trips
-    doubles, once per distinct double; lines end in CRLF, as csv.writer
-    ends them.
+    before this returns, so before any text exists.  The chunks are the
+    header, then the lines of CSV_BLOCK_ROWS rows at a time.  Floats use
+    repr, which round-trips doubles, once per distinct double of the grid;
+    lines end in CRLF, as csv.writer ends them.
     """
     rows = _grid_rows(f, extent, n)
-    # repr once per distinct double, told apart by bit pattern so that -0.0 keeps its sign
-    bits, index = np.unique(rows.view(np.int64), return_inverse=True)
+    # distinct doubles told apart by bit pattern, so that -0.0 keeps its sign: first per
+    # column, then across the columns' distinct values, so that no sort spans the grid
+    columns = [np.unique(column, return_inverse=True) for column in rows.view(np.int64).T]
+    del rows
+    bits, where = np.unique(np.concatenate([d for d, _ in columns]), return_inverse=True)
     text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    cells = text[index.reshape(rows.shape)]  # shared strings, joined a block of rows at a time
-    out.write(",".join(CSV_COLUMNS) + "\r\n")
-    for start in range(0, len(cells), CSV_BLOCK_ROWS):
-        block = cells[start:start + CSV_BLOCK_ROWS].tolist()
-        out.writelines(",".join(row) + "\r\n" for row in block)
+    ends = np.cumsum([len(d) for d, _ in columns])
+    texts = [text[w] for w in np.split(where, ends[:-1])]  # shared strings, per column
+    return _csv_chunks(texts, [index for _, index in columns])
+
+
+def _csv_chunks(texts: list, indices: list):
+    """The header, then per block of rows the lines whose cell c is texts[c][indices[c][row]]."""
+    yield ",".join(CSV_COLUMNS) + "\r\n"
+    for start in range(0, len(indices[0]), CSV_BLOCK_ROWS):
+        block = (t[i[start:start + CSV_BLOCK_ROWS]].tolist() for t, i in zip(texts, indices))
+        yield "".join(",".join(row) + "\r\n" for row in zip(*block))

@@ -210,6 +210,26 @@ class TestField:
             assert row[12] <= 1e-7 * math.sqrt(row[7])
             assert row[11] == pytest.approx(103 / (1 + 3e6), rel=1e-15)
 
+    @pytest.mark.parametrize("m, extent, error", [
+        (50, 1e160, FloatingPointError),  # |x|^2 overflows
+        (0, 1e10, ValueError),  # the spinor underflows to zero
+    ], ids=["non-finite", "vanishing"])
+    def test_grid_checks_run_before_any_chunk(self, m, extent, error):
+        # sample_grid raises when it is called, so main maps the error before it opens a file
+        with pytest.raises(error):
+            sample_grid(ZeroModeField.designated(m), extent=extent, n=2)
+
+    @pytest.mark.parametrize("argv", [
+        ["--m", "0", "--designated", "--grid", "0"],
+        ["--m", "5", "--j", "3", "--sign", "-", "--grid", "2"],
+        ["--m", "50", "--designated", "--grid", "13"],  # 2197 rows: three blocks
+    ], ids=lambda argv: " ".join(argv))
+    def test_stdout_matches_output_file(self, argv, tmp_path, capsysbinary):
+        out = tmp_path / "f.csv"
+        assert run(["field", *argv, "-o", str(out)]) == 0
+        assert run(["field", *argv]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
     @pytest.mark.parametrize("selectors", CONFLICTING_SELECTORS, ids=" ".join)
     def test_conflicting_selectors(self, selectors, tmp_path, capsys):
         out = tmp_path / "f.csv"
@@ -357,15 +377,13 @@ def test_one_parser_serves_a_sequence_of_requests(tmp_path, capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
     assert run(["field", "--m", "2", "--designated", "--grid", "2", "-o", str(out)]) == 0
-    buf = io.StringIO()
-    sample_grid(ZeroModeField.designated(2), buf, extent=2.0, n=2)
-    assert out.read_bytes() == buf.getvalue().encode()
+    text = "".join(sample_grid(ZeroModeField.designated(2), extent=2.0, n=2))
+    assert out.read_bytes() == text.encode()
 
     # defaults come back on the next parse: no --grid, the default 5 points per axis
     assert run(["field", "--m", "2", "--designated", "-o", str(out)]) == 0
-    buf = io.StringIO()
-    sample_grid(ZeroModeField.designated(2), buf, extent=2.0, n=5)
-    assert out.read_bytes() == buf.getvalue().encode()
+    text = "".join(sample_grid(ZeroModeField.designated(2), extent=2.0, n=5))
+    assert out.read_bytes() == text.encode()
 
 
 @pytest.mark.parametrize("argv", [

@@ -508,9 +508,7 @@ class TestFamily:
 
 class TestCsvSampling:
     def test_header_and_round_trip(self, base):
-        buf = io.StringIO()
-        sample_grid(base, buf, extent=1.0, n=2)
-        lines = buf.getvalue().strip().splitlines()
+        lines = "".join(sample_grid(base, extent=1.0, n=2)).strip().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 1 + 2**3
         values = [float(v) for v in lines[1].split(",")]
@@ -527,8 +525,22 @@ class TestCsvSampling:
             return original(self, x)
 
         monkeypatch.setattr(ZeroModeField, "evaluate", counted)
-        sample_grid(order1, io.StringIO(), extent=1.0, n=3)
+        "".join(sample_grid(order1, extent=1.0, n=3))
         assert shapes == [(3**3, 3)]
+
+    @pytest.mark.parametrize("m, b0", [(0, None), (50, None), (5, F(-7, 3))], ids=str)
+    def test_one_repr_per_distinct_double_of_the_grid(self, m, b0, monkeypatch):
+        # a double shared by two columns is formatted once, not once per column
+        f = ZeroModeField.designated(m) if b0 is None else ZeroModeField(instantiate_solution(m, b0))
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return repr(v)
+
+        monkeypatch.setattr(fields, "repr", counted, raising=False)
+        "".join(sample_grid(f, extent=2.0, n=16))
+        assert len(calls) == len(np.unique(fields._grid_rows(f, 2.0, 16).view(np.int64)))
 
     @pytest.mark.parametrize(
         "m, b0", [(0, None), (1, None), (6, None), (5, F(-7, 3))],
@@ -559,9 +571,7 @@ class TestCsvSampling:
                         np.linalg.norm(f.sigma_d(x) - sigma_a @ s),
                     ])
         want = np.array(expected)
-        out = io.StringIO()
-        sample_grid(f, out, extent=extent, n=n)
-        lines = out.getvalue().splitlines()
+        lines = "".join(sample_grid(f, extent=extent, n=n)).splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert got.shape == want.shape
@@ -581,9 +591,7 @@ class TestCsvSampling:
     )
     def test_bytes_match_csv_writer(self, m, b0, extent, n):
         f = ZeroModeField.designated(m) if b0 is None else ZeroModeField(instantiate_solution(m, b0))
-        out = io.StringIO()
-        sample_grid(f, out, extent=extent, n=n)
         want = csv_reference(f, extent, n)
-        assert out.getvalue() == want
+        assert "".join(sample_grid(f, extent=extent, n=n)) == want
         if b0 == F(-7, 3):
             assert ",-0.0," in want and ",0.0," in want  # signed zeros occur and must stay apart

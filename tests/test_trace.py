@@ -25,3 +25,16 @@ def test_tracer_spans_the_build(tmp_path, monkeypatch):
     # the system stage's layers, which the benchmark reports per layer
     assert {"roots.check_root_solutions", "recurrence.coefficient_polynomials"} <= names
     assert tracer.max_coeff_bits > 0
+
+
+def test_tracer_spans_the_field_grid(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    tracer.install()
+    try:
+        argv = ["field", "--m", "2", "--designated", "--grid", "2", "-o", str(tmp_path / "f.csv")]
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert "fields.sample_grid" in {span[1] for span in tracer.spans}
+    assert tracer.aggregates["fields.ZeroModeField.evaluate"][0] == 1
