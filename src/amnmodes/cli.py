@@ -33,13 +33,15 @@ EXIT_IO = 3
 POLY_M_MAX = 500
 FIELD_M_MAX = 50
 # points per axis; all n^3 are evaluated at once: --grid 64 at m = 50 takes
-# 2.5-3.2 s and 181 MB (2-vCPU VM, Python 3.11.7)
+# 2.2-2.7 s and 167 MB (2-vCPU VM, Python 3.11.7)
 FIELD_GRID_MAX = 64
 B0_BITS = 32  # --b0 numerator and denominator below 2**B0_BITS (README time table)
 
 
 def _emit(chunks: Iterable[str], path: str | None) -> None:
     if path is None:
+        if sys.stdout is None:  # Python's stdout when it started with fd 1 closed
+            raise OSError("stdout is closed")
         chunk = ""
         for chunk in chunks:
             sys.stdout.write(chunk)

@@ -234,7 +234,10 @@ def sample_grid(f: ZeroModeField, extent: float = 2.0, n: int = 5):
     columns = [np.unique(column, return_inverse=True) for column in rows.view(np.int64).T]
     del rows
     bits, where = np.unique(np.concatenate([d for d, _ in columns]), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    values, text = bits.view(np.float64), np.empty(len(bits), dtype=object)
+    for start in range(0, len(text), CSV_BLOCK_ROWS):  # no list of every double or repr at once
+        block = slice(start, start + CSV_BLOCK_ROWS)
+        text[block] = [repr(v) for v in values[block].tolist()]
     ends = np.cumsum([len(d) for d, _ in columns])
     texts = [text[w] for w in np.split(where, ends[:-1])]  # shared strings, per column
     return _csv_chunks(texts, [index for _, index in columns])

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from itertools import count, islice, zip_longest
 
 from .polynomials import IntPoly, homogeneous, primitive_integer_form, rational_to_string, times_linear
@@ -27,37 +26,31 @@ from .recurrence import (
 )
 
 
-def _linear_product(roots) -> tuple:
-    """prod(q*t - n) over the rationals n/q, ascending ints.
+@lru_cache(maxsize=1)
+def root_product(roots: frozenset) -> IntPoly:
+    """prod(q*t - n) over the rationals n/q.
 
     Primitive by Gauss's lemma, with leading coefficient prod(q) > 0: the
     primitive integer form of every polynomial of degree len(roots)
-    whose roots are exactly these, each simple.
+    whose roots are exactly these, each simple.  It depends on the set
+    alone, so the last one formed is kept: on a passing `verify` the
+    oracle's survivors are the predicted roots, and the oracle and both
+    checks share one product.
     """
     product = (1,)
     for r in roots:
         product = times_linear(product, r.numerator, r.denominator)
-    return product
+    return IntPoly(product)
 
 
-@dataclass(frozen=True)
-class RootSet:
-    roots: tuple
-
-    @cached_property
-    def product(self) -> IntPoly:
-        """`_linear_product(roots)`, formed on first use and then shared."""
-        return IntPoly(_linear_product(self.roots))
-
-
-def predicted_roots(m: int) -> RootSet:
+def predicted_roots(m: int) -> tuple:
     """The claimed root set of P_m: family_b0(j)**2 = ((2j+1)/3)**2 for j = 1..m+1."""
     if m < 1:
         raise ValueError("root set defined for m >= 1")
-    return RootSet(tuple(family_b0(j) ** 2 for j in range(1, m + 2)))
+    return tuple(family_b0(j) ** 2 for j in range(1, m + 2))
 
 
-def verify_factorization(amn: AmnPolynomial, predicted: RootSet) -> tuple:
+def verify_factorization(amn: AmnPolynomial, predicted: tuple) -> tuple:
     """The failures of P_m against its claimed complete factorization; empty on a pass.
 
     Exact checks: the product prod(q*t - n) over the predicted roots n/q
@@ -66,7 +59,7 @@ def verify_factorization(amn: AmnPolynomial, predicted: RootSet) -> tuple:
     coefficient d_m, so P_m = d_m * prod(t - root); the constant term
     d_m * (-1)**(m+1) * prod(roots) equals -c_m.
     """
-    m, product = amn.m, predicted.product
+    m, product = amn.m, root_product(frozenset(predicted))
     c, d = closed_form_extremes(m)
     failures = []
     if product != amn.integer:
@@ -76,7 +69,7 @@ def verify_factorization(amn: AmnPolynomial, predicted: RootSet) -> tuple:
     lead = amn.integer.coeffs[-1] / amn.scale
     if lead != d:
         failures.append(f"leading coefficient {lead} != d_m {d}")
-    if d * (-1) ** (m + 1) * math.prod(predicted.roots, start=Fraction(1)) != -c:
+    if d * (-1) ** (m + 1) * math.prod(predicted, start=Fraction(1)) != -c:
         failures.append("constant-term cross-check against closed forms failed")
     return tuple(failures)
 
@@ -270,7 +263,7 @@ def rational_root_oracle(p: IntPoly) -> frozenset:
     if found is None:
         raise ValueError("no prime in the search window keeps the roots of P mod p simple")
     kept = _lift(f, *found, _screen)
-    product = _linear_product(kept)
+    product = root_product(frozenset(kept)).coeffs
     if product != f and _pseudo_divmod(f, product)[1]:
         kept = _lift(
             f, *found, lambda f, cs: [homogeneous(f, c.numerator, c.denominator) == 0 for c in cs]
@@ -321,23 +314,24 @@ def verification_report(m: int) -> tuple[dict, bool]:
     the verdict, True when every check passed.
 
     The build stage makes P_m as `poly` does; the oracle reads only its
-    integer form.  One predicted root set serves the report, and its
-    product, formed in the factorization stage, serves the system stage
-    too.  The pair chain is built in the system stage, the only stage
-    that reads it.  `monotonicity_ok` reports `root_theorem_failures`, the
-    certificate for every m, which runs once per process and is not timed.
+    integer form.  On a pass the oracle forms the `root_product` that the
+    other two checks reuse.  The pair chain is built in the system stage,
+    the only stage that reads it.  `monotonicity_ok` reports
+    `root_theorem_failures`, the certificate for every m, which runs once
+    per process and is not timed.
     """
     timings: dict[str, float] = {}
     predicted = predicted_roots(m)
     amn = timed(timings, "build_ms", build_amn_polynomial, m)
     oracle = timed(timings, "oracle_ms", rational_root_oracle, amn.integer)
     factor_failures = timed(timings, "factorization_ms", verify_factorization, amn, predicted)
-    system_ok = not timed(timings, "system_ms", check_root_solutions, m, predicted.product)
+    product = root_product(frozenset(predicted))  # formed by now, in the factorization stage
+    system_ok = not timed(timings, "system_ms", check_root_solutions, m, product)
     certified = not root_theorem_failures()
-    matches = oracle == set(predicted.roots)
+    matches = oracle == set(predicted)
     report = {
         "m": m,
-        "predicted": [rational_to_string(r) for r in predicted.roots],
+        "predicted": [rational_to_string(r) for r in predicted],
         "oracle": [rational_to_string(r) for r in sorted(oracle)],
         "oracle_matches": matches,
         "factorization_ok": not factor_failures,

@@ -413,16 +413,40 @@ def test_nul_byte_in_output_path_is_io_error(argv, capsys):
     assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["poly", "--m", "1"],
+    ["field", "--m", "1", "--designated"],
+], ids=lambda argv: argv[0])
+def test_closed_stdout_is_io_error(argv, capsys):
+    # Python's sys.stdout is None when it starts with fd 1 closed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "stdout", None)
+        assert run(argv) == 3
+    assert capsys.readouterr().err == "error: cannot write output: stdout is closed\n"
+
+
+def child_env():
+    """The environment in which a fresh interpreter imports this amnmodes."""
+    src = os.path.dirname(os.path.dirname(amnmodes.__file__))
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def test_child_with_closed_stdout_exits_3():
+    child = subprocess.run([sys.executable, "-m", "amnmodes.cli", "poly", "--m", "1"],
+                           stderr=subprocess.PIPE, text=True, env=child_env(),
+                           preexec_fn=lambda: os.close(1))
+    assert child.returncode == 3
+    assert child.stderr == "error: cannot write output: stdout is closed\n"
+
+
 def loaded_in_child(argv, tmp_path, module):
     """Whether `main(argv)` loads `module` in a fresh interpreter, after it exits 0
     with output; this one has imported numpy and scipy for other tests."""
-    src = os.path.dirname(os.path.dirname(amnmodes.__file__))
-    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     script = ("import sys; from amnmodes.cli import main; "
               f"print(main(sys.argv[1:]), {module!r} in sys.modules)")
     child = subprocess.run([sys.executable, "-c", script, *argv, "-o", str(tmp_path / "out")],
-                           capture_output=True, text=True, env=env, check=True)
+                           capture_output=True, text=True, env=child_env(), check=True)
     rc, loaded = child.stdout.split()
     assert rc == "0" and (tmp_path / "out").stat().st_size > 0
     return loaded == "True"

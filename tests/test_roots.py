@@ -31,6 +31,7 @@ from amnmodes.roots import (
     check_root_solutions,
     predicted_roots,
     rational_root_oracle,
+    root_product,
     verification_report,
     verify_factorization,
 )
@@ -61,6 +62,11 @@ def plus_one(amn):
     bad = list(rational_form(amn))
     bad[0] += 1
     return AmnPolynomial(amn.m, *primitive_integer_form(bad))
+
+
+def predicted_product(m):
+    """prod(q*t - n) over the predicted roots n/q of P_m."""
+    return root_product(frozenset(predicted_roots(m)))
 
 
 @st.composite
@@ -126,21 +132,21 @@ ORACLE_CASES = [
 
 class TestPredictedRoots:
     def test_m1(self):
-        assert predicted_roots(1).roots == (1, F(25, 9))
+        assert predicted_roots(1) == (1, F(25, 9))
 
     def test_m3(self):
-        assert predicted_roots(3).roots == (1, F(25, 9), F(49, 9), 9)
+        assert predicted_roots(3) == (1, F(25, 9), F(49, 9), 9)
 
     def test_squares_of_the_family_map(self):
-        assert predicted_roots(500).roots == tuple(family_b0(j) ** 2 for j in range(1, 502))
+        assert predicted_roots(500) == tuple(family_b0(j) ** 2 for j in range(1, 502))
 
     def test_m6(self):
-        assert predicted_roots(6).roots == (
+        assert predicted_roots(6) == (
             1, F(25, 9), F(49, 9), 9, F(121, 9), F(169, 9), 25,
         )
 
     def test_strictly_increasing(self):
-        roots = predicted_roots(12).roots
+        roots = predicted_roots(12)
         assert len(roots) == 13
         assert all(a < b for a, b in zip(roots, roots[1:]))
 
@@ -236,15 +242,15 @@ class TestOracle:
         if accept is accept_none:
             assert kept == [] and len(sizes) == levels
         else:
-            assert set(kept) == set(predicted_roots(40).roots)
+            assert set(kept) == set(predicted_roots(40))
 
     def test_agrees_with_prediction_small(self):
         for m in [*range(1, 81), 200]:
             amn = build_amn_polynomial(m)
-            assert rational_root_oracle(amn.integer) == set(predicted_roots(m).roots)
+            assert rational_root_oracle(amn.integer) == set(predicted_roots(m))
 
     def test_never_reads_the_prediction(self, monkeypatch):
-        expected = {m: set(predicted_roots(m).roots) for m in (1, 6, 40)}
+        expected = {m: set(predicted_roots(m)) for m in (1, 6, 40)}
 
         def forbidden(m):
             raise AssertionError("the oracle read the predicted roots")
@@ -265,14 +271,14 @@ class TestOracle:
         calls = count_exact_tests(monkeypatch)
         for m in range(1, 13):
             amn = build_amn_polynomial(m)
-            assert rational_root_oracle(amn.integer) == set(predicted_roots(m).roots)
+            assert rational_root_oracle(amn.integer) == set(predicted_roots(m))
         assert calls
 
     def test_matching_product_needs_no_exact_test(self, monkeypatch):
         forbid_exact_tests(monkeypatch)
         for m in (1, 6, 40):
             amn = build_amn_polynomial(m)
-            assert rational_root_oracle(amn.integer) == set(predicted_roots(m).roots)
+            assert rational_root_oracle(amn.integer) == set(predicted_roots(m))
 
     def test_screen(self):
         # (t - 1)(2t - 3): 1 and 3/2 pass, 2 and -1/2 are rejected; 5/p has
@@ -325,7 +331,7 @@ class TestDeflation:
         for m in range(1, 31):
             amn = build_amn_polynomial(m)
             current = rational_form(amn)
-            for r in predicted_roots(m).roots:
+            for r in predicted_roots(m):
                 current = deflate(current, r)
             assert current == (closed_form_extremes(m)[1],)
             assert verify_factorization(amn, predicted_roots(m)) == ()
@@ -335,7 +341,7 @@ class TestDeflation:
         for m in range(1, 11):
             amn = build_amn_polynomial(m)
             rational, integer = rational_form(amn), list(amn.integer.coeffs)
-            for r in predicted_roots(m).roots:
+            for r in predicted_roots(m):
                 rational = deflate(rational, r)
                 integer, rem = roots._pseudo_divmod(integer, [-r.numerator, r.denominator])
                 assert rem == []
@@ -355,8 +361,8 @@ def monotonicity_check(m_max):
     """
     if m_max < 2:
         raise ValueError("chain check requires m_max >= 2")
-    rs = predicted_roots(m_max).roots
-    running = roots._linear_product(rs[:2])
+    rs = predicted_roots(m_max)
+    running = roots.root_product(frozenset(rs[:2])).coeffs
     failures = []
     for m in range(2, m_max + 1):
         integer = roots.build_amn_polynomial(m).integer
@@ -391,7 +397,7 @@ class TestMonotonicity:
         monkeypatch.setattr(roots, "build_amn_polynomial", tampered)
         failures = monotonicity_check(7)
         assert failures
-        assert failures == tuple((5, r) for r in predicted_roots(4).roots)
+        assert failures == tuple((5, r) for r in predicted_roots(4))
 
 
 def designated_ratio(m, j):
@@ -506,12 +512,12 @@ def perturbed(pairs, j, dp=(), dq=()):
 class TestSystemAtRoots:
     def test_both_signs_solve(self):
         for m in (1, 2, 5):
-            assert check_root_solutions(m, predicted_roots(m).product) == ()
+            assert check_root_solutions(m, predicted_product(m)) == ()
 
     def test_matches_reference_route(self):
         for m in range(1, 13):
             pairs = list(coefficient_polynomials(m))
-            bad = check_root_solutions(m, predicted_roots(m).product)
+            bad = check_root_solutions(m, predicted_product(m))
             assert bad == reference_root_solutions(m, pairs) == ()
 
     @pytest.mark.parametrize("m", [1, 3, 6])
@@ -529,7 +535,7 @@ class TestSystemAtRoots:
     def test_negative_controls_flag_every_root(self, m, case, monkeypatch):
         pairs = case(m, list(coefficient_polynomials(m)))
         monkeypatch.setattr(roots, "coefficient_polynomials", lambda _: pairs)
-        bad = check_root_solutions(m, predicted_roots(m).product)
+        bad = check_root_solutions(m, predicted_product(m))
         assert bad == reference_root_solutions(m, pairs)
         assert len(bad) == 2 * (m + 1)
 
@@ -545,21 +551,21 @@ class TestSystemAtRoots:
                 yield pair
 
         monkeypatch.setattr(roots, "coefficient_polynomials", tracked)
-        assert check_root_solutions(40, predicted_roots(40).product) == ()
+        assert check_root_solutions(40, predicted_product(40)) == ()
         assert len(sizes) == 41
         assert max(sizes) <= 2
 
     def test_matching_product_needs_no_evaluation(self, monkeypatch):
         forbid_exact_tests(monkeypatch)
         for m in (1, 5, 20):
-            assert check_root_solutions(m, predicted_roots(m).product) == ()
+            assert check_root_solutions(m, predicted_product(m)) == ()
 
     @pytest.mark.parametrize("m", [1, 3, 6])
     def test_other_product_falls_back_to_each_root(self, m, monkeypatch):
         # the roots of P_{m+1}: a product the closing equation is not, though
         # every root of P_m is among them
         calls = count_exact_tests(monkeypatch)
-        assert check_root_solutions(m, predicted_roots(m + 1).product) == ()
+        assert check_root_solutions(m, predicted_product(m + 1)) == ()
         assert [n for _, n, _ in calls] == [(2 * j + 1) ** 2 for j in range(1, m + 2)]
 
     @pytest.mark.parametrize("m", [1, 3, 6])
@@ -568,7 +574,7 @@ class TestSystemAtRoots:
         # vanishes at t = 1 alone, as every broken equation does
         pairs = perturbed(list(coefficient_polynomials(m)), m, dp=[-1, 1], dq=[-1, 1])
         monkeypatch.setattr(roots, "coefficient_polynomials", lambda _: pairs)
-        bad = check_root_solutions(m, predicted_roots(m).product)
+        bad = check_root_solutions(m, predicted_product(m))
         assert bad == reference_root_solutions(m, pairs)
         assert bad == tuple(F(s * (2 * j + 1), 3) for j in range(2, m + 2) for s in (1, -1))
 
@@ -592,3 +598,40 @@ def test_verification_report_tamper_hook(monkeypatch):
     assert ok is False
     assert report["factorization_ok"] is False
     assert report["oracle_matches"] is False
+
+
+def count_products(monkeypatch):
+    """The list that records every `times_linear` call in `roots`, with the
+    product cache cleared so that no earlier test's product is reused."""
+    calls, step = [], roots.times_linear
+    monkeypatch.setattr(roots, "times_linear", lambda *a: calls.append(a) or step(*a))
+    root_product.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("m", [1, 6, 40])
+def test_passing_report_forms_one_product(m, monkeypatch):
+    # the oracle forms the product of its survivors, the predicted roots, and
+    # the factorization and system stages reuse it
+    calls = count_products(monkeypatch)
+    assert verification_report(m)[1] is True
+    assert len(calls) == m + 1
+
+
+@pytest.mark.parametrize("m, failures", [
+    (1, ["coefficient of t^0: product 25 != P_m 1225", "leading coefficient -81/10 != d_m -9/10"]),
+    (6, ["coefficient of t^0: product -5636255625 != P_m -1628877875625",
+         "leading coefficient 19683/128128000 != d_m 2187/128128000"]),
+], ids=["1", "6"])
+def test_tampered_build_forms_both_products(m, failures, monkeypatch):
+    # P_m made the product over the roots of P_(m+1) but its smallest: the
+    # oracle finds those, so the factorization check forms its own product,
+    # which the system check then reuses
+    tampered = AmnPolynomial(m, root_product(frozenset(predicted_roots(m + 1)[1:])),
+                             build_amn_polynomial(m).scale)
+    monkeypatch.setattr(roots, "build_amn_polynomial", lambda _: tampered)
+    calls = count_products(monkeypatch)
+    report, ok = verification_report(m)
+    assert ok is False and report["oracle_matches"] is False and report["system_ok"] is True
+    assert report["factorization_failures"] == failures
+    assert len(calls) == 2 * (m + 1)
