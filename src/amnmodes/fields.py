@@ -9,8 +9,10 @@ polynomial (DLMF 15.8.1, 18.5.7).  Construction checks the lifted
 closed-form coefficients exactly.  psi and (sigma.D) psi are evaluated on
 arrays of points; their radial parts depend on |x|^2 alone and are
 evaluated once per distinct |x|^2.  The L2 norm is a closed form in k,
-from the Jacobi norms.  The finite-difference residuals are the
-independent per-point oracle.
+from the Jacobi norms.  No request runs the finite-difference Weyl-Dirac
+residual (with `_sigma_d` and `vector_potential`, which it reads),
+`designated` or the L2 norm: they stay because the bench harness in
+`perfbench/` calls them by name.
 """
 
 from __future__ import annotations
@@ -76,11 +78,6 @@ class ZeroModeField:
         self.alpha = 3 * solution.b0
         # k!/(3/2)_k, which turns P_k^(1/2,3/2)(1-2s) into F_k(s)
         self._norm = float(Fraction(math.factorial(k) * 2**k, math.prod(range(3, 2 * k + 2, 2))))
-
-    @classmethod
-    def base_mode(cls) -> "ZeroModeField":
-        """The order-0 field <x>^-3 (1 + X) phi0."""
-        return cls(instantiate_solution(0, 1))
 
     @classmethod
     def designated(cls, m: int) -> "ZeroModeField":
@@ -150,13 +147,6 @@ def _sigma_d(evaluate, x, step: float) -> np.ndarray:
         ) / (12 * step)
         out += -1j * (SIGMA[k] @ grad_k)
     return out
-
-
-def loss_yau_residual(f: ZeroModeField, x, step: float = 1e-3) -> float:
-    """|| (sigma.D) psi - h psi || at x, derivatives by finite differences."""
-    lhs = _sigma_d(f.evaluate, x, step)
-    rhs = f.h(x) * f.evaluate(x)
-    return float(np.linalg.norm(lhs - rhs))
 
 
 def weyl_dirac_residual(f: ZeroModeField, x, step: float = 1e-3) -> float:

@@ -10,14 +10,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from reference import lift_solution
-from test_fields import PowerBasisField
-from test_roots import monotonicity_check
+from reference import PowerBasisField, lift_solution, loss_yau_residual, monotonicity_check
 
 from amnmodes.fields import (
     ZeroModeField,
     l2_norm_squared,
-    loss_yau_residual,
     weyl_dirac_residual,
 )
 from amnmodes.recurrence import (
@@ -173,7 +170,7 @@ def test_09_potential_magnitude_equals_coupling():
 
 
 def test_10_base_mode_l2_norm():
-    value = l2_norm_squared(ZeroModeField.base_mode())
+    value = l2_norm_squared(ZeroModeField.designated(0))
     announce(10, "L2 norm^2 of base mode = pi^2 within 1e-6", abs(value - math.pi**2) <= 1e-6)
 
 

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_fields import mp_psi
-from test_roots import plus_one
+from reference import mp_psi, plus_one
 
 import amnmodes
 from amnmodes import roots

@@ -1,16 +1,24 @@
 """Numeric spinor fields: evaluation, potentials, residual oracles."""
 
-import csv
-import io
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from reference import enumerate_family, lift_solution
-from scipy.integrate import quad
+from reference import (
+    PowerBasisField,
+    beta_sum_l2,
+    csv_reference,
+    enumerate_family,
+    fraction_l2,
+    lift_solution,
+    loss_yau_residual,
+    mp_psi,
+    quadrature_l2,
+    reference_evaluate,
+    reference_sigma_d,
+)
 
 from amnmodes import fields, recurrence, roots
 from amnmodes.fields import (
@@ -19,7 +27,6 @@ from amnmodes.fields import (
     ZeroModeField,
     _sigma_d,
     l2_norm_squared,
-    loss_yau_residual,
     sample_grid,
     spin_density,
     weyl_dirac_residual,
@@ -27,90 +34,6 @@ from amnmodes.fields import (
 from amnmodes.recurrence import AnsatzSolution, instantiate_solution
 
 F = Fraction
-
-
-class PowerBasisField:
-    """The reference route: psi = <x>^-(3+2m) [A(|x|^2) + B(|x|^2) X] phi0
-    from the exact a_n, b_n in the power basis, in doubles, per point.
-
-    It checks nothing, so a perturbed non-solution evaluates too; it is
-    accurate only at low order (cancellation grows with m).
-    """
-
-    def __init__(self, solution: AnsatzSolution):
-        self.m = solution.m
-        self.alpha = float(3 * solution.b0)
-        self.a = np.array([float(c) for c in solution.a])
-        self.b = np.array([float(c) for c in solution.b])
-
-    def _amplitudes(self, u: float) -> tuple[float, float]:
-        powers = u ** np.arange(self.m + 1)
-        return float(self.a @ powers), float(self.b @ powers)
-
-    def evaluate(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        u = float(x @ x)
-        amp_a, amp_b = self._amplitudes(u)
-        pref = (1.0 + u) ** (-(3 + 2 * self.m) / 2)
-        return pref * np.array([amp_a + 1j * amp_b * x[2], amp_b * (1j * x[0] - x[1])])
-
-    def h(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return self.alpha / (1.0 + float(x @ x))
-
-    def radial_density(self, r: float) -> float:
-        """|psi|^2 on the sphere of radius r."""
-        amp_a, amp_b = self._amplitudes(r * r)
-        return (1.0 + r * r) ** (-(3 + 2 * self.m)) * (amp_a**2 + r * r * amp_b**2)
-
-
-def quadrature_l2(f: PowerBasisField) -> float:
-    """4 pi int_0^inf r^2 |psi|^2 dr: adaptive on [0, 100], the tail on u = 1/r."""
-
-    def integrand(r):
-        return r * r * f.radial_density(r)
-
-    head, _ = quad(integrand, 0.0, 100.0, epsabs=1e-13, epsrel=1e-12, limit=200)
-    tail, _ = quad(lambda v: integrand(1.0 / v) / (v * v), 0.0, 0.01, epsabs=1e-13, epsrel=1e-12)
-    return 4 * math.pi * (head + tail)
-
-
-def fraction_l2(f: ZeroModeField) -> float:
-    """The reference route for the exact L2 norm: the Beta-integral sum, term by term in Fraction."""
-    big_n = 2 * f.m + 2
-    c = [F(0)] * big_n  # A^2 + u B^2, ascending in u
-    for i in range(f.m + 1):
-        for j in range(f.m + 1):
-            c[i + j] += f.a[i] * f.a[j]
-            c[i + j + 1] += f.b[i] * f.b[j]
-    radial = sum(
-        cn * F(math.comb(2 * p, p) * math.comb(2 * q, q), math.comb(big_n, p))
-        for p, q, cn in zip(range(1, big_n + 1), range(big_n - 1, -1, -1), c)
-    )
-    return float(2 * radial / 4**big_n) * math.pi**2
-
-
-def beta_sum_l2(f: ZeroModeField) -> Fraction:
-    """The reference route for the closed-form L2 norm: the norm over pi^2, exactly.
-
-    |psi|^2 = (1 + r^2)^-(N+1) (A(r^2)^2 + r^2 B(r^2)^2) with N = 2m + 2, and
-    int_0^inf r^2p (1 + r^2)^-(N+1) dr = B(p + 1/2, N - p + 1/2)/2
-    = pi C(2p, p) C(2N-2p, N-p) / (2 4^N C(N, p)), summed in integers.
-    """
-    big_n = 2 * f.m + 2
-    den, (a, b) = recurrence.over_common_denominator(f.a, f.b)
-    c = [0] * big_n  # den^2 (A^2 + u B^2), ascending in u
-    for i in range(f.m + 1):
-        for j in range(f.m + 1):
-            c[i + j] += a[i] * a[j]
-            c[i + j + 1] += b[i] * b[j]
-    binom = [math.comb(big_n, p) for p in range(1, big_n + 1)]
-    lcm = math.lcm(*binom)
-    radial = sum(
-        cn * math.comb(2 * p, p) * math.comb(2 * q, q) * (lcm // bp)
-        for p, q, cn, bp in zip(range(1, big_n + 1), range(big_n - 1, -1, -1), c, binom)
-    )  # den^2 lcm 4^N times the radial integral over pi/2
-    return Fraction(2 * radial, den**2 * lcm * 4**big_n)  # 4 pi from the angles
 
 
 def assert_l2_closed_form(fs) -> None:
@@ -121,25 +44,6 @@ def assert_l2_closed_form(fs) -> None:
         assert l2_norm_squared(f) == float(closed) * math.pi**2, (f.m, f.label)
 
 
-def reference_evaluate(f: ZeroModeField, x) -> np.ndarray:
-    """The reference route of `evaluate`: the radial functions at every point."""
-    x = np.asarray(x, dtype=float)
-    u = np.sum(x * x, axis=-1)
-    y = (1.0 - u) / (1.0 + u)
-    return fields._spinor(x, *f._jacobi(y, f.k), (1.0 + u) ** -1.5)
-
-
-def reference_sigma_d(f: ZeroModeField, x) -> np.ndarray:
-    """The reference route of `sigma_d`: the radial functions at every point."""
-    x = np.asarray(x, dtype=float)
-    u = np.sum(x * x, axis=-1)
-    y = (1.0 - u) / (1.0 + u)
-    w = 1.0 + u
-    p, q = f._jacobi(y, f.k)
-    dp, dq = ((f.k + 3) / 2 * d for d in f._jacobi(y, f.k - 1, 1.0))
-    return fields._spinor(x, 3 * q - 4 * u / w * dq, 3 * p + 4 * dp / w, w**-2.5)
-
-
 def grid_rows_or_error(f: ZeroModeField, extent: float, n: int):
     """`_grid_rows` as int64 bit patterns, or the type and text of what it raised."""
     try:
@@ -148,39 +52,16 @@ def grid_rows_or_error(f: ZeroModeField, extent: float, n: int):
         return type(exc), str(exc)
 
 
-def csv_reference(f: ZeroModeField, extent: float, n: int) -> str:
-    """The reference route for the CSV text: csv.writer and one repr per cell."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows([repr(v) for v in row] for row in fields._grid_rows(f, extent, n).tolist())
-    return out.getvalue()
-
-
-def mp_psi(f: ZeroModeField, x) -> list:
-    """psi at x from the exact a_n, b_n in the power basis, to 50 digits."""
-    with mpmath.workdps(50):
-        x1, x2, x3 = (mpmath.mpf(float(v)) for v in x)
-        u = x1 * x1 + x2 * x2 + x3 * x3
-        amp_a = mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator for c in reversed(f.a)], u)
-        amp_b = mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator for c in reversed(f.b)], u)
-        pref = (1 + u) ** (-mpmath.mpf(3 + 2 * f.m) / 2)
-        return [
-            complex(pref * amp_a, pref * amp_b * x3),
-            complex(-pref * amp_b * x2, pref * amp_b * x1),
-        ]
-
-
 def members(m: int) -> list[ZeroModeField]:
     """Every verified field of order m, m = 0 included."""
     if m == 0:
-        return [ZeroModeField.base_mode(), ZeroModeField(instantiate_solution(0, -1))]
+        return [ZeroModeField.designated(0), ZeroModeField(instantiate_solution(0, -1))]
     return enumerate_family(m)
 
 
 @pytest.fixture(scope="module")
 def base():
-    return ZeroModeField.base_mode()
+    return ZeroModeField.designated(0)
 
 
 @pytest.fixture(scope="module")
@@ -290,7 +171,7 @@ class TestVectorPotential:
 
     def test_magnitude_equals_coupling(self):
         rng = np.random.default_rng(11)
-        for f in (ZeroModeField.base_mode(), ZeroModeField.designated(2)):
+        for f in (ZeroModeField.designated(0), ZeroModeField.designated(2)):
             for _ in range(100):
                 x = rng.uniform(-3, 3, 3)
                 a = f.vector_potential(x)

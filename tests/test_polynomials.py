@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from test_recurrence import add, horner, mul, trim
+from reference import add, horner, mul, trim
 
 from amnmodes.polynomials import (
     IntPoly,

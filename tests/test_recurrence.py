@@ -1,16 +1,25 @@
 """The coefficient recurrence, closed forms, instantiation, and the lift."""
 
-import math
-from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import zip_longest
 
 import pytest
-from reference import lift_solution
+from reference import (
+    add,
+    evaluate_pairs,
+    fraction_verify_system,
+    horner,
+    lift_solution,
+    matrix_chain_pair,
+    mul,
+    pair_route,
+    rational_form,
+    seed_pair,
+    system_polynomials,
+    trim,
+)
 
-from amnmodes.polynomials import homogeneous, primitive_integer_form
+from amnmodes.polynomials import primitive_integer_form
 from amnmodes.recurrence import (
-    AnsatzSolution,
     CoeffPair,
     build_amn_polynomial,
     closed_form_extremes,
@@ -27,74 +36,9 @@ F = Fraction
 PAIR0 = CoeffPair((1,), (1,), 1)
 
 
-def trim(cs) -> tuple:
-    """Ascending coefficients without trailing zeros; () is the zero polynomial."""
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def add(a, b) -> tuple:
-    return trim(x + y for x, y in zip_longest(a, b, fillvalue=0))
-
-
-def mul(a, b) -> tuple:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return trim(out)
-
-
-def horner(p, x) -> Fraction:
-    """The exact value at x of the polynomial with ascending coefficients p."""
-    acc = F(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def rational_form(amn) -> tuple:
-    """The rational coefficients of P_m, integer / scale."""
-    return tuple(c / amn.scale for c in amn.integer.coeffs)
-
-
 def rational(pair):
     """(p_j, q_j) of an integer pair as Fractions, each coefficient over pair.den."""
     return tuple(trim(F(c, pair.den) for c in cs) for cs in (pair.p, pair.q))
-
-
-def seed_pair(m):
-    """The j=1 pair in closed form: p1 = ((2m+3) - 3t)/2, q1 = ((10m+9) - 9t)/10."""
-    if m < 1:
-        raise ValueError("seed defined for m >= 1")
-    return (F(2 * m + 3, 2), F(-3, 2)), (F(10 * m + 9, 10), F(-9, 10))
-
-
-def recurrence_matrix(m, p):
-    """The step matrix on (p, q) pairs, row-major: the matrix of the ansatz
-    on (a, b) with one factor b0 absorbed and b0**2 written as t."""
-    w = 2 * m + 5 - 2 * p
-    d1, d2 = F(1, 2 * p), F(1, 2 * p * (2 * p + 3))
-    return (w * d1,), (0, -3 * d1), (3 * w * d2,), (2 * p * (2 * m + 2 - 2 * p) * d2, -9 * d2)
-
-
-def matrix_chain_pair(m, j):
-    """(p_j, q_j) as K_j K_{j-1} ... K_2 applied to the seed: the matrices
-    are multiplied out first over the rationals, then applied once, a
-    different route from the stepwise `coefficient_polynomials`."""
-    acc = ((1,), (), (), (1,))
-    for p in range(2, j + 1):
-        k = recurrence_matrix(m, p)
-        acc = (
-            add(mul(k[0], acc[0]), mul(k[1], acc[2])),
-            add(mul(k[0], acc[1]), mul(k[1], acc[3])),
-            add(mul(k[2], acc[0]), mul(k[3], acc[2])),
-            add(mul(k[2], acc[1]), mul(k[3], acc[3])),
-        )
-    p1, q1 = seed_pair(m)
-    return add(mul(acc[0], p1), mul(acc[1], q1)), add(mul(acc[2], p1), mul(acc[3], q1))
 
 
 class TestSeed:
@@ -164,34 +108,6 @@ class TestChain:
         )
 
 
-def system_polynomials(m: int, pairs: Iterable[CoeffPair]) -> Iterator[tuple]:
-    """The 2m+1 equations of `verify_system` as integer polynomials in t = b0**2.
-
-    One pass over the chain j = 0..m: as pair j arrives, the a-equation
-    2j p_j - (2m+5-2j) p_{j-1} + 3t q_{j-1}, then the b-equation
-    (2j+3) q_j - (2m+2-2j) q_{j-1} - 3 p_j with the common factor b0
-    removed; after the last pair, the closing p_m - t q_m.  Each is
-    taken times the lcm of the denominators of the pairs it reads, so
-    the coefficients are integers (ascending in t).  At b0 != 0 the
-    residuals of `verify_system` vanish exactly where these do at
-    t = b0**2.  The recurrence makes the first 2m identically zero; the
-    closing one is a multiple of -P_m, zero only at the roots.
-    """
-    pairs = iter(pairs)
-    prev = next(pairs)
-    for j, cur in enumerate(pairs, 1):
-        g = math.gcd(prev.den, cur.den)
-        u, v = prev.den // g, cur.den // g  # both equations j times lcm(den_{j-1}, den_j)
-        ka, kb, kc = 2 * j * u, (2 * m + 5 - 2 * j) * v, 3 * v
-        cols = zip_longest(cur.p, prev.p, (0,) + prev.q, fillvalue=0)
-        yield tuple(ka * a - kb * b + kc * c for a, b, c in cols)
-        ka, kb, kc = (2 * j + 3) * u, 3 * u, (2 * m + 2 - 2 * j) * v
-        cols = zip_longest(cur.q, cur.p, prev.q, fillvalue=0)
-        yield tuple(ka * a - kb * b - kc * c for a, b, c in cols)
-        prev = cur
-    yield tuple(a - c for a, c in zip_longest(prev.p, (0,) + prev.q, fillvalue=0))
-
-
 class TestRecurrenceIdentities:
     """The pair chain solves the 2m recurrence equations; the system check
     reads only its closing equation, so these identities are checked here."""
@@ -212,13 +128,6 @@ class TestRecurrenceIdentities:
         pairs[3] = CoeffPair(p, (q[0] + den, *q[1:]), den)
         nonzero = [i for i, r in enumerate(system_polynomials(6, pairs)) if any(r)]
         assert nonzero == [5, 6, 7, 12]
-
-
-def pair_route(m):
-    """t*q_m - p_m from the pair chain: the reference route of P_m."""
-    last = list(coefficient_polynomials(m))[m]
-    cols = zip_longest(last.p, (0,) + last.q, fillvalue=0)
-    return trim(F(c - a, last.den) for a, c in cols)
 
 
 class TestScalarRoute:
@@ -297,37 +206,10 @@ class TestFamilyMap:
             family_member(b0)
 
 
-def evaluate_pairs(pairs, b0):
-    """The pair chain j = 0..m evaluated at t = b0**2, a_j = p_j(t) and
-    b_j = b0 q_j(t): the reference route of `instantiate_solution`."""
-    b0 = F(b0)
-    n, q = b0.numerator**2, b0.denominator**2
-
-    def at(cs, den):
-        # cs(t)/den at t = n/q, through the integer q**D * cs(n/q)
-        return F(homogeneous(cs, n, q), q ** (len(cs) - 1) * den)
-
-    a = tuple(at(pair.p, pair.den) for pair in pairs)
-    b = tuple(b0 * at(pair.q, pair.den) for pair in pairs)
-    return AnsatzSolution(len(pairs) - 1, b0, a, b)
-
-
 def sweep_b0(m):
     """Every root of P_m with both signs, then four non-roots."""
     roots = [F(s * (2 * j + 1), 3) for j in range(1, m + 2) for s in (1, -1)]
     return [*roots, F(0), F(7, 5), F(-2), F(10**6, 7)]
-
-
-def fraction_verify_system(s):
-    """The reference route of `verify_system`: each residual formed in Fraction."""
-    m, b0, a, b = s.m, s.b0, s.a, s.b
-    res = []
-    for j in range(1, m + 1):
-        res.append(2 * j * a[j] - (2 * m + 5 - 2 * j) * a[j - 1] + 3 * b0 * b[j - 1])
-    for k in range(1, m + 1):
-        res.append((2 * k + 3) * b[k] - (2 * m + 2 - 2 * k) * b[k - 1] - 3 * b0 * a[k])
-    res.append(a[m] - b0 * b[m])
-    return res
 
 
 class TestInstantiate:

@@ -9,7 +9,14 @@ from itertools import zip_longest
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from test_recurrence import evaluate_pairs, mul, rational_form
+from reference import (
+    deflate,
+    monotonicity_check,
+    mul,
+    plus_one,
+    rational_form,
+    reference_root_solutions,
+)
 
 from amnmodes import recurrence, roots
 from amnmodes.cli import main
@@ -37,31 +44,6 @@ from amnmodes.roots import (
 )
 
 F = Fraction
-
-
-def deflate(p, r):
-    """Exact synthetic division of p, ascending coefficients, by (t - r); r
-    must be a root.
-
-    The reference route for `verify_factorization`: P_m deflated by every
-    predicted root leaves the constant d_m.
-    """
-    r = Fraction(r)
-    out = []
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * r + c
-        out.append(acc)
-    if out[-1] != 0:
-        raise ValueError(f"{r} is not a root")
-    return tuple(reversed(out[:-1]))
-
-
-def plus_one(amn):
-    """P_m + 1 in primitive integer form: it vanishes at no predicted root."""
-    bad = list(rational_form(amn))
-    bad[0] += 1
-    return AmnPolynomial(amn.m, *primitive_integer_form(bad))
 
 
 def predicted_product(m):
@@ -349,30 +331,6 @@ class TestDeflation:
                 assert IntPoly(integer) == primitive_integer_form(rational)[0]
 
 
-def monotonicity_check(m_max):
-    """The reference chain: the failures (m, root) where a root of P_{m-1}
-    is no root of P_m, for m = 2..m_max; empty when the chain holds.
-
-    Builds every P_m in turn and compares it with one running product
-    prod(q*t - n) over the predicted roots, which gains the factor of
-    P_m's new root at each order; only on a mismatch is each root n/q of
-    P_{m-1} tested as q**D * P_m(n/q) = 0.  It reads the build and the
-    exact test through `roots`, so the hooks of the tests below apply.
-    """
-    if m_max < 2:
-        raise ValueError("chain check requires m_max >= 2")
-    rs = predicted_roots(m_max)
-    running = roots.root_product(frozenset(rs[:2])).coeffs
-    failures = []
-    for m in range(2, m_max + 1):
-        integer = roots.build_amn_polynomial(m).integer
-        running = times_linear(running, rs[m].numerator, rs[m].denominator)
-        if running != integer.coeffs:
-            failures += [(m, r) for r in rs[:m]
-                         if roots.homogeneous(integer.coeffs, r.numerator, r.denominator) != 0]
-    return tuple(failures)
-
-
 class TestMonotonicity:
     def test_chain_m6(self):
         assert monotonicity_check(6) == ()
@@ -484,17 +442,6 @@ class TestRootTheorem:
         first = len(calls)
         verification_report(4)
         assert first and len(calls) == first
-
-
-def reference_root_solutions(m, pairs):
-    """The per-root route: evaluate the chain at each b0 = +-(2j+1)/3, run verify_system."""
-    bad = ()
-    for j in range(1, m + 2):
-        for sign in (1, -1):
-            b0 = F(sign * (2 * j + 1), 3)
-            if any(r != 0 for r in verify_system(evaluate_pairs(pairs, b0))):
-                bad += (b0,)
-    return bad
 
 
 def perturbed(pairs, j, dp=(), dq=()):
