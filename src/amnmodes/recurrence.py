@@ -5,13 +5,13 @@ parity in b0: a_j = p_j(b0**2) and b_j = b0 * q_j(b0**2).  Working in the
 variable t = b0**2 halves every degree, and the order-m closing
 polynomial is P_m(t) = t*q_m(t) - p_m(t).
 
-The chain of (p_j, q_j) pairs is built by fraction-free stepwise
-substitution in integers and streamed: `coefficient_polynomials` yields
-the pairs one at a time; the tests check it against an independent 2x2
-matrix product over the rationals, and check that it solves all 2m
-recurrence equations.  Only the system check reads the pairs, and of
-them only the last, through the closing equation p_m - t*q_m = 0;
-`instantiate_solution` steps the same recurrence on numbers at one b0.
+The chain of (p_j, q_j) pairs is stepped fraction-free in integers by
+`coefficient_polynomials`, which returns only the closing pair
+(p_m, q_m); the tests check that pair against an independent 2x2 matrix
+product over the rationals, whose pairs solve all 2m recurrence
+equations.  Only the system check reads the closing pair, through the
+closing equation p_m - t*q_m = 0; `instantiate_solution` steps the same
+recurrence on numbers at one b0.
 
 P_m itself comes from a three-term recurrence in p_j alone.  With
 w_j = 2m+5-2j the pair step reads
@@ -36,7 +36,6 @@ which is how `build_amn_polynomial` makes it.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -49,16 +48,6 @@ from .polynomials import (
     rational_to_string,
     times_linear,
 )
-
-
-@dataclass(frozen=True)
-class CoeffPair:
-    """(p_j, q_j) as integer coefficient tuples, ascending in t, over one
-    common denominator: p_j = p(t)/den and q_j = q(t)/den, den > 0."""
-
-    p: tuple
-    q: tuple
-    den: int
 
 
 @dataclass(frozen=True)
@@ -85,26 +74,25 @@ def family_member(b0) -> tuple[int, int]:
     return int(j), 1 if b0 > 0 else -1
 
 
-def coefficient_polynomials(m: int) -> Iterator[CoeffPair]:
-    """The pairs j = 0..m in turn, each stepped from the one before; pair 0
-    encodes a_0 = 1, b_0 = b0.  A generator: it holds only the latest pair.
+def coefficient_polynomials(m: int) -> tuple[tuple, tuple]:
+    """The closing pair (P, Q) of the chain, integer coefficient tuples
+    ascending in t, with p_m = P/D and q_m = Q/D, D = prod_{j=1..m} 2j(2j+3).
 
-    The rational step p_j = (w p_{j-1} - 3t q_{j-1}) / 2j,
+    Stepped from pair 0 = (1, 1), which encodes a_0 = 1, b_0 = b0, by
+    p_j = (w p_{j-1} - 3t q_{j-1}) / 2j,
     q_j = (3w p_{j-1} + 2j(2m+2-2j) q_{j-1} - 9t q_{j-1}) / 2j(2j+3),
-    w = 2m+5-2j, taken fraction-free over the denominator den*2j(2j+3).
-    From pair 0 = (1, 1) the j = 1 step gives the closed form
+    w = 2m+5-2j, taken fraction-free: each step multiplies the implicit
+    denominator by 2j(2j+3).  The j = 1 step gives the closed form
     p_1 = ((2m+3) - 3t)/2, q_1 = ((10m+9) - 9t)/10.
     """
-    pair = CoeffPair((1,), (1,), 1)
-    yield pair
+    p, q = (1,), (1,)
     for j in range(1, m + 1):
         w = 2 * m + 5 - 2 * j
         v = 2 * j * (2 * m + 2 - 2 * j)
         pa, pc, qa = (2 * j + 3) * w, 3 * (2 * j + 3), 3 * w
-        cols = zip_longest(pair.p, pair.q, (0,) + pair.q, fillvalue=0)  # p, q, t*q
+        cols = zip_longest(p, q, (0,) + q, fillvalue=0)  # p, q, t*q
         p, q = zip(*((pa * a - pc * c, qa * a + v * b - 9 * c) for a, b, c in cols))
-        pair = CoeffPair(p, q, pair.den * 2 * j * (2 * j + 3))
-        yield pair
+    return p, q
 
 
 @dataclass(frozen=True)

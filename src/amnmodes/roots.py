@@ -281,16 +281,15 @@ def check_root_solutions(m: int, product: IntPoly) -> tuple:
     The pair chain `coefficient_polynomials(m)` solves the 2m recurrence
     equations by construction, its step being those equations solved for
     p_j and q_j, so only the closing equation R = p_m - t*q_m is checked,
-    in t = b0**2: the chain is drained and only its last pair kept.  That
-    is a route to P_m of its own, apart from `build_amn_polynomial`.  When
+    in t = b0**2, on the closing pair that the chain returns.  That is a
+    route to P_m of its own, apart from `build_amn_polynomial`.  When
     the primitive form of R is `product`, R vanishes at every root and
     the check is done.  Otherwise R is evaluated at each root, in
     integers as 9**D * R((3 b0)**2 / 9), so the failing b0 are named.
     Both signs of b0 share t.
     """
-    for last in coefficient_polynomials(m):
-        pass
-    closing = tuple(a - c for a, c in zip_longest(last.p, (0,) + last.q, fillvalue=0))
+    p, q = coefficient_polynomials(m)
+    closing = tuple(a - c for a, c in zip_longest(p, (0,) + q, fillvalue=0))
     if primitive_integer_form(closing)[0] == product:
         return ()
     bad = ()
@@ -315,8 +314,8 @@ def verification_report(m: int) -> tuple[dict, bool]:
 
     The build stage makes P_m as `poly` does; the oracle reads only its
     integer form.  On a pass the oracle forms the `root_product` that the
-    other two checks reuse.  The pair chain is built in the system stage,
-    the only stage that reads it.  `monotonicity_ok` reports
+    other two checks reuse.  The pair chain is stepped to its closing pair
+    in the system stage, the only stage that reads it.  `monotonicity_ok` reports
     `root_theorem_failures`, the certificate for every m, which runs once
     per process and is not timed.
     """

@@ -6,14 +6,14 @@ not show up as a disagreement.
 
 | Production route | Reference route | Shared |
 |---|---|---|
-| `coefficient_polynomials` | `matrix_chain_pair` (`seed_pair`, `recurrence_matrix`) | nothing |
-| the chain's 2m recurrence equations | `system_polynomials` | the chain |
+| `coefficient_polynomials` | `matrix_chain_pair(m, m)` (`seed_pair`, `recurrence_matrix`) | nothing |
+| the chain's 2m recurrence equations | `system_polynomials` on `matrix_chain_pairs` | nothing |
 | `build_amn_polynomial` | `pair_route`; `matrix_chain_pair(m, m)` | the chain (`pair_route`) |
-| `instantiate_solution` | `evaluate_pairs` | the chain, `homogeneous` |
+| `instantiate_solution` | `evaluate_pairs` on `matrix_chain_pairs` | `homogeneous` |
 | `verify_system` | `fraction_verify_system` | nothing |
 | the lift in `closed_form_solution` | `lift_solution` | `times_linear`, `verify_system` |
 | `verify_factorization` | `deflate` | nothing |
-| `check_root_solutions` | `reference_root_solutions` | the chain, `verify_system` |
+| `check_root_solutions` | `reference_root_solutions` on `matrix_chain_pairs` | `verify_system`, `homogeneous` |
 | `root_theorem_failures` | `monotonicity_check` | the build, `root_product`, `homogeneous` |
 | `ZeroModeField.evaluate` | `reference_evaluate`; `PowerBasisField`; `mp_psi` | `_jacobi`, `_spinor` (first) |
 | `ZeroModeField.sigma_d` | `reference_sigma_d`; `fields._sigma_d` | `_jacobi`, `_spinor` (first) |
@@ -22,15 +22,17 @@ not show up as a disagreement.
 | `sample_grid` | `csv_reference` | `_grid_rows` |
 
 Helpers on ascending coefficient tuples: `trim`, `add`, `mul`, `horner`,
-`rational_form`.  `plus_one` is a tampered P_m, and `enumerate_family`
-lists every verified field of an order.
+`rational_form`.  `pair_denominator` is the D of the chain's closing
+pair, `plus_one` is a tampered P_m, and `enumerate_family` lists every
+verified field of an order.
 """
 
 import csv
 import io
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
 
 import mpmath
@@ -43,7 +45,6 @@ from amnmodes.polynomials import homogeneous, primitive_integer_form, times_line
 from amnmodes.recurrence import (
     AmnPolynomial,
     AnsatzSolution,
-    CoeffPair,
     coefficient_polynomials,
     family_b0,
     instantiate_solution,
@@ -109,70 +110,98 @@ def recurrence_matrix(m, p):
     return (w * d1,), (0, -3 * d1), (3 * w * d2,), (2 * p * (2 * m + 2 - 2 * p) * d2, -9 * d2)
 
 
+def _times(k, acc):
+    """The 2x2 matrix product k * acc, both row-major with polynomial entries."""
+    return (
+        add(mul(k[0], acc[0]), mul(k[1], acc[2])),
+        add(mul(k[0], acc[1]), mul(k[1], acc[3])),
+        add(mul(k[2], acc[0]), mul(k[3], acc[2])),
+        add(mul(k[2], acc[1]), mul(k[3], acc[3])),
+    )
+
+
+def _apply(acc, pair):
+    """The 2x2 matrix acc applied to the pair (p, q)."""
+    p, q = pair
+    return add(mul(acc[0], p), mul(acc[1], q)), add(mul(acc[2], p), mul(acc[3], q))
+
+
+IDENTITY = ((1,), (), (), (1,))
+
+
 def matrix_chain_pair(m, j):
     """(p_j, q_j) as K_j K_{j-1} ... K_2 applied to the seed: the matrices
     are multiplied out first over the rationals, then applied once, a
-    different route from the stepwise `coefficient_polynomials`."""
-    acc = ((1,), (), (), (1,))
+    different route from the stepwise `coefficient_polynomials`.  It starts
+    from the seed, so j = 0 gives pair 1 as j = 1 does."""
+    acc = IDENTITY
     for p in range(2, j + 1):
-        k = recurrence_matrix(m, p)
-        acc = (
-            add(mul(k[0], acc[0]), mul(k[1], acc[2])),
-            add(mul(k[0], acc[1]), mul(k[1], acc[3])),
-            add(mul(k[2], acc[0]), mul(k[3], acc[2])),
-            add(mul(k[2], acc[1]), mul(k[3], acc[3])),
-        )
-    p1, q1 = seed_pair(m)
-    return add(mul(acc[0], p1), mul(acc[1], q1)), add(mul(acc[2], p1), mul(acc[3], q1))
+        acc = _times(recurrence_matrix(m, p), acc)
+    return _apply(acc, seed_pair(m))
 
 
-def system_polynomials(m: int, pairs: Iterable[CoeffPair]) -> Iterator[tuple]:
-    """The 2m+1 equations of `verify_system` as integer polynomials in t = b0**2.
+@cache
+def matrix_chain_pairs(m) -> tuple:
+    """The rational pairs j = 0..m of the matrix chain.  Pair 0 = (1, 1),
+    a_0 = 1 and b_0 = b0, is set here, since the chain starts from the
+    seed; pair j >= 1 is `matrix_chain_pair(m, j)`, with the running
+    product K_j ... K_2 carried from one j to the next.  Kept per m, as
+    a tuple, for the several tests that read the same order."""
+    pairs = [((F(1),), (F(1),))]
+    acc = IDENTITY
+    for j in range(1, m + 1):
+        if j > 1:
+            acc = _times(recurrence_matrix(m, j), acc)
+        pairs.append(_apply(acc, seed_pair(m)))
+    return tuple(pairs)
 
-    One pass over the chain j = 0..m: as pair j arrives, the a-equation
-    2j p_j - (2m+5-2j) p_{j-1} + 3t q_{j-1}, then the b-equation
-    (2j+3) q_j - (2m+2-2j) q_{j-1} - 3 p_j with the common factor b0
-    removed; after the last pair, the closing p_m - t q_m.  Each is
-    taken times the lcm of the denominators of the pairs it reads, so
-    the coefficients are integers (ascending in t).  At b0 != 0 the
-    residuals of `verify_system` vanish exactly where these do at
-    t = b0**2.  The recurrence makes the first 2m identically zero; the
-    closing one is a multiple of -P_m, zero only at the roots.
+
+def pair_denominator(m) -> int:
+    """D = prod_{j=1..m} 2j(2j+3): `coefficient_polynomials(m)` is (D p_m, D q_m)."""
+    return math.prod(2 * j * (2 * j + 3) for j in range(1, m + 1))
+
+
+def system_polynomials(m: int, pairs) -> Iterator[tuple]:
+    """The 2m+1 equations of `verify_system` as rational polynomials in t = b0**2.
+
+    On the rational pairs j = 0..m (`matrix_chain_pairs`): for j = 1..m,
+    the a-equation 2j p_j - (2m+5-2j) p_{j-1} + 3t q_{j-1}, then the
+    b-equation (2j+3) q_j - (2m+2-2j) q_{j-1} - 3 p_j with the common
+    factor b0 removed; after the last pair, the closing p_m - t q_m.
+    Each is trimmed, ascending in t, so the zero polynomial is ().  At
+    b0 != 0 the residuals of `verify_system` vanish exactly where these
+    do at t = b0**2.  The recurrence makes the first 2m identically zero;
+    the closing one is a multiple of -P_m, zero only at the roots.
     """
-    pairs = iter(pairs)
-    prev = next(pairs)
-    for j, cur in enumerate(pairs, 1):
-        g = math.gcd(prev.den, cur.den)
-        u, v = prev.den // g, cur.den // g  # both equations j times lcm(den_{j-1}, den_j)
-        ka, kb, kc = 2 * j * u, (2 * m + 5 - 2 * j) * v, 3 * v
-        cols = zip_longest(cur.p, prev.p, (0,) + prev.q, fillvalue=0)
-        yield tuple(ka * a - kb * b + kc * c for a, b, c in cols)
-        ka, kb, kc = (2 * j + 3) * u, 3 * u, (2 * m + 2 - 2 * j) * v
-        cols = zip_longest(cur.q, cur.p, prev.q, fillvalue=0)
-        yield tuple(ka * a - kb * b - kc * c for a, b, c in cols)
-        prev = cur
-    yield tuple(a - c for a, c in zip_longest(prev.p, (0,) + prev.q, fillvalue=0))
+    for j in range(1, m + 1):
+        (p0, q0), (p1, q1) = pairs[j - 1], pairs[j]
+        yield add(add(mul((2 * j,), p1), mul((-(2 * m + 5 - 2 * j),), p0)), mul((0, 3), q0))
+        yield add(add(mul((2 * j + 3,), q1), mul((-(2 * m + 2 - 2 * j),), q0)), mul((-3,), p1))
+    p, q = pairs[m]
+    yield add(p, mul((0, -1), q))
 
 
 def pair_route(m):
-    """t*q_m - p_m from the pair chain: the reference route of P_m."""
-    last = list(coefficient_polynomials(m))[m]
-    cols = zip_longest(last.p, (0,) + last.q, fillvalue=0)
-    return trim(F(c - a, last.den) for a, c in cols)
+    """t*q_m - p_m from the closing pair of the chain: the reference route of P_m."""
+    p, q = coefficient_polynomials(m)
+    cols = zip_longest(p, (0,) + q, fillvalue=0)
+    return trim(F(c - a, pair_denominator(m)) for a, c in cols)
 
 
 def evaluate_pairs(pairs, b0):
-    """The pair chain j = 0..m evaluated at t = b0**2, a_j = p_j(t) and
+    """The rational pairs j = 0..m evaluated at t = b0**2, a_j = p_j(t) and
     b_j = b0 q_j(t): the reference route of `instantiate_solution`."""
     b0 = F(b0)
     n, q = b0.numerator**2, b0.denominator**2
 
-    def at(cs, den):
-        # cs(t)/den at t = n/q, through the integer q**D * cs(n/q)
-        return F(homogeneous(cs, n, q), q ** (len(cs) - 1) * den)
+    def at(cs):
+        # cs(t) at t = n/q, through the integer q**D * L * cs(n/q), L the lcm denominator
+        den = math.lcm(*(c.denominator for c in cs))
+        ints = [c.numerator * (den // c.denominator) for c in cs]
+        return F(homogeneous(ints, n, q), q ** (len(cs) - 1) * den)
 
-    a = tuple(at(pair.p, pair.den) for pair in pairs)
-    b = tuple(b0 * at(pair.q, pair.den) for pair in pairs)
+    a = tuple(at(p) for p, _ in pairs)
+    b = tuple(b0 * at(q) for _, q in pairs)
     return AnsatzSolution(len(pairs) - 1, b0, a, b)
 
 
@@ -219,7 +248,8 @@ def deflate(p, r):
 
 
 def reference_root_solutions(m, pairs):
-    """The per-root route: evaluate the chain at each b0 = +-(2j+1)/3, run verify_system."""
+    """The per-root route: evaluate the rational pairs j = 0..m
+    (`matrix_chain_pairs`) at each b0 = +-(2j+1)/3, run verify_system."""
     bad = ()
     for j in range(1, m + 2):
         for sign in (1, -1):

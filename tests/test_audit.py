@@ -1,4 +1,5 @@
-"""Static audits of `src/amnmodes`, read with `ast` and never run.
+"""Static audits of `src/amnmodes` and of the tests' chain routes, read with
+`ast` and never run.
 
 A definition reaches every package name its code refers to, resolved
 through its module's imports and its own (`from . import roots` in
@@ -10,6 +11,11 @@ named x.
 
 Independence: the exact checks of `verify` never reach the route that
 they check, nor the predicted roots where they must find them.
+
+The reference routes that read a pair chain, `system_polynomials`,
+`evaluate_pairs` and `reference_root_solutions` of `tests/reference.py`,
+never name the production chain `coefficient_polynomials`, and no test
+hands them pairs made by it: they run on the matrix chain's pairs.
 
 Reachability: every function, class, method and module-level name is
 reached from `cli.main`, whose parser names each command through
@@ -30,6 +36,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "amnmodes"
+TESTS = ROOT / "tests"
 PERFBENCH = ROOT / "perfbench"
 
 HARNESS_ONLY = {
@@ -40,6 +47,7 @@ HARNESS_ONLY = {
     "fields.l2_norm_squared",
 }
 EXEMPT = {"__init__.__version__"}
+CHAIN_ROUTES = ("system_polynomials", "evaluate_pairs", "reference_root_solutions")
 
 
 def code(node):
@@ -201,3 +209,41 @@ def test_src_holds_only_what_a_request_or_the_bench_runs(package, monkeypatch):
     bench = package.reach(*harness_names(monkeypatch))
     assert set(package.defs) - requests - bench - EXEMPT == set()
     assert bench - requests == HARNESS_ONLY
+
+
+def named(node) -> set:
+    """The identifiers that `node` names, as variables or as attributes."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_chain_routes_never_name_the_production_chain():
+    tree = ast.parse((TESTS / "reference.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for route in CHAIN_ROUTES:
+        seen, todo = set(), [route]  # the route and the reference.py definitions it reaches
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo += named(defs[name]) & set(defs)
+        assert "coefficient_polynomials" not in set().union(*map(named, map(defs.get, seen))), route
+
+
+def test_chain_routes_get_no_production_pairs():
+    """No call of a chain route passes an argument that names
+    `coefficient_polynomials`, or a name its module assigns from one."""
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assigned = {}  # local name -> what the values assigned to it name
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.For)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                value = node.iter if isinstance(node, ast.For) else node.value
+                for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                    assigned.setdefault(name, set()).update(named(value) if value else ())
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and named(call.func) & set(CHAIN_ROUTES):
+                for arg in [*call.args, *(k.value for k in call.keywords)]:
+                    reads = named(arg).union(*(assigned.get(n, ()) for n in named(arg)))
+                    assert "coefficient_polynomials" not in reads, (path.name, call.lineno)

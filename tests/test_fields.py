@@ -45,9 +45,10 @@ def assert_l2_closed_form(fs) -> None:
 
 
 def grid_rows_or_error(f: ZeroModeField, extent: float, n: int):
-    """`_grid_rows` as int64 bit patterns, or the type and text of what it raised."""
+    """`_grid_rows` as its shape and raw bytes, or the type and text of what it raised."""
     try:
-        return fields._grid_rows(f, extent, n).view(np.int64).tolist()
+        rows = fields._grid_rows(f, extent, n)
+        return rows.shape, rows.tobytes()
     except (ValueError, FloatingPointError) as exc:
         return type(exc), str(exc)
 

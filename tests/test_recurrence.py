@@ -10,7 +10,9 @@ from reference import (
     horner,
     lift_solution,
     matrix_chain_pair,
+    matrix_chain_pairs,
     mul,
+    pair_denominator,
     pair_route,
     rational_form,
     seed_pair,
@@ -20,7 +22,6 @@ from reference import (
 
 from amnmodes.polynomials import primitive_integer_form
 from amnmodes.recurrence import (
-    CoeffPair,
     build_amn_polynomial,
     closed_form_extremes,
     coefficient_polynomials,
@@ -33,12 +34,11 @@ from amnmodes.recurrence import (
 
 F = Fraction
 
-PAIR0 = CoeffPair((1,), (1,), 1)
 
-
-def rational(pair):
-    """(p_j, q_j) of an integer pair as Fractions, each coefficient over pair.den."""
-    return tuple(trim(F(c, pair.den) for c in cs) for cs in (pair.p, pair.q))
+def closing_pair(m):
+    """(p_m, q_m) as Fractions: the closing pair of `coefficient_polynomials` over D."""
+    den = pair_denominator(m)
+    return tuple(trim(F(c, den) for c in cs) for cs in coefficient_polynomials(m))
 
 
 class TestSeed:
@@ -63,36 +63,47 @@ class TestSeed:
 
 
 class TestAdvance:
+    """`coefficient_polynomials` steps pair 0 to the closing pair (D p_m, D q_m)."""
+
     def test_first_step_is_seed(self):
-        for m in range(1, 31):
-            assert rational(list(coefficient_polynomials(m))[1]) == seed_pair(m)
+        assert coefficient_polynomials(1) == ((25, -15), (19, -9))  # D = 10
+        assert closing_pair(1) == seed_pair(1)
 
     def test_m2_values_at_root(self):
         # forward substitution in the order-2 system with b0 = 7/3 gives
         # a = (1, -14/3, 7/3), b = (7/3, -14/3, 1)
-        p2, q2 = rational(list(coefficient_polynomials(2))[2])
+        p2, q2 = closing_pair(2)
         t = F(49, 9)
         assert horner(p2, t) == F(7, 3)
         assert horner(q2, t) == F(3, 7)  # b2 = b0*q2(t) = 1
 
     def test_degrees(self):
-        pairs = list(coefficient_polynomials(5))
-        assert len(pairs[4].p) - 1 == 4
-        assert len(pairs[4].q) - 1 == 4
+        for m in (1, 4, 9):
+            p, q = coefficient_polynomials(m)
+            assert len(p) - 1 == len(q) - 1 == m
 
 
 class TestChain:
     def test_m1(self):
-        pairs = list(coefficient_polynomials(1))
-        assert len(pairs) == 2
-        assert pairs[0] == PAIR0
-        assert rational(pairs[1]) == seed_pair(1)
+        assert coefficient_polynomials(0) == ((1,), (1,))
+        assert matrix_chain_pairs(1) == (((1,), (1,)), seed_pair(1))
 
     def test_matrix_route_agrees(self):
+        for m in range(1, 41):
+            den = pair_denominator(m)
+            want = tuple(tuple(den * c for c in cs) for cs in matrix_chain_pair(m, m))
+            assert coefficient_polynomials(m) == want, m
+
+    def test_matrix_chain_pairs(self):
+        # pair 0 is set by hand: matrix_chain_pair(m, 0) is pair 1, the seed
+        assert matrix_chain_pairs(0) == (((1,), (1,)),)
         for m in (2, 3, 5, 8, 20):
-            pairs = list(coefficient_polynomials(m))
+            pairs = matrix_chain_pairs(m)
+            assert len(pairs) == m + 1
+            assert pairs[0] == ((1,), (1,))
+            assert pairs[1] == seed_pair(m) == matrix_chain_pair(m, 0)
             for j in range(1, m + 1):
-                assert matrix_chain_pair(m, j) == rational(pairs[j])
+                assert pairs[j] == matrix_chain_pair(m, j), (m, j)
 
     def test_m6_reproduces_printed_polynomial(self):
         amn = build_amn_polynomial(6)
@@ -109,12 +120,13 @@ class TestChain:
 
 
 class TestRecurrenceIdentities:
-    """The pair chain solves the 2m recurrence equations; the system check
-    reads only its closing equation, so these identities are checked here."""
+    """The matrix chain solves the 2m recurrence equations, and the production
+    chain ends on its closing pair (`TestClosingPair`); the system check
+    reads only the closing equation, so these identities are checked here."""
 
     def test_chain_solves_every_recurrence_equation(self):
-        for m in [*range(1, 41), 200]:
-            *identities, closing = system_polynomials(m, coefficient_polynomials(m))
+        for m in range(1, 41):
+            *identities, closing = system_polynomials(m, matrix_chain_pairs(m))
             assert len(identities) == 2 * m
             assert not any(any(r) for r in identities), m
             assert any(closing)
@@ -123,9 +135,9 @@ class TestRecurrenceIdentities:
     def test_broken_step_is_flagged(self):
         # q_3 + 1 breaks b-identity 3 and a- and b-identity 4, at indices 5 to 7;
         # the closing equation, last, is nonzero anyway
-        pairs = list(coefficient_polynomials(6))
-        p, q, den = pairs[3].p, pairs[3].q, pairs[3].den
-        pairs[3] = CoeffPair(p, (q[0] + den, *q[1:]), den)
+        pairs = list(matrix_chain_pairs(6))
+        p, q = pairs[3]
+        pairs[3] = p, (q[0] + 1, *q[1:])
         nonzero = [i for i, r in enumerate(system_polynomials(6, pairs)) if any(r)]
         assert nonzero == [5, 6, 7, 12]
 
@@ -215,7 +227,7 @@ def sweep_b0(m):
 class TestInstantiate:
     @pytest.mark.parametrize("m", range(41))
     def test_equals_pair_chain_route(self, m):
-        pairs = list(coefficient_polynomials(m))
+        pairs = matrix_chain_pairs(m)
         for b0 in sweep_b0(m):
             assert instantiate_solution(m, b0) == evaluate_pairs(pairs, b0), b0
 

@@ -2,7 +2,6 @@
 
 import json
 import math
-import weakref
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -10,9 +9,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from reference import (
+    add,
     deflate,
+    matrix_chain_pairs,
     monotonicity_check,
     mul,
+    pair_denominator,
     plus_one,
     rational_form,
     reference_root_solutions,
@@ -24,7 +26,6 @@ from amnmodes.polynomials import IntPoly, primitive_integer_form, times_linear
 from amnmodes.recurrence import (
     AmnPolynomial,
     AnsatzSolution,
-    CoeffPair,
     build_amn_polynomial,
     closed_form_extremes,
     coefficient_polynomials,
@@ -444,16 +445,15 @@ class TestRootTheorem:
         assert first and len(calls) == first
 
 
-def perturbed(pairs, j, dp=(), dq=()):
-    """The chain with the integer polynomials dp, dq added to p_j, q_j."""
-    out = list(pairs)
-    p, q, den = pairs[j].p, pairs[j].q, pairs[j].den
-    out[j] = CoeffPair(
-        tuple(c + den * d for c, d in zip_longest(p, dp, fillvalue=0)),
-        tuple(c + den * d for c, d in zip_longest(q, dq, fillvalue=0)),
-        den,
-    )
-    return out
+def perturbed(m, dp=(), dq=()):
+    """The integer polynomials dp, dq added to p_m, q_m twice: to the closing
+    pair (D p_m, D q_m) of `coefficient_polynomials`, and to the last of the
+    rational pairs of `matrix_chain_pairs`.  Returns both."""
+    den = pair_denominator(m)
+    closing = tuple(tuple(c + den * d for c, d in zip_longest(cs, ds, fillvalue=0))
+                    for cs, ds in zip(coefficient_polynomials(m), (dp, dq)))
+    *pairs, last = matrix_chain_pairs(m)
+    return closing, [*pairs, tuple(add(cs, ds) for cs, ds in zip(last, (dp, dq)))]
 
 
 class TestSystemAtRoots:
@@ -463,9 +463,8 @@ class TestSystemAtRoots:
 
     def test_matches_reference_route(self):
         for m in range(1, 13):
-            pairs = list(coefficient_polynomials(m))
             bad = check_root_solutions(m, predicted_product(m))
-            assert bad == reference_root_solutions(m, pairs) == ()
+            assert bad == reference_root_solutions(m, matrix_chain_pairs(m)) == ()
 
     @pytest.mark.parametrize("m", [1, 3, 6])
     @pytest.mark.parametrize(
@@ -473,34 +472,18 @@ class TestSystemAtRoots:
         [
             # the check reads only the last pair, through p_m - t*q_m: each
             # perturbation adds to it a polynomial with no root t >= 1
-            lambda m, pairs: perturbed(pairs, m, dp=[1]),
-            lambda m, pairs: perturbed(pairs, m, dq=[1]),
-            lambda m, pairs: perturbed(pairs, m, dp=[1], dq=[-1]),
+            lambda m: perturbed(m, dp=[1]),
+            lambda m: perturbed(m, dq=[1]),
+            lambda m: perturbed(m, dp=[1], dq=[-1]),
         ],
         ids=["p_m", "q_m", "p_m_q_m"],
     )
     def test_negative_controls_flag_every_root(self, m, case, monkeypatch):
-        pairs = case(m, list(coefficient_polynomials(m)))
-        monkeypatch.setattr(roots, "coefficient_polynomials", lambda _: pairs)
+        closing, pairs = case(m)
+        monkeypatch.setattr(roots, "coefficient_polynomials", lambda _: closing)
         bad = check_root_solutions(m, predicted_product(m))
         assert bad == reference_root_solutions(m, pairs)
         assert len(bad) == 2 * (m + 1)
-
-    def test_pair_chain_is_streamed(self, monkeypatch):
-        # the check keeps only the last pair, so at most the pair it holds and
-        # the one just stepped are alive, never the whole chain of 41
-        alive, sizes = weakref.WeakSet(), []
-
-        def tracked(m):
-            for pair in coefficient_polynomials(m):
-                alive.add(pair)
-                sizes.append(len(alive))
-                yield pair
-
-        monkeypatch.setattr(roots, "coefficient_polynomials", tracked)
-        assert check_root_solutions(40, predicted_product(40)) == ()
-        assert len(sizes) == 41
-        assert max(sizes) <= 2
 
     def test_matching_product_needs_no_evaluation(self, monkeypatch):
         forbid_exact_tests(monkeypatch)
@@ -519,8 +502,8 @@ class TestSystemAtRoots:
     def test_broken_identity_is_evaluated_at_each_root(self, m, monkeypatch):
         # (t - 1) on p_m and q_m: the closing equation gains -(t - 1)**2, which
         # vanishes at t = 1 alone, as every broken equation does
-        pairs = perturbed(list(coefficient_polynomials(m)), m, dp=[-1, 1], dq=[-1, 1])
-        monkeypatch.setattr(roots, "coefficient_polynomials", lambda _: pairs)
+        closing, pairs = perturbed(m, dp=[-1, 1], dq=[-1, 1])
+        monkeypatch.setattr(roots, "coefficient_polynomials", lambda _: closing)
         bad = check_root_solutions(m, predicted_product(m))
         assert bad == reference_root_solutions(m, pairs)
         assert bad == tuple(F(s * (2 * j + 1), 3) for j in range(2, m + 2) for s in (1, -1))

@@ -2,9 +2,10 @@
 by name, so a rename in `src/` must fail here, not in `run.py --trace 1`."""
 
 import importlib
+import inspect
 from pathlib import Path
 
-from amnmodes import cli
+from amnmodes import cli, recurrence
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -25,6 +26,26 @@ def test_tracer_spans_the_build(tmp_path, monkeypatch):
     # the system stage's layers, which the benchmark reports per layer
     assert {"roots.check_root_solutions", "recurrence.coefficient_polynomials"} <= names
     assert tracer.max_coeff_bits > 0
+
+
+def test_pair_chain_is_its_own_span(tmp_path, monkeypatch):
+    # a generator's span would close when the generator is made, with its
+    # stepping charged to the caller's self time
+    assert not inspect.isgeneratorfunction(recurrence.coefficient_polynomials)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["verify", "--m", "200", "-o", str(tmp_path / "v.json")]) == 0
+    finally:
+        tracer.uninstall()
+    by_name = {}
+    for sid, name, start, end, parent, _ in tracer.spans:
+        by_name.setdefault(name, []).append((sid, end - start, parent))
+    [(check, check_s, _)] = by_name["roots.check_root_solutions"]
+    [(_, chain_s, parent)] = by_name["recurrence.coefficient_polynomials"]
+    assert parent == check
+    assert chain_s >= check_s / 2, (chain_s, check_s)
 
 
 def test_tracer_spans_the_field_grid(tmp_path, monkeypatch):
