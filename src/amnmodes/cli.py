@@ -115,6 +115,8 @@ def cmd_field(args) -> tuple[Iterable[str], bool]:
         raise ValueError(f"--grid must be in 0..{FIELD_GRID_MAX}")
     if not math.isfinite(args.extent):
         raise ValueError("--extent must be finite")
+    if args.extent < 0:
+        raise ValueError("--extent is a half-width and must not be negative")
     from . import fields
     f = fields.ZeroModeField(instantiate_solution(args.m, _select_b0(args)))
     # raises where the spinor underflows to zero, far out on a large --extent

@@ -2,9 +2,11 @@
 
 Coefficients are stored in ascending power order.  A rational polynomial
 is kept as its primitive integer form (`IntPoly`) plus the scale that
-clears its denominators; nothing in this module touches floating point.
-This is the package's one exact kernel: the linear-factor product, the
-common denominator and the primitive normaliser live here and nowhere else.
+makes it; nothing in this module touches floating point.  This is the
+package's one exact kernel: the linear-factor product, the common
+denominator and the primitive normaliser live here and nowhere else.
+`over_common_denominator` is the one place where rationals become
+integers; `IntPoly` and `primitive_integer_form` take integers only.
 """
 
 from __future__ import annotations
@@ -54,19 +56,20 @@ def over_common_denominator(*lists) -> tuple[int, list]:
 @dataclass(frozen=True)
 class IntPoly:
     """Primitive integer polynomial: content 1, positive leading coefficient;
-    `coeffs` is a tuple of ints, ascending."""
+    `coeffs` is a tuple of ints, ascending.  The coefficients are kept as
+    given: a non-integer one makes the content check raise TypeError."""
 
     coeffs: tuple
 
     def __post_init__(self):
-        cs = [int(c) for c in self.coeffs]
+        cs = list(self.coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         if not cs:
             raise ValueError("IntPoly must be nonzero")
         if cs[-1] < 0:
             raise ValueError("leading coefficient must be positive")
-        if math.gcd(*(abs(c) for c in cs)) != 1:
+        if math.gcd(*cs) != 1:
             raise ValueError("coefficients must have content 1")
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -76,15 +79,16 @@ class IntPoly:
 
 
 def primitive_integer_form(coeffs) -> tuple[IntPoly, Fraction]:
-    """Unique primitive integer multiple of a polynomial, plus the scale applied.
+    """Unique primitive integer multiple of an integer polynomial, plus the scale applied.
 
-    `coeffs` are ints or Fractions, ascending.  Returns (q, s) with
-    q = s * p, q having content 1 and positive leading coefficient.
+    `coeffs` is a sequence of ints, ascending; a rational polynomial goes
+    through `over_common_denominator` first.  Returns (q, s) with
+    q = s * p, q having content 1 and positive leading coefficient, and
+    s = 1/g for the signed content g of p.
     """
-    den, (ints,) = over_common_denominator(list(coeffs))
-    g = math.gcd(*ints)
+    g = math.gcd(*coeffs)
     if not g:
         raise ValueError("cannot normalize zero polynomial")
-    if next(c for c in reversed(ints) if c) < 0:
+    if next(c for c in reversed(coeffs) if c) < 0:
         g = -g
-    return IntPoly(c // g for c in ints), Fraction(den, g)
+    return IntPoly(c // g for c in coeffs), Fraction(1, g)

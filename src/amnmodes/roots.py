@@ -284,8 +284,8 @@ def check_root_solutions(m: int, product: IntPoly) -> tuple:
     in t = b0**2, on the closing pair that the chain returns.  That is a
     route to P_m of its own, apart from `build_amn_polynomial`.  When
     the primitive form of R is `product`, R vanishes at every root and
-    the check is done.  Otherwise R is evaluated at each root, in
-    integers as 9**D * R((3 b0)**2 / 9), so the failing b0 are named.
+    the check is done.  Otherwise R is evaluated at each root t = b0**2,
+    in integers as q**D * R(n/q) for t = n/q, so the failing b0 are named.
     Both signs of b0 share t.
     """
     p, q = coefficient_polynomials(m)
@@ -295,7 +295,8 @@ def check_root_solutions(m: int, product: IntPoly) -> tuple:
     bad = ()
     for j in range(1, m + 2):
         b0 = family_b0(j)
-        if homogeneous(closing, int(3 * b0) ** 2, 9) != 0:
+        t = b0 * b0
+        if homogeneous(closing, t.numerator, t.denominator) != 0:
             bad += (b0, -b0)
     return bad
 

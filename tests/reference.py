@@ -22,9 +22,10 @@ not show up as a disagreement.
 | `sample_grid` | `csv_reference` | `_grid_rows` |
 
 Helpers on ascending coefficient tuples: `trim`, `add`, `mul`, `horner`,
-`rational_form`.  `pair_denominator` is the D of the chain's closing
-pair, `plus_one` is a tampered P_m, and `enumerate_family` lists every
-verified field of an order.
+`rational_form` and its inverse `rational_primitive_form`.
+`pair_denominator` is the D of the chain's closing pair, `plus_one` is a
+tampered P_m, and `enumerate_family` lists every verified field of an
+order.
 """
 
 import csv
@@ -39,9 +40,14 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from amnmodes import fields, recurrence, roots
+from amnmodes import fields, roots
 from amnmodes.fields import CSV_COLUMNS, ZeroModeField, _sigma_d
-from amnmodes.polynomials import homogeneous, primitive_integer_form, times_linear
+from amnmodes.polynomials import (
+    homogeneous,
+    over_common_denominator,
+    primitive_integer_form,
+    times_linear,
+)
 from amnmodes.recurrence import (
     AmnPolynomial,
     AnsatzSolution,
@@ -88,11 +94,19 @@ def rational_form(amn) -> tuple:
     return tuple(c / amn.scale for c in amn.integer.coeffs)
 
 
+def rational_primitive_form(coeffs) -> tuple:
+    """(q, s) with q = s * p primitive, for a rational p: its denominators
+    cleared by `over_common_denominator`, then `primitive_integer_form`."""
+    den, (ints,) = over_common_denominator(coeffs)
+    integer, s = primitive_integer_form(ints)
+    return integer, s * den
+
+
 def plus_one(amn):
     """P_m + 1 in primitive integer form: it vanishes at no predicted root."""
     bad = list(rational_form(amn))
     bad[0] += 1
-    return AmnPolynomial(amn.m, *primitive_integer_form(bad))
+    return AmnPolynomial(amn.m, *rational_primitive_form(bad))
 
 
 def seed_pair(m):
@@ -405,7 +419,7 @@ def beta_sum_l2(f: ZeroModeField) -> Fraction:
     = pi C(2p, p) C(2N-2p, N-p) / (2 4^N C(N, p)), summed in integers.
     """
     big_n = 2 * f.m + 2
-    den, (a, b) = recurrence.over_common_denominator(f.a, f.b)
+    den, (a, b) = over_common_denominator(f.a, f.b)
     c = [0] * big_n  # den^2 (A^2 + u B^2), ascending in u
     for i in range(f.m + 1):
         for j in range(f.m + 1):

@@ -171,6 +171,8 @@ class TestField:
             ["--extent", "nan"],
             ["--extent", "inf"],
             ["--extent", "1e8", "--grid", "2"],
+            ["--extent=-2", "--grid", "2"],  # a negative half-width would mirror the cube
+            ["--extent=-1e-300", "--grid", "2"],
         ):
             capsys.readouterr()
             assert run(["field", "--m", "1", "--designated", *bad]) == 2, bad
@@ -183,6 +185,16 @@ class TestField:
             assert run(argv) == 2, grid
             assert capsys.readouterr().err == f"error: --grid must be in 0..{FIELD_GRID_MAX}\n"
             assert not out.exists()
+
+    def test_zero_extent_samples_the_origin(self, tmp_path):
+        # --extent is the cube's half-width: 0 is one point, a negative one is refused
+        out = tmp_path / "f.csv"
+        for extent in ("0", "-0.0"):
+            assert run(["field", "--m", "2", "--designated", "--grid", "2",
+                        f"--extent={extent}", "-o", str(out)]) == 0, extent
+            rows = out.read_text().splitlines()[1:]
+            assert len(rows) == 8
+            assert all(float(v) == 0 for row in rows for v in row.split(",")[:3])
 
     def test_non_finite_values_fail(self, tmp_path, capsys):
         # |x|^2 overflows at |x| ~ 1e160: NaN rows, no CSV
@@ -541,7 +553,7 @@ def requests(draw):
     if command == "field":
         for name, value in (
             ("--grid", values(*range(-1, 4), FIELD_GRID_MAX + 1)),
-            ("--extent", values("2.0", "1e-320", "1e8", "1e160", "-inf")),
+            ("--extent", values("2.0", "1e-320", "1e8", "1e160", "-inf", "-2.0")),
         ):
             if draw(st.booleans()):
                 flags[name] = value

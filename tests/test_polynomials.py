@@ -11,6 +11,7 @@ from reference import add, horner, mul, trim
 from amnmodes.polynomials import (
     IntPoly,
     homogeneous,
+    over_common_denominator,
     primitive_integer_form,
     rational_to_string,
     times_linear,
@@ -45,9 +46,20 @@ def test_seed_sum():
 
 
 def test_primitive_integer_form_basic():
-    q, scale = primitive_integer_form([Fraction(-25, 10), Fraction(34, 10), Fraction(-9, 10)])
+    den, (ints,) = over_common_denominator([Fraction(-25, 10), Fraction(34, 10), Fraction(-9, 10)])
+    assert (den, ints) == (10, [-25, 34, -9])
+    q, scale = primitive_integer_form([-50, 68, -18])
     assert q == IntPoly([25, -34, 9])
-    assert scale == -10
+    assert scale == Fraction(-1, 2)
+
+
+def test_non_integers_are_refused():
+    # rationals enter through over_common_denominator; nothing truncates them
+    for bad in ([Fraction(1, 2), 1], [1.9, 1], [Fraction(4), 2]):
+        with pytest.raises(TypeError):
+            IntPoly(bad)
+        with pytest.raises(TypeError):
+            primitive_integer_form(bad)
 
 
 def test_primitive_integer_form_identity():
@@ -60,15 +72,17 @@ def test_primitive_integer_form_zero_rejected():
     with pytest.raises(ValueError, match="cannot normalize zero polynomial"):
         primitive_integer_form([])
     with pytest.raises(ValueError, match="cannot normalize zero polynomial"):
-        primitive_integer_form([0, Fraction(0)])
+        primitive_integer_form([0, 0])
 
 
 @given(polys)
 def test_primitive_integer_form_idempotent(p):
     if not any(p):
         return
-    q, scale = primitive_integer_form(p)
-    assert tuple(c / scale for c in q.coeffs) == trim(p)
+    den, (ints,) = over_common_denominator(p)
+    q, scale = primitive_integer_form(ints)
+    assert tuple(c / scale for c in q.coeffs) == trim(ints)
+    assert tuple(c / (scale * den) for c in q.coeffs) == trim(p)
     q2, scale2 = primitive_integer_form(q.coeffs)
     assert q2 == q
     assert scale2 == 1

@@ -15,12 +15,12 @@ from reference import (
     pair_denominator,
     pair_route,
     rational_form,
+    rational_primitive_form,
     seed_pair,
     system_polynomials,
     trim,
 )
 
-from amnmodes.polynomials import primitive_integer_form
 from amnmodes.recurrence import (
     build_amn_polynomial,
     closed_form_extremes,
@@ -130,7 +130,7 @@ class TestRecurrenceIdentities:
             assert len(identities) == 2 * m
             assert not any(any(r) for r in identities), m
             assert any(closing)
-            assert primitive_integer_form(closing)[0] == build_amn_polynomial(m).integer
+            assert rational_primitive_form(closing)[0] == build_amn_polynomial(m).integer
 
     def test_broken_step_is_flagged(self):
         # q_3 + 1 breaks b-identity 3 and a- and b-identity 4, at indices 5 to 7;
