@@ -22,8 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .recurrence import (AnsatzSolution, closed_form_solution, family_b0, family_member,
-                         instantiate_solution, verify_system)
+from .recurrence import AnsatzSolution, closed_form_solution, family_member, verify_system
 
 SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # sigma_1..3
 SPINOR_FLOOR = 1e-30  # |psi|^2 below this is a vanished spinor; the potential divides by it
@@ -81,8 +80,9 @@ class ZeroModeField:
 
     @classmethod
     def designated(cls, m: int) -> "ZeroModeField":
-        """The designated member: j = m+1 with positive sign, b0 = (2m+3)/3."""
-        return cls(instantiate_solution(m, family_b0(m + 1)))
+        """The designated member, j = m+1 with positive sign and b0 = (2m+3)/3, from its
+        closed form; the constructor still checks it against the coefficient system."""
+        return cls(closed_form_solution(m, m, 1))
 
     def _jacobi(self, y, n: int, shift: float = 0.0):
         """k!/(3/2)_k times P_n^(1/2+shift,3/2+shift)(y) and sign P_n^(3/2+shift,1/2+shift)(y)."""
@@ -238,4 +238,4 @@ def _csv_chunks(texts: list, indices: list):
     yield ",".join(CSV_COLUMNS) + "\r\n"
     for start in range(0, len(indices[0]), CSV_BLOCK_ROWS):
         block = (t[i[start:start + CSV_BLOCK_ROWS]].tolist() for t, i in zip(texts, indices))
-        yield "".join(",".join(row) + "\r\n" for row in zip(*block))
+        yield "\r\n".join(map(",".join, zip(*block))) + "\r\n"

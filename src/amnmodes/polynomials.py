@@ -73,10 +73,6 @@ class IntPoly:
             raise ValueError("coefficients must have content 1")
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
 
 def primitive_integer_form(coeffs) -> tuple[IntPoly, Fraction]:
     """Unique primitive integer multiple of an integer polynomial, plus the scale applied.

@@ -11,7 +11,7 @@ The chain of (p_j, q_j) pairs is stepped fraction-free in integers by
 product over the rationals, whose pairs solve all 2m recurrence
 equations.  Only the system check reads the closing pair, through the
 closing equation p_m - t*q_m = 0; `instantiate_solution` steps the same
-recurrence on numbers at one b0.
+recurrence on numbers at one b0, in plain Fractions.
 
 P_m itself comes from a three-term recurrence in p_j alone.  With
 w_j = 2m+5-2j the pair step reads
@@ -35,7 +35,6 @@ which is how `build_amn_polynomial` makes it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -149,7 +148,7 @@ def closed_form_extremes(m: int) -> tuple[Fraction, Fraction]:
 
 
 def instantiate_solution(m: int, b0) -> AnsatzSolution:
-    """Numeric coefficients at b0, stepped from a_0 = 1, b_0 = b0 for j = 1..m:
+    """Numeric coefficients at b0, stepped in Fractions from a_0 = 1, b_0 = b0 for j = 1..m:
 
         a_j = ((2m+5-2j) a_{j-1} - 3 b0 b_{j-1}) / 2j,
         b_j = ((2m+2-2j) b_{j-1} + 3 b0 a_j) / (2j+3),
@@ -157,25 +156,14 @@ def instantiate_solution(m: int, b0) -> AnsatzSolution:
     the a- and b-equations of `verify_system` solved for a_j and b_j.
     b0 need not be a root of P_m; `verify_system` reports the defect in
     the closing equation.  m = 0 is the base case (a, b) = ((1,), (b0,)).
-    Fraction-free, b0 = beta/gamma: a_j = A/D and b_j = B/D over one running
-    denominator D, which each step multiplies by 2j(2j+3) gamma^2 before
-    A, B and D are divided by their gcd.
     """
     if m < 0:
         raise ValueError("order must be nonnegative")
     b0 = Fraction(b0)
-    beta, gamma = b0.numerator, b0.denominator
-    big_a, big_b, den = gamma, beta, gamma
-    a, b = [Fraction(1)], [b0]
+    a, b, c = [Fraction(1)], [b0], 3 * b0
     for j in range(1, m + 1):
-        step = gamma * (2 * m + 5 - 2 * j) * big_a - 3 * beta * big_b  # a_j times 2j gamma D
-        big_b = 2 * j * gamma**2 * (2 * m + 2 - 2 * j) * big_b + 3 * beta * step
-        big_a = gamma * (2 * j + 3) * step
-        den *= 2 * j * (2 * j + 3) * gamma**2
-        g = math.gcd(big_a, big_b, den)
-        big_a, big_b, den = big_a // g, big_b // g, den // g
-        a.append(Fraction(big_a, den))
-        b.append(Fraction(big_b, den))
+        a.append(((2 * m + 5 - 2 * j) * a[-1] - c * b[-1]) / (2 * j))
+        b.append(((2 * m + 2 - 2 * j) * b[-1] + c * a[-1]) / (2 * j + 3))
     return AnsatzSolution(m, b0, tuple(a), tuple(b))
 
 
@@ -190,7 +178,7 @@ def closed_form_solution(m: int, k: int, sign: int) -> AnsatzSolution:
     a = [Fraction(1)]
     for n in range(1, k + 1):
         a.append(a[-1] * Fraction(-(k - n + 1) * (2 * k + 5 - 2 * n), n * (2 * n + 1)))
-    b = [sign * c * Fraction(2 * k + 3 - 2 * n, 2 * n + 3) for n, c in enumerate(a)]
+    b = [c * Fraction(sign * (2 * k + 3 - 2 * n), 2 * n + 3) for n, c in enumerate(a)]
     den, ints = over_common_denominator(a, b)
     for _ in range(m - k):
         ints = [times_linear(cs, -1, 1) for cs in ints]

@@ -237,10 +237,11 @@ def rational_root_oracle(p: IntPoly) -> frozenset:
     """Complete set of rational roots, by p-adic lifting (R. Loos, SIAM J.
     Comput. 12, 1983); independent of `predicted_roots`.
 
-    Zero roots are split off.  A rational root n/q has n | const and
-    q | lead, so for a prime p not dividing lead it reduces to a root of
-    P mod p; the prime is chosen so that every such root is simple (P is
-    replaced by its squarefree part if no prime in the window qualifies).
+    Zero roots are split off; a nonzero constant has none.  A rational
+    root n/q has n | const and q | lead, so for a prime p not dividing lead
+    it reduces to a root of P mod p; the prime is chosen so that every
+    such root is simple (P is replaced by its squarefree part if no prime
+    in the window qualifies).
     `_lift` lifts those residues together, each candidate screened mod
     `SCREEN_PRIME`.  A root always passes the screen, so every residue
     that lifts to a rational root ends with a survivor.  The survivors are
@@ -249,8 +250,6 @@ def rational_root_oracle(p: IntPoly) -> frozenset:
     lifting run again from p, with the exact test q**D * P(n/q) = 0 in
     place of the screen.
     """
-    if p.degree < 1:
-        raise ValueError("oracle requires degree >= 1")
     zeros = next(i for i, c in enumerate(p.coeffs) if c)
     roots = {Fraction(0)} if zeros else set()
     f = p.coeffs[zeros:]
@@ -286,10 +285,13 @@ def check_root_solutions(m: int, product: IntPoly) -> tuple:
     the primitive form of R is `product`, R vanishes at every root and
     the check is done.  Otherwise R is evaluated at each root t = b0**2,
     in integers as q**D * R(n/q) for t = n/q, so the failing b0 are named.
-    Both signs of b0 share t.
+    Both signs of b0 share t.  A closing equation that vanishes identically
+    is no route to P_m: it is the one failure, named as such.
     """
     p, q = coefficient_polynomials(m)
     closing = tuple(a - c for a, c in zip_longest(p, (0,) + q, fillvalue=0))
+    if not any(closing):
+        return ("closing equation vanishes identically",)
     if primitive_integer_form(closing)[0] == product:
         return ()
     bad = ()

@@ -185,11 +185,11 @@ def test_checks_stay_independent(package, check, forbidden):
 
 
 def test_oracle_reach_is_resolved(package):
-    # the audit follows imports and attributes: the oracle reaches its kernel
-    # through `from .polynomials import ...`, and `p.degree` a property
+    # the audit follows imports: the oracle reaches its kernel through
+    # `from .polynomials import ...`
     reached = package.reach("roots.rational_root_oracle")
     assert {"roots._lift", "roots.root_product", "polynomials.times_linear",
-            "polynomials.IntPoly.__post_init__", "polynomials.IntPoly.degree"} <= reached
+            "polynomials.IntPoly.__post_init__"} <= reached
     # and the local `from . import roots` of the verify command
     assert "roots.rational_root_oracle" in package.reach("cli.cmd_verify")
 

@@ -90,12 +90,11 @@ def request_bytes(argv: list, out) -> bytes:
             code = exc.code
             err = io.StringIO("argparse")
     output = out.read_bytes() if out.exists() else b""
+    out.unlink(missing_ok=True)
     if argv[0] == "verify" and output:
         doc = json.loads(output)
         del doc["timings_ms"]
         output = json.dumps(doc, indent=2).encode()
-    if out.exists():
-        out.unlink()
     head = json.dumps([argv, code, err.getvalue(), len(output)]).encode()
     return head + b"\n" + output + b"\n"
 

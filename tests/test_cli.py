@@ -21,7 +21,8 @@ import amnmodes
 from amnmodes import roots
 from amnmodes.cli import B0_BITS, FIELD_GRID_MAX, FIELD_M_MAX, POLY_M_MAX, main
 from amnmodes.fields import ZeroModeField, sample_grid
-from amnmodes.recurrence import build_amn_polynomial, root_theorem_failures
+from amnmodes.polynomials import IntPoly
+from amnmodes.recurrence import AmnPolynomial, build_amn_polynomial, root_theorem_failures
 
 
 def run(args):
@@ -96,6 +97,26 @@ class TestVerify:
 
     def test_bad_m(self, capsys):
         assert run(["verify", "--m", "0"]) == 2
+
+    def test_constant_build_fails(self, tmp_path, monkeypatch, capsys):
+        # a fault in the object under check is a failed verification, never a usage error
+        monkeypatch.setattr(roots, "build_amn_polynomial",
+                            lambda m: AmnPolynomial(m, IntPoly((1,)), Fraction(1)))
+        out = tmp_path / "t.json"
+        assert run(["verify", "--m", "3", "-o", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["oracle"] == [] and doc["oracle_matches"] is False
+        assert doc["factorization_ok"] is False
+        assert capsys.readouterr().err == ""
+
+    def test_vanishing_closing_pair_fails(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(roots, "coefficient_polynomials", lambda m: ((0,), (0,)))
+        out = tmp_path / "t.json"
+        assert run(["verify", "--m", "3", "-o", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["system_ok"] is False
+        assert doc["oracle_matches"] and doc["factorization_ok"] and doc["monotonicity_ok"]
+        assert capsys.readouterr().err == ""
 
 
 class TestMode:

@@ -358,6 +358,13 @@ class TestRadialOncePerRadius:
 
 
 class TestFamily:
+    def test_designated_is_the_instantiated_member(self):
+        # designated builds from the closed form; the recurrence at b0 = (2m+3)/3 gives the same
+        for m in range(51):
+            f = ZeroModeField.designated(m)
+            s = instantiate_solution(m, recurrence.family_b0(m + 1))
+            assert (f.a, f.b) == (s.a, s.b), m
+
     def test_m1(self):
         fam = enumerate_family(1)
         assert [f.label for f in fam] == [(1, 1), (1, -1), (2, 1), (2, -1)]

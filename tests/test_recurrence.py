@@ -174,7 +174,7 @@ class TestAmnPolynomial:
 
     def test_degree(self):
         for m in (1, 2, 7, 12):
-            assert build_amn_polynomial(m).integer.degree == m + 1
+            assert len(build_amn_polynomial(m).integer.coeffs) == m + 2
 
     def test_extremes_match_closed_forms_up_to_30(self):
         for m in range(1, 31):
@@ -219,9 +219,10 @@ class TestFamilyMap:
 
 
 def sweep_b0(m):
-    """Every root of P_m with both signs, then four non-roots."""
+    """Every root of P_m with both signs, then six non-roots: the last two are the
+    largest --b0 the CLI accepts and a small one, both with large denominators."""
     roots = [F(s * (2 * j + 1), 3) for j in range(1, m + 2) for s in (1, -1)]
-    return [*roots, F(0), F(7, 5), F(-2), F(10**6, 7)]
+    return [*roots, F(0), F(7, 5), F(-2), F(10**6, 7), F(-4294967291, 4294967279), F(1, 100000)]
 
 
 class TestInstantiate:

@@ -172,9 +172,9 @@ class TestOracle:
     def test_repeated_root(self):
         assert rational_root_oracle(IntPoly([4, -4, 1])) == {2}
 
-    def test_constant_rejected(self):
-        with pytest.raises(ValueError, match="degree >= 1"):
-            rational_root_oracle(IntPoly([1]))
+    def test_constant_has_no_roots(self):
+        # the one primitive constant has no rational roots: the verdict fails, not the input
+        assert rational_root_oracle(IntPoly([1])) == frozenset()
 
     def test_large_prime_constant_has_no_roots(self):
         # t^2 + 1000003 has no root mod 5, so nothing is lifted
@@ -498,6 +498,13 @@ class TestSystemAtRoots:
         calls = count_exact_tests(monkeypatch)
         assert check_root_solutions(m, predicted_product(m + 1)) == ()
         assert [F(n, q) for _, n, q in calls] == [F(2 * j + 1, 3) ** 2 for j in range(1, m + 2)]
+
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_vanishing_closing_equation_fails(self, m, monkeypatch):
+        # p_m = t*q_m identically is no route to P_m, though it vanishes at every root
+        monkeypatch.setattr(roots, "coefficient_polynomials", lambda _: ((0,), (0,)))
+        bad = check_root_solutions(m, predicted_product(m))
+        assert bad == ("closing equation vanishes identically",)
 
     @pytest.mark.parametrize("m", [1, 3, 6])
     def test_broken_identity_is_evaluated_at_each_root(self, m, monkeypatch):
