@@ -46,6 +46,14 @@ GROUPS = {
         for grid in (0, 2, 5, 16)
         for m in range(51)
     ],
+    # lifted members (k < m): the deepest lift, a middle root, and --b0 = -5/3 (j = 2, -),
+    # which m = 0 does not solve
+    "field_members": [
+        *(["field", "--m", str(m), "--j", "1", "--sign", "-", "--grid", "2"] for m in range(51)),
+        *(["field", "--m", str(m), "--j", str(m // 2 + 1), "--grid", "2"] for m in range(51)),
+        *(["field", "--m", str(m), "--b0=-5/3", "--grid", "2"] for m in range(51)),
+        ["field", "--m", "50", "--j", "1", "--sign", "-", "--grid", "16"],
+    ],
     # the README's malformed and out-of-range inputs: each exits 2
     "errors": [
         ["mode", "--m", "1", "--b0", "1/0"],
@@ -75,6 +83,7 @@ DIGESTS = {
     "poly": "4f8dde48531812d37bd4a5f92e60fd0c0f3c6bb7404080f5cf158e11215835a8",
     "mode": "3e6e1098b40b25820c86f9d7444890e26750af52ac37f3bfbf1b1b049ee95cdc",
     "field": "94d03383671b676187f86b0bc73589e1ad25bcf24c8bba1c414ffecb0be0af5f",
+    "field_members": "df790046a86c5a96832f2a5279a59c8acfde3e0e0f952e60537b53757084e064",
     "errors": "390c72c26c4801032d0d0fd4710d4f4e57ff6a21f54d6c4e18b5b4bd2da0c7bf",
     "field_errors": "9818f28399f98887adb11ff5e50a003cd780a2ab12318088de3a74bd2b3c4c6e",
 }
