@@ -118,7 +118,7 @@ def cmd_field(args) -> tuple[Iterable[str], bool]:
     if args.extent < 0:
         raise ValueError("--extent is a half-width and must not be negative")
     from . import fields
-    f = fields.ZeroModeField(instantiate_solution(args.m, _select_b0(args)))
+    f = fields.ZeroModeField(args.m, _select_b0(args))
     # raises where the spinor underflows to zero, far out on a large --extent
     return fields.sample_grid(f, extent=args.extent, n=args.grid), True
 

@@ -5,14 +5,14 @@ Every verified order-m solution is the order-k designated one
 against the prefactor, so psi = <x>^-3 [F_k(s) + sign (-1)^k F_k(1-s) X] phi0
 with s = |x|^2/(1+|x|^2), X = i sigma.x, phi0 = (1, 0) and
 F_k(s) = 2F1(-k, k+3; 3/2; s) = k!/(3/2)_k P_k^(1/2,3/2)(1-2s), a Jacobi
-polynomial (DLMF 15.8.1, 18.5.7).  Construction checks the lifted
-closed-form coefficients exactly.  psi and (sigma.D) psi are evaluated on
-arrays of points; their radial parts depend on |x|^2 alone and are
-evaluated once per distinct |x|^2.  The L2 norm is a closed form in k,
-from the Jacobi norms.  No request runs the finite-difference Weyl-Dirac
-residual (with `_sigma_d` and `vector_potential`, which it reads),
-`designated` or the L2 norm: they stay because the bench harness in
-`perfbench/` calls them by name.
+polynomial (DLMF 15.8.1, 18.5.7).  A field is built from its request
+(m, b0) alone and checks its coefficients against the lifted closed form
+exactly.  psi and (sigma.D) psi are evaluated on arrays of points; their
+radial parts depend on |x|^2 alone and are evaluated once per distinct
+|x|^2.  The L2 norm is a closed form in k, from the Jacobi norms.  No
+request runs the finite-difference Weyl-Dirac residual (with `_sigma_d`
+and `vector_potential`, which it reads), `designated` or the L2 norm:
+the bench harness in `perfbench/` calls them by name.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .recurrence import AnsatzSolution, closed_form_solution, family_member, verify_system
+from .recurrence import closed_form_solution, family_b0, family_member, instantiate_solution, verify_system
 
 SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # sigma_1..3
 SPINOR_FLOOR = 1e-30  # |psi|^2 below this is a vanished spinor; the potential divides by it
@@ -55,22 +55,23 @@ def _radial_spinor(x, radial) -> np.ndarray:
 class ZeroModeField:
     """Evaluatable spinor field of order m with coupling h = 3*b0/<x>^2.
 
-    Construction verifies the coefficient system exactly, and that the
-    coefficients are the lifted closed form of (k, sign); it refuses
-    anything else.  `label` is the family index (j, sign) =
-    `family_member(b0)`, k = j-1.  Methods take points of shape (..., 3)
-    and return spinors of shape (..., 2).
+    Construction steps the coefficients at (m, b0) with `instantiate_solution`,
+    checks them exactly against the coefficient system and the lifted closed
+    form of (k, sign), and refuses anything else.  `label` is the family
+    index (j, sign) = `family_member(b0)`, k = j-1.  Methods take points of
+    shape (..., 3) and return spinors of shape (..., 2).
     """
 
-    def __init__(self, solution: AnsatzSolution):
+    def __init__(self, m: int, b0):
+        solution = instantiate_solution(m, b0)
         if any(r != 0 for r in verify_system(solution)):
             raise ValueError("coefficients do not solve the order-m system")
         j, self.sign = self.label = family_member(solution.b0)
         self.k = k = j - 1
-        closed = closed_form_solution(solution.m, k, self.sign)
+        closed = closed_form_solution(m, k, self.sign)
         if (closed.a, closed.b) != (solution.a, solution.b):
             raise ValueError("coefficients differ from the lifted closed form")
-        self.m = solution.m
+        self.m = m
         self.b0 = solution.b0
         self.a = solution.a
         self.b = solution.b
@@ -80,9 +81,8 @@ class ZeroModeField:
 
     @classmethod
     def designated(cls, m: int) -> "ZeroModeField":
-        """The designated member, j = m+1 with positive sign and b0 = (2m+3)/3, from its
-        closed form; the constructor still checks it against the coefficient system."""
-        return cls(closed_form_solution(m, m, 1))
+        """The designated member, j = m+1 with positive sign and b0 = (2m+3)/3."""
+        return cls(m, family_b0(m + 1))
 
     def _jacobi(self, y, n: int, shift: float = 0.0):
         """k!/(3/2)_k times P_n^(1/2+shift,3/2+shift)(y) and sign P_n^(3/2+shift,1/2+shift)(y)."""
@@ -209,7 +209,7 @@ def _grid_rows(f: ZeroModeField, extent: float, n: int) -> np.ndarray:
     return rows
 
 
-def sample_grid(f: ZeroModeField, extent: float = 2.0, n: int = 5):
+def sample_grid(f: ZeroModeField, extent: float, n: int):
     """Field samples on a cubic grid as CSV text chunks, x3 varying fastest.
 
     The rows are those of `_grid_rows`, which raises on the first bad row

@@ -175,15 +175,18 @@ def closed_form_solution(m: int, k: int, sign: int) -> AnsatzSolution:
     1 + |x|**2, in integers over one common denominator; the lift of an
     exact solution solves the next order's system (`root_theorem_failures`).
     """
+    if not 0 <= k <= m:
+        raise ValueError(f"closed form defined for k in 0..m, not k = {k} at m = {m}")
     a = [Fraction(1)]
     for n in range(1, k + 1):
         a.append(a[-1] * Fraction(-(k - n + 1) * (2 * k + 5 - 2 * n), n * (2 * n + 1)))
     b = [c * Fraction(sign * (2 * k + 3 - 2 * n), 2 * n + 3) for n, c in enumerate(a)]
-    den, ints = over_common_denominator(a, b)
-    for _ in range(m - k):
-        ints = [times_linear(cs, -1, 1) for cs in ints]
-    a, b = (tuple(Fraction(c, den) for c in cs) for cs in ints)
-    return AnsatzSolution(m, family_b0(k + 1, sign), a, b)
+    if m > k:
+        den, ints = over_common_denominator(a, b)
+        for _ in range(m - k):
+            ints = [times_linear(cs, -1, 1) for cs in ints]
+        a, b = ([Fraction(c, den) for c in cs] for cs in ints)
+    return AnsatzSolution(m, family_b0(k + 1, sign), tuple(a), tuple(b))
 
 
 def _residuals(m: int, beta: int, gamma: int, a, b) -> list:

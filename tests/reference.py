@@ -12,6 +12,7 @@ not show up as a disagreement.
 | `instantiate_solution` | `evaluate_pairs` on `matrix_chain_pairs` | `homogeneous` |
 | `verify_system` | `fraction_verify_system` | nothing |
 | the lift in `closed_form_solution` | `lift_solution` | `times_linear`, `verify_system` |
+| `closed_form_solution(k, k, sign)` | `jacobi_coefficients` | nothing |
 | `verify_factorization` | `deflate` | nothing |
 | `check_root_solutions` | `reference_root_solutions` on `matrix_chain_pairs` | `verify_system`, `homogeneous` |
 | `root_theorem_failures` | `monotonicity_check` | the build, `root_product`, `homogeneous` |
@@ -53,7 +54,6 @@ from amnmodes.recurrence import (
     AnsatzSolution,
     coefficient_polynomials,
     family_b0,
-    instantiate_solution,
     verify_system,
 )
 from amnmodes.roots import predicted_roots
@@ -243,6 +243,26 @@ def lift_solution(s: AnsatzSolution) -> AnsatzSolution:
     return AnsatzSolution(s.m + 1, s.b0, times_linear(s.a, -1, 1), times_linear(s.b, -1, 1))
 
 
+def jacobi_coefficients(k: int, sign: int) -> tuple[tuple, tuple]:
+    """The a and b of the order-k designated solution from the Jacobi form that
+    `ZeroModeField` evaluates: the reference route of `closed_form_solution(k, k, sign)`.
+
+    F_k(s) = sum c_n s^n, c_n = (-k)_n (k+3)_n / ((3/2)_n n!) (DLMF 18.5.7), and
+    psi = <x>^-3 [F_k(s) + sign (-1)^k F_k(1-s) X] phi0 with s = u/(1+u), u = |x|^2,
+    is <x>^-(3+2k) [A(u) + B(u) X] phi0 with A(u) = (1+u)^k F_k(u/(1+u)) and
+    B(u) = sign (-1)^k (1+u)^k F_k(1/(1+u)), expanded binomially in Fractions.
+    """
+    def rising(x, n):
+        return math.prod((x + i for i in range(n)), start=F(1))
+
+    c = [rising(-k, n) * rising(k + 3, n) / (rising(F(3, 2), n) * math.factorial(n))
+         for n in range(k + 1)]
+    a = tuple(sum(c[n] * math.comb(k - n, i - n) for n in range(i + 1)) for i in range(k + 1))
+    b = tuple(sign * (-1) ** k * sum(c[n] * math.comb(k - n, i) for n in range(k + 1))
+              for i in range(k + 1))
+    return a, b
+
+
 def deflate(p, r):
     """Exact synthetic division of p, ascending coefficients, by (t - r); r
     must be a root.
@@ -306,7 +326,7 @@ def enumerate_family(m: int) -> list[ZeroModeField]:
     """
     if m < 1:
         raise ValueError("family enumeration defined for m >= 1")
-    return [ZeroModeField(instantiate_solution(m, family_b0(j, sign)))
+    return [ZeroModeField(m, family_b0(j, sign))
             for j in range(1, m + 2) for sign in (1, -1)]
 
 

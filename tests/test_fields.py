@@ -12,6 +12,7 @@ from reference import (
     csv_reference,
     enumerate_family,
     fraction_l2,
+    jacobi_coefficients,
     lift_solution,
     loss_yau_residual,
     mp_psi,
@@ -56,7 +57,7 @@ def grid_rows_or_error(f: ZeroModeField, extent: float, n: int):
 def members(m: int) -> list[ZeroModeField]:
     """Every verified field of order m, m = 0 included."""
     if m == 0:
-        return [ZeroModeField.designated(0), ZeroModeField(instantiate_solution(0, -1))]
+        return [ZeroModeField.designated(0), ZeroModeField(0, -1)]
     return enumerate_family(m)
 
 
@@ -86,16 +87,19 @@ class TestEvaluation:
         assert np.allclose(psi, 2**-1.5 * np.array([1, 1j]))
 
     def test_construction_rejects_non_solution(self):
-        bad = AnsatzSolution(1, F(5, 3), (F(1), F(-5, 3) + F(1, 10)), (F(5, 3), F(-1)))
+        # b0**2 = 49/25 is no root of P_1, so the closing equation fails
         with pytest.raises(ValueError, match="do not solve"):
-            ZeroModeField(bad)
+            ZeroModeField(1, F(7, 5))
 
-    def test_construction_rejects_scaled_solution(self):
+    def test_construction_rejects_scaled_solution(self, monkeypatch):
         # twice a solution solves the linear system, but is not the closed form
-        s = instantiate_solution(2, F(5, 3))
-        scaled = AnsatzSolution(2, s.b0, tuple(2 * c for c in s.a), tuple(2 * c for c in s.b))
+        def scaled(m, b0):
+            s = instantiate_solution(m, b0)
+            return AnsatzSolution(m, s.b0, tuple(2 * c for c in s.a), tuple(2 * c for c in s.b))
+
+        monkeypatch.setattr(fields, "instantiate_solution", scaled)
         with pytest.raises(ValueError, match="closed form"):
-            ZeroModeField(scaled)
+            ZeroModeField(2, F(5, 3))
 
     @pytest.mark.parametrize("m", range(7))
     def test_matches_power_basis(self, m):
@@ -109,7 +113,7 @@ class TestEvaluation:
                 assert np.linalg.norm(psi - want) <= 1e-13 * np.linalg.norm(want), (f.label, x)
 
     def test_array_and_per_point_calls_agree(self):
-        f = ZeroModeField(instantiate_solution(4, F(-7, 3)))
+        f = ZeroModeField(4, F(-7, 3))
         points = np.random.default_rng(5).uniform(-3, 3, (4, 5, 3))
         got = f.evaluate(points)
         assert got.shape == (4, 5, 2)
@@ -143,8 +147,7 @@ class TestCoupling:
         assert f.h([1, 0, 0]) == pytest.approx(3.5)
 
     def test_sign_flip(self):
-        s = instantiate_solution(1, F(-5, 3))
-        f = ZeroModeField(s)
+        f = ZeroModeField(1, F(-5, 3))
         assert f.h([0, 0, 0]) == -5.0
 
 
@@ -247,18 +250,18 @@ class TestL2Norm:
         if m <= 12:
             assert_l2_closed_form(members(m))
         else:
-            k0 = ZeroModeField(instantiate_solution(m, 1))
+            k0 = ZeroModeField(m, 1)
             assert_l2_closed_form([ZeroModeField.designated(m), k0])
 
     @pytest.mark.parametrize("k", range(51))
     def test_closed_form_equals_beta_sum_per_k(self, k):
-        assert_l2_closed_form([ZeroModeField(instantiate_solution(m, F(sign * (2 * k + 3), 3)))
+        assert_l2_closed_form([ZeroModeField(m, F(sign * (2 * k + 3), 3))
                                for m in (k, k + 3) for sign in (1, -1)])
 
     def test_lift_leaves_the_norm(self):
         # lifting multiplies A, B by 1 + |x|^2 and the prefactor divides it out
         values = [l2_norm_squared(f) for f in members(4) if f.label == (2, -1)]
-        lifted = ZeroModeField(instantiate_solution(9, F(-5, 3)))
+        lifted = ZeroModeField(9, F(-5, 3))
         assert l2_norm_squared(lifted) == values[0]
 
 
@@ -311,11 +314,19 @@ def test_closed_form_is_repeated_lift(m):
             assert recurrence.closed_form_solution(m, k, sign) == s, (k, sign)
 
 
+@pytest.mark.parametrize("k", range(51))
+def test_closed_form_is_the_jacobi_form(k):
+    """The coefficients construction compares are those of the F_k that `evaluate` computes."""
+    for sign in (1, -1):
+        s = recurrence.closed_form_solution(k, k, sign)
+        assert (s.a, s.b) == jacobi_coefficients(k, sign), sign
+
+
 class TestRadialOncePerRadius:
     @pytest.mark.parametrize("m", range(51))
     def test_rows_equal_full_grid_route(self, m, monkeypatch):
         """`_grid_rows` gives the doubles of evaluating every point, bit for bit."""
-        for f in (ZeroModeField.designated(m), ZeroModeField(instantiate_solution(m, -1))):
+        for f in (ZeroModeField.designated(m), ZeroModeField(m, -1)):
             for n in (2, 5, 16):
                 for extent in (0.7, 2.0, 1e3):
                     got = grid_rows_or_error(f, extent, n)
@@ -333,7 +344,7 @@ class TestRadialOncePerRadius:
         array of one, the same path as a grid.
         """
         points = np.random.default_rng(9).uniform(-3, 3, (200, 3))
-        for f in (ZeroModeField.designated(7), ZeroModeField(instantiate_solution(7, F(-5, 3)))):
+        for f in (ZeroModeField.designated(7), ZeroModeField(7, F(-5, 3))):
             routes = ((f.evaluate, reference_evaluate), (f.sigma_d, reference_sigma_d))
             for method, reference in routes:
                 want = reference(f, points).view(np.int64)
@@ -359,11 +370,11 @@ class TestRadialOncePerRadius:
 
 class TestFamily:
     def test_designated_is_the_instantiated_member(self):
-        # designated builds from the closed form; the recurrence at b0 = (2m+3)/3 gives the same
+        # designated is the request (m, (2m+3)/3): the unlifted closed form, label (m+1, +)
         for m in range(51):
             f = ZeroModeField.designated(m)
-            s = instantiate_solution(m, recurrence.family_b0(m + 1))
-            assert (f.a, f.b) == (s.a, s.b), m
+            s = recurrence.closed_form_solution(m, m, 1)
+            assert (f.m, f.b0, f.a, f.b, f.label) == (m, s.b0, s.a, s.b, (m + 1, 1)), m
 
     def test_m1(self):
         fam = enumerate_family(1)
@@ -420,7 +431,7 @@ class TestCsvSampling:
     @pytest.mark.parametrize("m, b0", [(0, None), (50, None), (5, F(-7, 3))], ids=str)
     def test_one_repr_per_distinct_double_of_the_grid(self, m, b0, monkeypatch):
         # a double shared by two columns is formatted once, not once per column
-        f = ZeroModeField.designated(m) if b0 is None else ZeroModeField(instantiate_solution(m, b0))
+        f = ZeroModeField.designated(m) if b0 is None else ZeroModeField(m, b0)
         calls = []
 
         def counted(v):
@@ -441,7 +452,7 @@ class TestCsvSampling:
         Coordinates, psi and h are the same doubles; |psi|^2 and A agree to
         rounding, and the residual, itself rounding-sized, to 1e-15 |psi|.
         """
-        f = ZeroModeField.designated(m) if b0 is None else ZeroModeField(instantiate_solution(m, b0))
+        f = ZeroModeField.designated(m) if b0 is None else ZeroModeField(m, b0)
         extent, n = 2.0, 3
         expected = []
         for x1 in np.linspace(-extent, extent, n):
@@ -479,7 +490,7 @@ class TestCsvSampling:
         ids=str,
     )
     def test_bytes_match_csv_writer(self, m, b0, extent, n):
-        f = ZeroModeField.designated(m) if b0 is None else ZeroModeField(instantiate_solution(m, b0))
+        f = ZeroModeField.designated(m) if b0 is None else ZeroModeField(m, b0)
         want = csv_reference(f, extent, n)
         assert "".join(sample_grid(f, extent=extent, n=n)) == want
         if b0 == F(-7, 3):

@@ -24,6 +24,7 @@ from reference import (
 from amnmodes.recurrence import (
     build_amn_polynomial,
     closed_form_extremes,
+    closed_form_solution,
     coefficient_polynomials,
     family_b0,
     family_member,
@@ -202,6 +203,12 @@ class TestClosedForms:
         c, _ = closed_form_extremes(3)
         assert amn.scale * (-c) == 11025
         assert amn.integer.coeffs[0] == 11025
+
+    @pytest.mark.parametrize("m, k", [(2, 5), (2, 3), (0, 1), (0, -1), (3, -1)])
+    def test_closed_form_solution_refuses_k_outside_0_to_m(self, m, k):
+        # the order-k form lifted to a lower order m does not exist
+        with pytest.raises(ValueError, match="k in 0..m"):
+            closed_form_solution(m, k, 1)
 
 
 class TestFamilyMap:
