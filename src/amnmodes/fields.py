@@ -57,25 +57,20 @@ class ZeroModeField:
 
     Construction steps the coefficients at (m, b0) with `instantiate_solution`,
     checks them exactly against the coefficient system and the lifted closed
-    form of (k, sign), and refuses anything else.  `label` is the family
-    index (j, sign) = `family_member(b0)`, k = j-1.  Methods take points of
-    shape (..., 3) and return spinors of shape (..., 2).
+    form of (k, sign), and refuses anything else; then it keeps only (k, sign),
+    k = j-1 for (j, sign) = `family_member(b0)`, which is all that it evaluates.
+    Methods take points of shape (..., 3) and return spinors of shape (..., 2).
     """
 
     def __init__(self, m: int, b0):
         solution = instantiate_solution(m, b0)
         if any(r != 0 for r in verify_system(solution)):
             raise ValueError("coefficients do not solve the order-m system")
-        j, self.sign = self.label = family_member(solution.b0)
+        j, self.sign = family_member(solution.b0)
         self.k = k = j - 1
         closed = closed_form_solution(m, k, self.sign)
         if (closed.a, closed.b) != (solution.a, solution.b):
             raise ValueError("coefficients differ from the lifted closed form")
-        self.m = m
-        self.b0 = solution.b0
-        self.a = solution.a
-        self.b = solution.b
-        self.alpha = 3 * solution.b0
         # k!/(3/2)_k, which turns P_k^(1/2,3/2)(1-2s) into F_k(s)
         self._norm = float(Fraction(math.factorial(k) * 2**k, math.prod(range(3, 2 * k + 2, 2))))
 
@@ -115,9 +110,9 @@ class ZeroModeField:
         return _radial_spinor(x, radial)
 
     def h(self, x):
-        """The coupling 3*b0/<x>^2 at points x."""
+        """The coupling 3*b0/<x>^2 at points x; 3*b0 = sign (2k+3) exactly."""
         x = np.asarray(x, dtype=float)
-        return float(self.alpha) / (1.0 + np.sum(x * x, axis=-1))
+        return float(self.sign * (2 * self.k + 3)) / (1.0 + np.sum(x * x, axis=-1))
 
     def vector_potential(self, x) -> np.ndarray:
         """A(x) = h(x) * spin_density(psi(x)) / |psi(x)|^2."""

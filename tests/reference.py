@@ -16,17 +16,21 @@ not show up as a disagreement.
 | `verify_factorization` | `deflate` | nothing |
 | `check_root_solutions` | `reference_root_solutions` on `matrix_chain_pairs` | `verify_system`, `homogeneous` |
 | `root_theorem_failures` | `monotonicity_check` | the build, `root_product`, `homogeneous` |
-| `ZeroModeField.evaluate` | `reference_evaluate`; `PowerBasisField`; `mp_psi` | `_jacobi`, `_spinor` (first) |
+| `ZeroModeField.evaluate` | `reference_evaluate`; `PowerBasisField` and `mp_psi` on the solution | `_jacobi`, `_spinor` (first) |
 | `ZeroModeField.sigma_d` | `reference_sigma_d`; `fields._sigma_d` | `_jacobi`, `_spinor` (first) |
 | sigma.D psi = h psi | `loss_yau_residual` | `evaluate`, `h`, `_sigma_d` |
-| `l2_norm_squared` | `beta_sum_l2`; `fraction_l2`; `quadrature_l2` | `over_common_denominator` (first) |
+| `l2_norm_squared` | `beta_sum_l2`, `fraction_l2` and `quadrature_l2` on the solution | `over_common_denominator` (first) |
 | `sample_grid` | `csv_reference` | `_grid_rows` |
+
+A field keeps only its family member (k, sign), so the routes marked "on
+the solution" read the coefficients of `instantiate_solution(m, b0)` for
+the request (m, b0) that built the field (`PowerBasisField` holds them).
 
 Helpers on ascending coefficient tuples: `trim`, `add`, `mul`, `horner`,
 `rational_form` and its inverse `rational_primitive_form`.
 `pair_denominator` is the D of the chain's closing pair, `plus_one` is a
-tampered P_m, and `enumerate_family` lists every verified field of an
-order.
+tampered P_m, and `enumerate_family` lists every member (b0, field) of
+an order.
 """
 
 import csv
@@ -318,16 +322,14 @@ def monotonicity_check(m_max):
     return tuple(failures)
 
 
-def enumerate_family(m: int) -> list[ZeroModeField]:
-    """All 2(m+1) verified fields of order m, both root signs.
+def enumerate_family(m: int) -> list[tuple[Fraction, ZeroModeField]]:
+    """(b0, ZeroModeField(m, b0)) for all 2(m+1) verified fields of order m.
 
     Ordered by (j, sign) with the positive sign first; the designated
     field is the (j = m+1, +) member.
     """
-    if m < 1:
-        raise ValueError("family enumeration defined for m >= 1")
-    return [ZeroModeField(m, family_b0(j, sign))
-            for j in range(1, m + 2) for sign in (1, -1)]
+    b0s = [family_b0(j, sign) for j in range(1, m + 2) for sign in (1, -1)]
+    return [(b0, ZeroModeField(m, b0)) for b0 in b0s]
 
 
 class PowerBasisField:
@@ -365,14 +367,14 @@ class PowerBasisField:
         return (1.0 + r * r) ** (-(3 + 2 * self.m)) * (amp_a**2 + r * r * amp_b**2)
 
 
-def mp_psi(f: ZeroModeField, x) -> list:
-    """psi at x from the exact a_n, b_n in the power basis, to 50 digits."""
+def mp_psi(s: AnsatzSolution, x) -> list:
+    """psi at x from the exact a_n, b_n of s in the power basis, to 50 digits."""
     with mpmath.workdps(50):
         x1, x2, x3 = (mpmath.mpf(float(v)) for v in x)
         u = x1 * x1 + x2 * x2 + x3 * x3
-        amp_a = mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator for c in reversed(f.a)], u)
-        amp_b = mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator for c in reversed(f.b)], u)
-        pref = (1 + u) ** (-mpmath.mpf(3 + 2 * f.m) / 2)
+        amp_a = mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator for c in reversed(s.a)], u)
+        amp_b = mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator for c in reversed(s.b)], u)
+        pref = (1 + u) ** (-mpmath.mpf(3 + 2 * s.m) / 2)
         return [
             complex(pref * amp_a, pref * amp_b * x3),
             complex(-pref * amp_b * x2, pref * amp_b * x1),
@@ -416,14 +418,15 @@ def quadrature_l2(f: PowerBasisField) -> float:
     return 4 * math.pi * (head + tail)
 
 
-def fraction_l2(f: ZeroModeField) -> float:
-    """The reference route for the exact L2 norm: the Beta-integral sum, term by term in Fraction."""
-    big_n = 2 * f.m + 2
+def fraction_l2(s: AnsatzSolution) -> float:
+    """The reference route for the exact L2 norm: the Beta-integral sum over the
+    coefficients of s, term by term in Fraction."""
+    big_n = 2 * s.m + 2
     c = [F(0)] * big_n  # A^2 + u B^2, ascending in u
-    for i in range(f.m + 1):
-        for j in range(f.m + 1):
-            c[i + j] += f.a[i] * f.a[j]
-            c[i + j + 1] += f.b[i] * f.b[j]
+    for i in range(s.m + 1):
+        for j in range(s.m + 1):
+            c[i + j] += s.a[i] * s.a[j]
+            c[i + j + 1] += s.b[i] * s.b[j]
     radial = sum(
         cn * F(math.comb(2 * p, p) * math.comb(2 * q, q), math.comb(big_n, p))
         for p, q, cn in zip(range(1, big_n + 1), range(big_n - 1, -1, -1), c)
@@ -431,18 +434,18 @@ def fraction_l2(f: ZeroModeField) -> float:
     return float(2 * radial / 4**big_n) * math.pi**2
 
 
-def beta_sum_l2(f: ZeroModeField) -> Fraction:
-    """The reference route for the closed-form L2 norm: the norm over pi^2, exactly.
+def beta_sum_l2(s: AnsatzSolution) -> Fraction:
+    """The reference route for the closed-form L2 norm: the norm over pi^2 of s, exactly.
 
     |psi|^2 = (1 + r^2)^-(N+1) (A(r^2)^2 + r^2 B(r^2)^2) with N = 2m + 2, and
     int_0^inf r^2p (1 + r^2)^-(N+1) dr = B(p + 1/2, N - p + 1/2)/2
     = pi C(2p, p) C(2N-2p, N-p) / (2 4^N C(N, p)), summed in integers.
     """
-    big_n = 2 * f.m + 2
-    den, (a, b) = over_common_denominator(f.a, f.b)
+    big_n = 2 * s.m + 2
+    den, (a, b) = over_common_denominator(s.a, s.b)
     c = [0] * big_n  # den^2 (A^2 + u B^2), ascending in u
-    for i in range(f.m + 1):
-        for j in range(f.m + 1):
+    for i in range(s.m + 1):
+        for j in range(s.m + 1):
             c[i + j] += a[i] * a[j]
             c[i + j + 1] += b[i] * b[j]
     binom = [math.comb(big_n, p) for p in range(1, big_n + 1)]

@@ -22,7 +22,13 @@ from amnmodes import roots
 from amnmodes.cli import B0_BITS, FIELD_GRID_MAX, FIELD_M_MAX, POLY_M_MAX, main
 from amnmodes.fields import ZeroModeField, sample_grid
 from amnmodes.polynomials import IntPoly
-from amnmodes.recurrence import AmnPolynomial, build_amn_polynomial, root_theorem_failures
+from amnmodes.recurrence import (
+    AmnPolynomial,
+    build_amn_polynomial,
+    family_b0,
+    instantiate_solution,
+    root_theorem_failures,
+)
 
 
 def run(args):
@@ -234,10 +240,10 @@ class TestField:
         assert run([*argv, "-o", str(out)]) == 0
         rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
         assert len(rows) == 8
-        f = ZeroModeField.designated(50)
+        s = instantiate_solution(50, family_b0(51))  # the --designated request
         for row in rows:
             psi = np.array([complex(row[3], row[4]), complex(row[5], row[6])])
-            want = np.array(mp_psi(f, row[:3]))
+            want = np.array(mp_psi(s, row[:3]))
             assert np.linalg.norm(psi - want) <= 1e-12 * np.linalg.norm(want)
             assert row[12] <= 1e-7 * math.sqrt(row[7])
             assert row[11] == pytest.approx(103 / (1 + 3e6), rel=1e-15)

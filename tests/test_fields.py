@@ -32,17 +32,18 @@ from amnmodes.fields import (
     spin_density,
     weyl_dirac_residual,
 )
-from amnmodes.recurrence import AnsatzSolution, instantiate_solution
+from amnmodes.recurrence import AnsatzSolution, family_b0, family_member, instantiate_solution
 
 F = Fraction
 
 
-def assert_l2_closed_form(fs) -> None:
-    """`l2_norm_squared` is 2(2k+3) pi^2 / (3(k+1)(k+2)), equal to the Beta sum exactly."""
-    for f in fs:
+def assert_l2_closed_form(m: int, members) -> None:
+    """For each (b0, field) of order m, `l2_norm_squared` is 2(2k+3) pi^2 / (3(k+1)(k+2)),
+    equal to the Beta sum of `instantiate_solution(m, b0)` exactly."""
+    for b0, f in members:
         closed = Fraction(2 * (2 * f.k + 3), 3 * (f.k + 1) * (f.k + 2))
-        assert beta_sum_l2(f) == closed, (f.m, f.label)
-        assert l2_norm_squared(f) == float(closed) * math.pi**2, (f.m, f.label)
+        assert beta_sum_l2(instantiate_solution(m, b0)) == closed, (m, b0)
+        assert l2_norm_squared(f) == float(closed) * math.pi**2, (m, b0)
 
 
 def grid_rows_or_error(f: ZeroModeField, extent: float, n: int):
@@ -52,13 +53,6 @@ def grid_rows_or_error(f: ZeroModeField, extent: float, n: int):
         return rows.shape, rows.tobytes()
     except (ValueError, FloatingPointError) as exc:
         return type(exc), str(exc)
-
-
-def members(m: int) -> list[ZeroModeField]:
-    """Every verified field of order m, m = 0 included."""
-    if m == 0:
-        return [ZeroModeField.designated(0), ZeroModeField(0, -1)]
-    return enumerate_family(m)
 
 
 @pytest.fixture(scope="module")
@@ -105,12 +99,12 @@ class TestEvaluation:
     def test_matches_power_basis(self, m):
         rng = np.random.default_rng(m)
         points = rng.uniform(-2, 2, (50, 3))
-        for f in members(m):
-            ref = PowerBasisField(AnsatzSolution(f.m, f.b0, f.a, f.b))
+        for b0, f in enumerate_family(m):
+            ref = PowerBasisField(instantiate_solution(m, b0))
             got = f.evaluate(points)
             for x, psi in zip(points, got):
                 want = ref.evaluate(x)
-                assert np.linalg.norm(psi - want) <= 1e-13 * np.linalg.norm(want), (f.label, x)
+                assert np.linalg.norm(psi - want) <= 1e-13 * np.linalg.norm(want), (b0, x)
 
     def test_array_and_per_point_calls_agree(self):
         f = ZeroModeField(4, F(-7, 3))
@@ -235,32 +229,33 @@ class TestL2Norm:
 
     @pytest.mark.parametrize("m", range(7))
     def test_matches_quadrature(self, m):
-        for f in (ZeroModeField.designated(m), members(m)[1]):
-            ref = quadrature_l2(PowerBasisField(AnsatzSolution(f.m, f.b0, f.a, f.b)))
-            assert abs(l2_norm_squared(f) - ref) <= 1e-9 * ref, f.label
+        for b0 in (family_b0(m + 1), -1):  # the designated and the (j = 1, -) member
+            ref = quadrature_l2(PowerBasisField(instantiate_solution(m, b0)))
+            assert abs(l2_norm_squared(ZeroModeField(m, b0)) - ref) <= 1e-9 * ref, b0
 
     @pytest.mark.parametrize("m", [*range(13), 50])
     def test_equals_fraction_reference(self, m):
-        for f in members(m) if m <= 12 else [ZeroModeField.designated(m)]:
-            assert l2_norm_squared(f) == fraction_l2(f), f.label
+        members = enumerate_family(m) if m <= 12 else [(family_b0(m + 1), ZeroModeField.designated(m))]
+        for b0, f in members:
+            assert l2_norm_squared(f) == fraction_l2(instantiate_solution(m, b0)), b0
 
     @pytest.mark.parametrize("m", [*range(13), 100, 200, 500])
     def test_closed_form_equals_beta_sum(self, m):
         """Every member up to m = 12; the designated and k = 0 members above."""
         if m <= 12:
-            assert_l2_closed_form(members(m))
+            assert_l2_closed_form(m, enumerate_family(m))
         else:
-            k0 = ZeroModeField(m, 1)
-            assert_l2_closed_form([ZeroModeField.designated(m), k0])
+            assert_l2_closed_form(m, [(b0, ZeroModeField(m, b0)) for b0 in (family_b0(m + 1), 1)])
 
     @pytest.mark.parametrize("k", range(51))
     def test_closed_form_equals_beta_sum_per_k(self, k):
-        assert_l2_closed_form([ZeroModeField(m, F(sign * (2 * k + 3), 3))
-                               for m in (k, k + 3) for sign in (1, -1)])
+        b0s = (family_b0(k + 1), family_b0(k + 1, -1))
+        for m in (k, k + 3):
+            assert_l2_closed_form(m, [(b0, ZeroModeField(m, b0)) for b0 in b0s])
 
     def test_lift_leaves_the_norm(self):
         # lifting multiplies A, B by 1 + |x|^2 and the prefactor divides it out
-        values = [l2_norm_squared(f) for f in members(4) if f.label == (2, -1)]
+        values = [l2_norm_squared(f) for b0, f in enumerate_family(4) if b0 == F(-5, 3)]
         lifted = ZeroModeField(9, F(-5, 3))
         assert l2_norm_squared(lifted) == values[0]
 
@@ -270,20 +265,20 @@ class TestAnalyticSigmaD:
     def test_matches_finite_differences(self, m):
         rng = np.random.default_rng(100 + m)
         points = rng.uniform(-2, 2, (20, 3))
-        for f in members(m):
+        for b0, f in enumerate_family(m):
             got = f.sigma_d(points)
             for x, val in zip(points, got):
                 fd = _sigma_d(f.evaluate, x, 1e-3)
                 scale = np.linalg.norm(f.evaluate(x))
-                assert np.linalg.norm(val - fd) <= 1e-7 * scale, (f.label, x)
+                assert np.linalg.norm(val - fd) <= 1e-7 * scale, (b0, x)
 
     def test_loss_yau_equation(self):
         # sigma.D psi = h psi holds for every member, far out too
         points = np.random.default_rng(8).normal(size=(200, 3)) * np.logspace(-2, 3, 200)[:, None]
-        for f in members(5):
+        for b0, f in enumerate_family(5):
             psi = f.evaluate(points)
             res = np.linalg.norm(f.sigma_d(points) - f.h(points)[:, None] * psi, axis=-1)
-            assert np.all(res <= 1e-12 * np.linalg.norm(psi, axis=-1)), f.label
+            assert np.all(res <= 1e-12 * np.linalg.norm(psi, axis=-1)), b0
 
 
 @pytest.mark.parametrize("m", range(51))
@@ -294,14 +289,15 @@ def test_every_accepted_order(m):
     # one point per decade of radius, in random directions
     directions = rng.normal(size=(4, 3))
     points = directions / np.linalg.norm(directions, axis=1)[:, None] * [[0.05], [0.7], [4.0], [60.0]]
-    for f in members(m):
+    for b0, f in enumerate_family(m):
+        s = instantiate_solution(m, b0)
         psi = f.evaluate(points)
         for x, got in zip(points, psi):
-            want = np.array(mp_psi(f, x))
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (f.label, x)
+            want = np.array(mp_psi(s, x))
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (b0, x)
         sigma_a = np.einsum("pk,kij->pij", f.vector_potential(points), SIGMA)
         residual = np.linalg.norm(f.sigma_d(points) - np.einsum("pij,pj->pi", sigma_a, psi), axis=-1)
-        assert np.all(residual <= 1e-7 * np.linalg.norm(psi, axis=-1)), f.label
+        assert np.all(residual <= 1e-7 * np.linalg.norm(psi, axis=-1)), b0
 
 
 @pytest.mark.parametrize("m", range(11))
@@ -314,7 +310,7 @@ def test_closed_form_is_repeated_lift(m):
             assert recurrence.closed_form_solution(m, k, sign) == s, (k, sign)
 
 
-@pytest.mark.parametrize("k", range(51))
+@pytest.mark.parametrize("k", [*range(51), 100, 200])
 def test_closed_form_is_the_jacobi_form(k):
     """The coefficients construction compares are those of the F_k that `evaluate` computes."""
     for sign in (1, -1):
@@ -334,7 +330,7 @@ class TestRadialOncePerRadius:
                         patch.setattr(ZeroModeField, "evaluate", reference_evaluate)
                         patch.setattr(ZeroModeField, "sigma_d", reference_sigma_d)
                         want = grid_rows_or_error(f, extent, n)
-                    assert got == want, (f.label, n, extent)
+                    assert got == want, (f.k, f.sign, n, extent)
 
     def test_per_point_calls_equal_full_grid_route(self):
         """Each point on its own gets the doubles the full-grid route gives it in an array.
@@ -349,7 +345,7 @@ class TestRadialOncePerRadius:
             for method, reference in routes:
                 want = reference(f, points).view(np.int64)
                 got = np.array([method(x) for x in points]).view(np.int64)
-                assert np.array_equal(got, want), f.label
+                assert np.array_equal(got, want), (f.k, f.sign)
 
     def test_jacobi_once_per_distinct_radius(self, monkeypatch):
         sizes = []
@@ -370,24 +366,28 @@ class TestRadialOncePerRadius:
 
 class TestFamily:
     def test_designated_is_the_instantiated_member(self):
-        # designated is the request (m, (2m+3)/3): the unlifted closed form, label (m+1, +)
+        # designated is the request (m, (2m+3)/3): the unlifted closed form, member (k, +) = (m, +)
         for m in range(51):
             f = ZeroModeField.designated(m)
             s = recurrence.closed_form_solution(m, m, 1)
-            assert (f.m, f.b0, f.a, f.b, f.label) == (m, s.b0, s.a, s.b, (m + 1, 1)), m
+            assert instantiate_solution(m, family_b0(m + 1)) == s, m
+            assert (f.k, f.sign) == (m, 1), m
+        # a lifted member is the field of its k: every (m, b0) builds what (k, b0) builds
+        for m in range(13):
+            for b0, f in enumerate_family(m):
+                j, _ = family_member(b0)
+                assert vars(f) == vars(ZeroModeField(j - 1, b0)), (m, b0)
 
     def test_m1(self):
         fam = enumerate_family(1)
-        assert [f.label for f in fam] == [(1, 1), (1, -1), (2, 1), (2, -1)]
-        assert len(fam) == 4
-        assert sorted(f.b0 for f in fam) == [F(-5, 3), -1, 1, F(5, 3)]
-        designated = [f for f in fam if f.label == (2, 1)]
-        assert designated[0].b0 == F(5, 3)
+        assert [b0 for b0, _ in fam] == [1, -1, F(5, 3), F(-5, 3)]
+        assert [(f.k, f.sign) for _, f in fam] == [(0, 1), (0, -1), (1, 1), (1, -1)]
+        assert vars(fam[2][1]) == vars(ZeroModeField.designated(1))
 
     def test_m3(self):
         fam = enumerate_family(3)
         assert len(fam) == 8
-        assert {abs(f.b0) for f in fam} == {1, F(5, 3), F(7, 3), 3}
+        assert {abs(b0) for b0, _ in fam} == {1, F(5, 3), F(7, 3), 3}
 
     def test_builds_no_pair_chain(self, monkeypatch):
         original = recurrence.coefficient_polynomials
