@@ -8,9 +8,9 @@ field value) -> 1, OSError or ValueError (a NUL byte in the path) while
 writing -> 3, each with one `error:` line and no output; otherwise the
 text is written and the verdict gives 0 or 1.  Large integers are
 serialized as decimal strings; native JSON numbers lose precision once
-coefficients pass 2**53.  `fields` loads numpy and the oracle in
-`roots` imports it when it runs, so only the commands that use them
-import them: `poly`, `mode` and `bench` load neither.
+coefficients pass 2**53.  numpy and scipy load only here: `verify` imports
+`roots` (numpy) and `field` `fields` (numpy and scipy), each once its
+arguments are checked, so `poly`, `mode` and `bench` load neither.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .recurrence import (build_amn_polynomial, family_b0, instantiate_solution, polynomial_report,
-                         solution_report)
+                         solution_report, timed)
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -117,8 +117,9 @@ def cmd_field(args) -> tuple[Iterable[str], bool]:
         raise ValueError("--extent must be finite")
     if args.extent < 0:
         raise ValueError("--extent is a half-width and must not be negative")
+    b0 = _select_b0(args)
     from . import fields
-    f = fields.ZeroModeField(args.m, _select_b0(args))
+    f = fields.ZeroModeField(args.m, b0)
     # raises where the spinor underflows to zero, far out on a large --extent
     return fields.sample_grid(f, extent=args.extent, n=args.grid), True
 
@@ -126,11 +127,10 @@ def cmd_field(args) -> tuple[Iterable[str], bool]:
 def cmd_bench(args) -> tuple[Iterable[str], bool]:
     if not 1 <= args.m_max <= POLY_M_MAX:
         raise ValueError(f"bench defined for m-max in 1..{POLY_M_MAX}")
-    from . import roots
     rows = []
     for m in range(1, args.m_max + 1):
         row = {"m": m}
-        amn = roots.timed(row, "build_ms", build_amn_polynomial, m)
+        amn = timed(row, "build_ms", build_amn_polynomial, m)
         row["max_coefficient_bits"] = max(abs(c).bit_length() for c in amn.integer.coeffs)
         rows.append(row)
     return (json.dumps(rows, indent=2),), True

@@ -21,6 +21,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import eval_jacobi
 
 from .recurrence import closed_form_solution, family_b0, family_member, instantiate_solution, verify_system
 
@@ -81,8 +82,6 @@ class ZeroModeField:
 
     def _jacobi(self, y, n: int, shift: float = 0.0):
         """k!/(3/2)_k times P_n^(1/2+shift,3/2+shift)(y) and sign P_n^(3/2+shift,1/2+shift)(y)."""
-        from scipy.special import eval_jacobi  # here, so that only field requests import scipy
-
         return (
             self._norm * eval_jacobi(n, 0.5 + shift, 1.5 + shift, y),
             self.sign * self._norm * eval_jacobi(n, 1.5 + shift, 0.5 + shift, y),

@@ -35,6 +35,7 @@ which is how `build_amn_polynomial` makes it.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -297,3 +298,11 @@ def solution_report(s: AnsatzSolution) -> dict:
         "b": [rational_to_string(x) for x in s.b],
         "residuals": [rational_to_string(r) for r in verify_system(s)],
     }
+
+
+def timed(timings: dict, key: str, fn, *args):
+    """fn(*args), with its wall time in milliseconds stored as timings[key]."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    timings[key] = (time.perf_counter() - t0) * 1000
+    return result

@@ -10,10 +10,11 @@ polynomials modulo word-size moduli only, where every sum fits int64.
 from __future__ import annotations
 
 import math
-import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice, zip_longest
+
+import numpy as np
 
 from .polynomials import IntPoly, homogeneous, primitive_integer_form, rational_to_string, times_linear
 from .recurrence import (
@@ -23,6 +24,7 @@ from .recurrence import (
     coefficient_polynomials,
     family_b0,
     root_theorem_failures,
+    timed,
 )
 
 
@@ -105,8 +107,6 @@ def _values_and_slopes(f: tuple, xs, mod: int) -> tuple[list[int], list[int]]:
     if n * mod * mod >= 2**63:
         pairs = [_value_and_slope(f, x, mod) for x in xs]
         return [v for v, _ in pairs], [d for _, d in pairs]
-    import numpy as np  # here, so that only requests that run the oracle import numpy
-
     df = [k * c % mod for k, c in enumerate(f)][1:]
     width = math.isqrt(n - 1) + 1  # B, with B * B >= n
     blocks = -(-n // width)
@@ -301,14 +301,6 @@ def check_root_solutions(m: int, product: IntPoly) -> tuple:
         if homogeneous(closing, t.numerator, t.denominator) != 0:
             bad += (b0, -b0)
     return bad
-
-
-def timed(timings: dict, key: str, fn, *args):
-    """fn(*args), with its wall time in milliseconds stored as timings[key]."""
-    t0 = time.perf_counter()
-    result = fn(*args)
-    timings[key] = (time.perf_counter() - t0) * 1000
-    return result
 
 
 def verification_report(m: int) -> tuple[dict, bool]:

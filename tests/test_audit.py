@@ -26,6 +26,10 @@ harness alone, and ROADMAP plans to remove them with a change to
 `perfbench/`: `fields._sigma_d`, `fields.weyl_dirac_residual`,
 `fields.ZeroModeField.vector_potential`, `fields.ZeroModeField.designated`
 and `fields.l2_norm_squared`.
+
+Imports: no module but `cli` imports inside a function, so `cli` alone
+decides which command loads numpy and scipy, and no stage time that a
+report gives includes an import.
 """
 
 import ast
@@ -202,6 +206,16 @@ def test_src_imports_no_test_module(package):
                 parts = {p for name in names for p in name.split(".")}
                 assert not any(p in ("reference", "tests") or p.startswith("test_") for p in parts), (
                     module, ast.unparse(node))
+
+
+def test_only_cli_imports_inside_a_function(package):
+    """`cli` alone decides, command by command, which modules a request loads."""
+    for module, tree in package.modules.items():
+        if module != "cli":
+            functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+            imports = [n for f in functions for n in ast.walk(f)
+                       if isinstance(n, (ast.Import, ast.ImportFrom))]
+            assert not imports, (module, [ast.unparse(n) for n in imports])
 
 
 def test_src_holds_only_what_a_request_or_the_bench_runs(package, monkeypatch):

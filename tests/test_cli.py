@@ -478,27 +478,56 @@ def test_child_with_closed_stdout_exits_3():
     assert child.stderr == "error: cannot write output: stdout is closed\n"
 
 
+def child_stdout(script, *argv) -> str:
+    """The stdout of `script` run with `argv` in a fresh interpreter; this one
+    has imported numpy and scipy for other tests."""
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env=child_env(), check=True).stdout
+
+
 def loaded_in_child(argv, tmp_path, module):
     """Whether `main(argv)` loads `module` in a fresh interpreter, after it exits 0
-    with output; this one has imported numpy and scipy for other tests."""
+    with output."""
     script = ("import sys; from amnmodes.cli import main; "
               f"print(main(sys.argv[1:]), {module!r} in sys.modules)")
-    child = subprocess.run([sys.executable, "-c", script, *argv, "-o", str(tmp_path / "out")],
-                           capture_output=True, text=True, env=child_env(), check=True)
-    rc, loaded = child.stdout.split()
+    rc, loaded = child_stdout(script, *argv, "-o", str(tmp_path / "out")).split()
     assert rc == "0" and (tmp_path / "out").stat().st_size > 0
     return loaded == "True"
 
 
-@pytest.mark.parametrize("argv", [
+EVERY_COMMAND = pytest.mark.parametrize("argv", [
     ["poly", "--m", "3"],
     ["verify", "--m", "3"],
     ["mode", "--m", "3", "--designated"],
     ["bench", "--m-max", "3"],
     ["field", "--m", "3", "--designated", "--grid", "2"],
 ], ids=lambda argv: argv[0])
+
+
+@EVERY_COMMAND
 def test_only_field_imports_scipy(argv, tmp_path):
     assert loaded_in_child(argv, tmp_path, "scipy") == (argv[0] == "field")
+
+
+@EVERY_COMMAND
+def test_each_command_loads_only_the_modules_it_runs(argv, tmp_path):
+    runs = {"verify": "amnmodes.roots", "field": "amnmodes.fields"}
+    for module in ("amnmodes.roots", "amnmodes.fields"):
+        assert loaded_in_child(argv, tmp_path, module) == (runs.get(argv[0]) == module), module
+
+
+def test_verification_imports_nothing_once_roots_is_loaded():
+    """Every module the oracle needs is loaded with `roots`, so no stage time
+    of `verify` includes an import."""
+    script = ("import sys; from amnmodes import roots; before = set(sys.modules); "
+              "roots.verification_report(3); print(sorted(set(sys.modules) - before))")
+    assert child_stdout(script) == "[]\n"
+
+
+def test_malformed_field_selector_loads_no_numpy():
+    script = ("import sys; from amnmodes.cli import main; "
+              "print(main(['field', '--m', '1', '--b0', '1/0']), 'numpy' in sys.modules)")
+    assert child_stdout(script) == "2 False\n"
 
 
 @pytest.mark.parametrize("argv", [

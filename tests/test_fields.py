@@ -5,18 +5,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.special
 from reference import (
     PowerBasisField,
     beta_sum_l2,
     csv_reference,
     enumerate_family,
     fraction_l2,
+    horner,
     jacobi_coefficients,
     lift_solution,
     loss_yau_residual,
     mp_psi,
     quadrature_l2,
+    rational_form,
     reference_evaluate,
     reference_sigma_d,
 )
@@ -32,7 +33,13 @@ from amnmodes.fields import (
     spin_density,
     weyl_dirac_residual,
 )
-from amnmodes.recurrence import AnsatzSolution, family_b0, family_member, instantiate_solution
+from amnmodes.recurrence import (
+    AnsatzSolution,
+    build_amn_polynomial,
+    family_b0,
+    family_member,
+    instantiate_solution,
+)
 
 F = Fraction
 
@@ -197,6 +204,22 @@ class TestLossYauResidual:
         residuals = [loss_yau_residual(f, x, h) for h in (1e-2, 1e-3, 1e-4)]
         assert min(residuals) >= 1e-3
 
+    @pytest.mark.parametrize("m, b0", [(3, F(7, 5)), (8, F(-1, 3))])
+    def test_defect_size_off_the_roots(self, m, b0):
+        """|sigma.D psi - h psi| = 3 |P_m(b0^2)| |x|^(2m+1) (1+|x|^2)^-(m+5/2) at a
+        non-root b0, whose only nonzero residual is the closing one, -P_m(b0^2).
+        Points lie at 0.5 <= |x| <= 2.6: nearer the origin the defect, of order
+        |x|^(2m+1), sinks below the finite-difference error."""
+        p = abs(float(horner(rational_form(build_amn_polynomial(m)), b0 * b0)))
+        f = PowerBasisField(instantiate_solution(m, b0))
+        rng = np.random.default_rng(20)
+        directions = rng.normal(size=(20, 3))
+        points = directions / np.linalg.norm(directions, axis=1)[:, None] * rng.uniform(0.5, 2.6, (20, 1))
+        for x in points:
+            u = float(x @ x)
+            want = 3 * p * u ** (m + 0.5) * (1 + u) ** -(m + 2.5)
+            assert abs(loss_yau_residual(f, x) - want) <= 1e-7 * want, x
+
     def test_step_must_be_positive(self, order1):
         with pytest.raises(ValueError):
             loss_yau_residual(order1, [0, 0, 0], 0.0)
@@ -354,8 +377,8 @@ class TestRadialOncePerRadius:
             sizes.append(np.size(y))
             return original(n, alpha, beta, y)
 
-        original = scipy.special.eval_jacobi
-        monkeypatch.setattr(scipy.special, "eval_jacobi", counted)  # `_jacobi` imports it per call
+        original = fields.eval_jacobi
+        monkeypatch.setattr(fields, "eval_jacobi", counted)
         fields._grid_rows(ZeroModeField.designated(5), 2.0, 16)
         axis = np.linspace(-2.0, 2.0, 16)
         x = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from reference import (
     add,
     evaluate_pairs,
@@ -21,6 +23,7 @@ from reference import (
     trim,
 )
 
+from amnmodes.cli import B0_BITS
 from amnmodes.recurrence import (
     build_amn_polynomial,
     closed_form_extremes,
@@ -34,6 +37,8 @@ from amnmodes.recurrence import (
 )
 
 F = Fraction
+# every b0 that --b0 accepts: numerator and denominator below 2**B0_BITS
+B0S = st.builds(F, st.integers(1 - 2**B0_BITS, 2**B0_BITS - 1), st.integers(1, 2**B0_BITS - 1))
 
 
 def closing_pair(m):
@@ -276,12 +281,17 @@ class TestVerifySystem:
         assert res[-1] == -horner(rational, 4)
         assert res[-1] != 0
 
-    def test_last_residual_identity_generic(self):
-        for m in (2, 3, 5):
-            rational = rational_form(build_amn_polynomial(m))
-            for b0 in (F(1, 2), 2, F(-7, 5)):
-                res = verify_system(instantiate_solution(m, b0))
-                assert res[-1] == -horner(rational, b0 * b0)
+    @given(st.integers(1, 20), B0S)
+    @example(3, F(7, 5))
+    @example(8, F(-1, 3))
+    @example(20, F(1, 100000))
+    @example(8, F(-4294967291, 4294967279))  # the largest --b0
+    def test_last_residual_identity_generic(self, m, b0):
+        """At any --b0, the stepped solution leaves only its closing residual,
+        and that is -P_m(b0**2) of the three-term build: two exact routes."""
+        *res, closing = verify_system(instantiate_solution(m, b0))
+        assert not any(res)
+        assert closing == -horner(rational_form(build_amn_polynomial(m)), b0 * b0)
 
 
 class TestLift:
