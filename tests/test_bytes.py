@@ -54,6 +54,14 @@ GROUPS = {
         *(["field", "--m", str(m), "--b0=-5/3", "--grid", "2"] for m in range(51)),
         ["field", "--m", "50", "--j", "1", "--sign", "-", "--grid", "16"],
     ],
+    # far out, where y = (1-|x|^2)/(1+|x|^2) nears -1: k = 0 up to the extent where its
+    # spinor underflows (1e8 exits 2), k = 0 lifted 50 times, and a k > 0 field
+    "field_far": [
+        *(["field", "--m", "0", "--designated", "--grid", "16", "--extent", extent]
+          for extent in ("1e3", "1e7", "1e8")),
+        ["field", "--m", "50", "--j", "1", "--sign", "-", "--grid", "16", "--extent", "1e3"],
+        ["field", "--m", "5", "--designated", "--grid", "16", "--extent", "1e3"],
+    ],
     # the README's malformed and out-of-range inputs: each exits 2
     "errors": [
         ["mode", "--m", "1", "--b0", "1/0"],
@@ -84,6 +92,7 @@ DIGESTS = {
     "mode": "3e6e1098b40b25820c86f9d7444890e26750af52ac37f3bfbf1b1b049ee95cdc",
     "field": "94d03383671b676187f86b0bc73589e1ad25bcf24c8bba1c414ffecb0be0af5f",
     "field_members": "df790046a86c5a96832f2a5279a59c8acfde3e0e0f952e60537b53757084e064",
+    "field_far": "3ef6539c578cb420591b815bfa4482d127077a38538da7be8687d57592daf3f9",
     "errors": "390c72c26c4801032d0d0fd4710d4f4e57ff6a21f54d6c4e18b5b4bd2da0c7bf",
     "field_errors": "9818f28399f98887adb11ff5e50a003cd780a2ab12318088de3a74bd2b3c4c6e",
 }
