@@ -13,6 +13,12 @@ radial parts depend on |x|^2 alone and are evaluated once per distinct
 request runs the finite-difference Weyl-Dirac residual (with `_sigma_d`
 and `vector_potential`, which it reads), `designated` or the L2 norm:
 the bench harness in `perfbench/` calls them by name.
+
+psi has no zero, so the potential h <psi, sigma psi>/|psi|^2 is smooth on R^3.  With
+psi = <x>^-(2m+3) [A(u) + B(u) X] phi0, u = |x|^2 and X^2 = -u, |psi|^2 <x>^(4m+6)
+= A^2 + u B^2 is a_0^2 = 1 at u = 0; a common root u0 > 0 of A and B would give
+A = B = 0 by uniqueness, as sigma.D psi = h psi is a linear first-order system in
+(A, B) that is regular at u > 0 (A' and B' carry -2(1+u) and 2u(1+u)), against a_0 = 1.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from scipy.special import eval_jacobi
 from .recurrence import closed_form_solution, family_b0, family_member, instantiate_solution, verify_system
 
 SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # sigma_1..3
-SPINOR_FLOOR = 1e-30  # |psi|^2 below this is a vanished spinor; the potential divides by it
+SPINOR_FLOOR = 1e-30  # |psi|^2 below this has underflowed (psi has no zero); the potential divides by it
 
 
 def spin_density(s: np.ndarray) -> np.ndarray:
@@ -69,8 +75,7 @@ class ZeroModeField:
             raise ValueError("coefficients do not solve the order-m system")
         j, self.sign = family_member(solution.b0)
         self.k = k = j - 1
-        closed = closed_form_solution(m, k, self.sign)
-        if (closed.a, closed.b) != (solution.a, solution.b):
+        if closed_form_solution(m, k, self.sign) != solution:  # same m and b0, so compares a and b
             raise ValueError("coefficients differ from the lifted closed form")
         # k!/(3/2)_k, which turns P_k^(1/2,3/2)(1-2s) into F_k(s)
         self._norm = float(Fraction(math.factorial(k) * 2**k, math.prod(range(3, 2 * k + 2, 2))))
@@ -82,10 +87,8 @@ class ZeroModeField:
 
     def _jacobi(self, y, n: int, shift: float = 0.0):
         """k!/(3/2)_k times P_n^(1/2+shift,3/2+shift)(y) and sign P_n^(3/2+shift,1/2+shift)(y)."""
-        return (
-            self._norm * eval_jacobi(n, 0.5 + shift, 1.5 + shift, y),
-            self.sign * self._norm * eval_jacobi(n, 1.5 + shift, 0.5 + shift, y),
-        )
+        a, b = 0.5 + shift, 1.5 + shift
+        return self._norm * eval_jacobi(n, a, b, y), self.sign * self._norm * eval_jacobi(n, b, a, y)
 
     def evaluate(self, x) -> np.ndarray:
         """psi at points x."""
@@ -100,11 +103,10 @@ class ZeroModeField:
         dy/du = -2/(1+u)^2 and dP_n^(a,b)/dy = (n+a+b+1)/2 P_{n-1}^(a+1,b+1).
         """
         def radial(u):
-            w = 1.0 + u
-            y = (1.0 - u) / w
+            w, y = 1.0 + u, (1.0 - u) / (1.0 + u)
             p, q = self._jacobi(y, self.k)
-            # eval_jacobi is 0 at degree -1, so both derivatives vanish at k = 0
-            dp, dq = ((self.k + 3) / 2 * d for d in self._jacobi(y, self.k - 1, 1.0))
+            # P_0 is constant, so k = 0 skips degree -1, where scipy's value is undocumented (NaN at y = -1)
+            dp, dq = ((self.k + 3) / 2 * d for d in self._jacobi(y, self.k - 1, 1.0)) if self.k else (0.0, 0.0)
             return 3 * q - 4 * u / w * dq, 3 * p + 4 * dp / w, w**-2.5
         return _radial_spinor(x, radial)
 
@@ -134,8 +136,7 @@ def _sigma_d(evaluate, x, step: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     out = np.zeros(2, dtype=complex)
     for k in range(3):
-        e = np.zeros(3)
-        e[k] = step
+        e = step * np.eye(3)[k]
         grad_k = (
             evaluate(x - 2 * e) - 8 * evaluate(x - e) + 8 * evaluate(x + e) - evaluate(x + 2 * e)
         ) / (12 * step)
@@ -181,7 +182,7 @@ def _grid_rows(f: ZeroModeField, extent: float, n: int) -> np.ndarray:
 
     Each column is evaluated once on the whole grid; the residual
     || sigma.(D - A) psi || uses the analytic sigma.D.  The first bad row
-    raises: ValueError if its spinor vanishes, FloatingPointError if a
+    raises: ValueError if its spinor underflows, FloatingPointError if a
     value is not finite (|x|^2 overflows).
     """
     axis = np.linspace(-extent, extent, n)
@@ -191,8 +192,7 @@ def _grid_rows(f: ZeroModeField, extent: float, n: int) -> np.ndarray:
         h = f.h(x)
         a, n2 = _potential(s, h)
         residual = np.linalg.norm(f.sigma_d(x) - _sigma_dot(a, s), axis=-1)
-    psi = [s[:, 0].real, s[:, 0].imag, s[:, 1].real, s[:, 1].imag]
-    rows = np.column_stack([x, *psi, n2, a, h, residual])
+    rows = np.column_stack([x, s.view(float), n2, a, h, residual])  # psi as re, im per component
     vanishing = n2 < SPINOR_FLOOR
     bad = vanishing | ~np.isfinite(rows).all(axis=1)
     if bad.any():

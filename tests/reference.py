@@ -21,6 +21,7 @@ not show up as a disagreement.
 | sigma.D psi = h psi | `loss_yau_residual` | `evaluate`, `h`, `_sigma_d` |
 | `l2_norm_squared` | `beta_sum_l2`, `fraction_l2` and `quadrature_l2` on the solution | `over_common_denominator` (first) |
 | `sample_grid` | `csv_reference` | `_grid_rows` |
+| psi != 0, below `SPINOR_FLOOR` only by underflow | `coprime_mod_p` on `closed_form_solution(k, k, sign)` | `closed_form_solution` |
 
 A field keeps only its family member (k, sign), so the routes marked "on
 the solution" read the coefficients of `instantiate_solution(m, b0)` for
@@ -322,6 +323,23 @@ def monotonicity_check(m_max):
     return tuple(failures)
 
 
+def coprime_mod_p(a, b, p: int) -> bool:
+    """Whether the integer polynomials a and b (ascending coefficients) have no
+    common factor mod the prime p: Euclid's algorithm over GF(p).  Where both
+    leading coefficients are nonzero mod p, a common factor over Q would stay one
+    mod p (Gauss's lemma), so coprime mod p implies coprime over Q."""
+    a, b = list(trim(c % p for c in a)), list(trim(c % p for c in b))
+    while b:  # a, b = b, a mod b
+        inverse = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q, shift = a[-1] * inverse % p, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - q * c) % p
+            a = list(trim(a))
+        a, b = b, a
+    return len(a) == 1
+
+
 def enumerate_family(m: int) -> list[tuple[Fraction, ZeroModeField]]:
     """(b0, ZeroModeField(m, b0)) for all 2(m+1) verified fields of order m.
 
@@ -396,7 +414,8 @@ def reference_sigma_d(f: ZeroModeField, x) -> np.ndarray:
     y = (1.0 - u) / (1.0 + u)
     w = 1.0 + u
     p, q = f._jacobi(y, f.k)
-    dp, dq = ((f.k + 3) / 2 * d for d in f._jacobi(y, f.k - 1, 1.0))
+    # P_0 is constant, so k = 0 skips degree -1, where scipy's value is undocumented (NaN at y = -1)
+    dp, dq = ((f.k + 3) / 2 * d for d in f._jacobi(y, f.k - 1, 1.0)) if f.k else (0.0, 0.0)
     return fields._spinor(x, 3 * q - 4 * u / w * dq, 3 * p + 4 * dp / w, w**-2.5)
 
 

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from reference import (
     PowerBasisField,
     beta_sum_l2,
+    coprime_mod_p,
     csv_reference,
     enumerate_family,
     fraction_l2,
@@ -16,6 +19,7 @@ from reference import (
     lift_solution,
     loss_yau_residual,
     mp_psi,
+    mul,
     quadrature_l2,
     rational_form,
     reference_evaluate,
@@ -33,6 +37,7 @@ from amnmodes.fields import (
     spin_density,
     weyl_dirac_residual,
 )
+from amnmodes.polynomials import over_common_denominator
 from amnmodes.recurrence import (
     AnsatzSolution,
     build_amn_polynomial,
@@ -224,6 +229,54 @@ class TestLossYauResidual:
         with pytest.raises(ValueError):
             loss_yau_residual(order1, [0, 0, 0], 0.0)
 
+    @given(st.lists(st.fractions(), min_size=4, max_size=4).filter(any))
+    @example([F(1), F(0), F(0), F(0)])
+    @example([F(1, 2), F(-3), F(0), F(7, 5)])
+    def test_loss_yau_step_exactly(self, parts):
+        """For every spinor psi != 0, a = <psi, sigma psi> from `fields.SIGMA` gives
+        (sigma.a) psi = |psi|^2 psi and a.a = |psi|^4, in Gaussian rationals: so
+        A = h a/|psi|^2 has sigma.A psi = h psi, and the CSV residual at a root is
+        rounding alone.  A sigma_k negated whole keeps both; sigma_1 sigma_2 sigma_3 = i
+        fixes their signs."""
+        assert np.array_equal(SIGMA[0] @ SIGMA[1] @ SIGMA[2], 1j * np.eye(2))
+
+        def times(z, w):
+            return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+        def total(zs):
+            re, im = zip(*zs)
+            return sum(re), sum(im)
+
+        # SIGMA's entries are 0, +-1 and +-i, exact as (re, im) pairs
+        sigma = [[[(F(int(z.real)), F(int(z.imag))) for z in row] for row in s] for s in SIGMA]
+        psi = [(parts[0], parts[1]), (parts[2], parts[3])]
+        bra = [(re, -im) for re, im in psi]
+        a = [total(times(bra[i], times(s[i][j], psi[j])) for i in range(2) for j in range(2))
+             for s in sigma]
+        assert all(im == 0 for _, im in a), a
+        norm2 = sum(re * re + im * im for re, im in psi)
+        for i in range(2):
+            got = total(times((a[k][0], F(0)), times(sigma[k][i][j], psi[j]))
+                        for k in range(3) for j in range(2))
+            assert got == (norm2 * psi[i][0], norm2 * psi[i][1]), i
+        assert sum(re * re for re, _ in a) == norm2 * norm2
+
+
+def test_spinor_never_vanishes():
+    """psi = 0 needs a common root u > 0 of A and B (`fields` docstring).  For every
+    k <= 50 and both signs, A and B of the order-k closed form are coprime mod the
+    prime 2**61 - 1, with leading coefficients nonzero mod it, so coprime over Q;
+    a lift multiplies both by 1 + u, so no member of any order has such a root."""
+    p = 2**61 - 1
+    for k in range(51):
+        for sign in (1, -1):
+            s = recurrence.closed_form_solution(k, k, sign)
+            _, (a, b) = over_common_denominator(s.a, s.b)
+            assert a[-1] % p and b[-1] % p, (k, sign)
+            assert coprime_mod_p(a, b, p), (k, sign)
+    # control: a common factor 1 + 2u planted into the k = 50 pair is found
+    assert not coprime_mod_p(mul(a, (1, 2)), mul(b, (1, 2)), p)
+
 
 class TestWeylDiracResidual:
     @pytest.mark.parametrize("m", [0, 1])
@@ -304,23 +357,25 @@ class TestAnalyticSigmaD:
             assert np.all(res <= 1e-12 * np.linalg.norm(psi, axis=-1)), b0
 
 
-@pytest.mark.parametrize("m", range(51))
-def test_every_accepted_order(m):
-    """Every member of every order the CLI accepts: psi against a 50-digit
-    power-basis value, and the CSV residual against its 1e-7 bound."""
-    rng = np.random.default_rng(1000 + m)
+@pytest.mark.parametrize("k", range(51))
+def test_every_accepted_order(k):
+    """Every field the CLI accepts, (k, sign) for k <= 50, built at order k and at
+    order 50: psi against a 50-digit value from that order's power-basis
+    coefficients, and the CSV residual against its 1e-7 bound.  Every other
+    member (m, b0) builds the same field as (k, b0) (`TestFamily`)."""
+    rng = np.random.default_rng(1000 + k)
     # one point per decade of radius, in random directions
     directions = rng.normal(size=(4, 3))
     points = directions / np.linalg.norm(directions, axis=1)[:, None] * [[0.05], [0.7], [4.0], [60.0]]
-    for b0, f in enumerate_family(m):
-        s = instantiate_solution(m, b0)
+    for m, b0 in ((m, family_b0(k + 1, sign)) for m in sorted({k, 50}) for sign in (1, -1)):
+        f, s = ZeroModeField(m, b0), instantiate_solution(m, b0)
         psi = f.evaluate(points)
         for x, got in zip(points, psi):
             want = np.array(mp_psi(s, x))
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (b0, x)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (m, b0, x)
         sigma_a = np.einsum("pk,kij->pij", f.vector_potential(points), SIGMA)
         residual = np.linalg.norm(f.sigma_d(points) - np.einsum("pij,pj->pi", sigma_a, psi), axis=-1)
-        assert np.all(residual <= 1e-7 * np.linalg.norm(psi, axis=-1)), b0
+        assert np.all(residual <= 1e-7 * np.linalg.norm(psi, axis=-1)), (m, b0)
 
 
 @pytest.mark.parametrize("m", range(11))
@@ -342,10 +397,11 @@ def test_closed_form_is_the_jacobi_form(k):
 
 
 class TestRadialOncePerRadius:
-    @pytest.mark.parametrize("m", range(51))
-    def test_rows_equal_full_grid_route(self, m, monkeypatch):
-        """`_grid_rows` gives the doubles of evaluating every point, bit for bit."""
-        for f in (ZeroModeField.designated(m), ZeroModeField(m, -1)):
+    @pytest.mark.parametrize("k", range(51))
+    def test_rows_equal_full_grid_route(self, k, monkeypatch):
+        """`_grid_rows` gives the doubles of evaluating every point, bit for bit, for
+        the fields (k, +) and (k, -); a lifted member is one of these (`TestFamily`)."""
+        for f in (ZeroModeField(k, family_b0(k + 1, sign)) for sign in (1, -1)):
             for n in (2, 5, 16):
                 for extent in (0.7, 2.0, 1e3):
                     got = grid_rows_or_error(f, extent, n)
@@ -371,20 +427,26 @@ class TestRadialOncePerRadius:
                 assert np.array_equal(got, want), (f.k, f.sign)
 
     def test_jacobi_once_per_distinct_radius(self, monkeypatch):
-        sizes = []
+        """Each Jacobi call covers the grid's distinct radii once, at a degree >= 0:
+        P_0 is constant, so k = 0 has no derivative call at degree -1."""
+        calls = []
 
         def counted(n, alpha, beta, y):
-            sizes.append(np.size(y))
+            calls.append((n, np.size(y)))
             return original(n, alpha, beta, y)
 
         original = fields.eval_jacobi
         monkeypatch.setattr(fields, "eval_jacobi", counted)
-        fields._grid_rows(ZeroModeField.designated(5), 2.0, 16)
         axis = np.linspace(-2.0, 2.0, 16)
         x = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
         distinct = len(np.unique(np.sum(x * x, axis=-1)))
         assert distinct == 185
-        assert sizes == [distinct] * 6  # p and q for psi, and with p', q' for sigma.D psi
+        # p and q for psi, and with p', q' for sigma.D psi; the (0, -) field lifted 50 times
+        for f, count in ((ZeroModeField.designated(5), 6), (ZeroModeField(50, -1), 4)):
+            calls.clear()
+            fields._grid_rows(f, 2.0, 16)
+            assert min(n for n, _ in calls) >= 0, (f.k, calls)
+            assert [size for _, size in calls] == [distinct] * count, f.k
 
 
 class TestFamily:
@@ -395,11 +457,15 @@ class TestFamily:
             s = recurrence.closed_form_solution(m, m, 1)
             assert instantiate_solution(m, family_b0(m + 1)) == s, m
             assert (f.k, f.sign) == (m, 1), m
-        # a lifted member is the field of its k: every (m, b0) builds what (k, b0) builds
-        for m in range(13):
+        # a lifted member is the field of its k: every (m, b0) builds what (k, b0) builds,
+        # so the float sweeps evaluate each (k, sign) once, at order k and at order 50
+        unlifted = {}
+        for m in range(51):
             for b0, f in enumerate_family(m):
-                j, _ = family_member(b0)
-                assert vars(f) == vars(ZeroModeField(j - 1, b0)), (m, b0)
+                if b0 not in unlifted:
+                    j, _ = family_member(b0)
+                    unlifted[b0] = vars(ZeroModeField(j - 1, b0))
+                assert vars(f) == unlifted[b0], (m, b0)
 
     def test_m1(self):
         fam = enumerate_family(1)
