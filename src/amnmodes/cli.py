@@ -120,7 +120,7 @@ def cmd_field(args) -> tuple[Iterable[str], bool]:
     b0 = _select_b0(args)
     from . import fields
     f = fields.ZeroModeField(args.m, b0)
-    # raises where the spinor underflows to zero, far out on a large --extent
+    # raises where |psi|^2 falls below fields.SPINOR_FLOOR, far out on a large --extent
     return fields.sample_grid(f, extent=args.extent, n=args.grid), True
 
 

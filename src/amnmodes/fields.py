@@ -32,7 +32,7 @@ from scipy.special import eval_jacobi
 from .recurrence import closed_form_solution, family_b0, family_member, instantiate_solution, verify_system
 
 SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # sigma_1..3
-SPINOR_FLOOR = 1e-30  # |psi|^2 below this has underflowed (psi has no zero); the potential divides by it
+SPINOR_FLOOR = 1e-30  # |psi|^2 below this is taken as underflow (psi has no zero); the potential divides by it
 
 
 def spin_density(s: np.ndarray) -> np.ndarray:
@@ -182,7 +182,7 @@ def _grid_rows(f: ZeroModeField, extent: float, n: int) -> np.ndarray:
 
     Each column is evaluated once on the whole grid; the residual
     || sigma.(D - A) psi || uses the analytic sigma.D.  The first bad row
-    raises: ValueError if its spinor underflows, FloatingPointError if a
+    raises: ValueError if |psi|^2 < SPINOR_FLOOR, FloatingPointError if a
     value is not finite (|x|^2 overflows).
     """
     axis = np.linspace(-extent, extent, n)

@@ -54,8 +54,8 @@ GROUPS = {
         *(["field", "--m", str(m), "--b0=-5/3", "--grid", "2"] for m in range(51)),
         ["field", "--m", "50", "--j", "1", "--sign", "-", "--grid", "16"],
     ],
-    # far out, where y = (1-|x|^2)/(1+|x|^2) nears -1: k = 0 up to the extent where its
-    # spinor underflows (1e8 exits 2), k = 0 lifted 50 times, and a k > 0 field
+    # far out, where y = (1-|x|^2)/(1+|x|^2) nears -1: k = 0 up to the extent where |psi|^2
+    # falls below SPINOR_FLOOR (1e8 exits 2), k = 0 lifted 50 times, and a k > 0 field
     "field_far": [
         *(["field", "--m", "0", "--designated", "--grid", "16", "--extent", extent]
           for extent in ("1e3", "1e7", "1e8")),
@@ -79,7 +79,7 @@ GROUPS = {
         ["field", "--m", "51", "--designated"],
     ],
     # the README's field grids that reach too far out: non-finite values exit 1, a
-    # spinor that underflows to zero exits 2; their error lines print grid doubles
+    # |psi|^2 below SPINOR_FLOOR exits 2; their error lines print grid doubles
     "field_errors": [
         ["field", "--m", "50", "--designated", "--grid", "2", "--extent", "1e160"],
         ["field", "--m", "0", "--designated", "--grid", "2", "--extent", "1e10"],
