@@ -3,14 +3,16 @@
 Subcommands: poly, verify, mode, field, bench.  Exit codes are the
 contract: 0 pass, 1 verification failure, 2 usage error, 3 I/O error.
 Each `cmd_*` returns its text chunks and verdict or raises, and `main` alone
-maps the outcome: ValueError -> 2, FloatingPointError (a non-finite
-field value) -> 1, OSError or ValueError (a NUL byte in the path) while
-writing -> 3, each with one `error:` line and no output; otherwise the
-text is written and the verdict gives 0 or 1.  Large integers are
-serialized as decimal strings; native JSON numbers lose precision once
-coefficients pass 2**53.  numpy and scipy load only here: `verify` imports
-`roots` (numpy) and `field` `fields` (numpy and scipy), each once its
-arguments are checked, so `poly`, `mode` and `bench` load neither.
+maps the outcome: ValueError -> 2, FloatingPointError -> 1, OSError or
+ValueError (a NUL byte in the path) while writing -> 3, each with one
+`error:` line and no output; otherwise the text is written and the
+verdict gives 0 or 1.  `field` fails only on usage and I/O: inside
+FIELD_EXTENT_MAX no value is non-finite, and FloatingPointError guards
+against printing NaN with exit 0.  Large integers are serialized as
+decimal strings; native JSON numbers lose precision once coefficients
+pass 2**53.  numpy and scipy load only here: `verify` imports `roots`
+(numpy) and `field` `fields` (numpy and scipy), each once its arguments
+are checked, so `poly`, `mode` and `bench` load neither.
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ FIELD_M_MAX = 50
 # points per axis; all n^3 are evaluated at once: --grid 64 at m = 50 takes
 # 2.2-2.7 s and 167 MB (2-vCPU VM, Python 3.11.7)
 FIELD_GRID_MAX = 64
+# --extent E at most this.  On the cube u = |x|^2 <= 3 E^2; far out |h psi| ~ (2k+3)/u^2, and
+# its smallest component, Re (h psi)_1 ~ (2k+3)^2/(3 u^2.5), is a factor |x| below.  The
+# residual column rounds these components and np.linalg.norm squares them, so those squares
+# must stay normal: (3/(3 E^2)^2.5)^2 >= 2.2e-308 (k = 0) gives E <= 4.2e30.  From 1e33 the
+# column reads exact zeros; inside, every value is a normal double (|psi|^2 ~ 1/u^2 >= 1e-121).
+FIELD_EXTENT_MAX = 1e30
 B0_BITS = 32  # --b0 numerator and denominator below 2**B0_BITS (README time table)
 
 
@@ -117,11 +125,11 @@ def cmd_field(args) -> tuple[Iterable[str], bool]:
         raise ValueError("--extent must be finite")
     if args.extent < 0:
         raise ValueError("--extent is a half-width and must not be negative")
+    if args.extent > FIELD_EXTENT_MAX:
+        raise ValueError(f"--extent must be at most {FIELD_EXTENT_MAX!r}")
     b0 = _select_b0(args)
     from . import fields
-    f = fields.ZeroModeField(args.m, b0)
-    # raises where |psi|^2 falls below fields.SPINOR_FLOOR, far out on a large --extent
-    return fields.sample_grid(f, extent=args.extent, n=args.grid), True
+    return fields.sample_grid(fields.ZeroModeField(args.m, b0), extent=args.extent, n=args.grid), True
 
 
 def cmd_bench(args) -> tuple[Iterable[str], bool]:

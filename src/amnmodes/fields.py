@@ -32,7 +32,6 @@ from scipy.special import eval_jacobi
 from .recurrence import closed_form_solution, family_b0, family_member, instantiate_solution, verify_system
 
 SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # sigma_1..3
-SPINOR_FLOOR = 1e-30  # |psi|^2 below this is taken as underflow (psi has no zero); the potential divides by it
 
 
 def spin_density(s: np.ndarray) -> np.ndarray:
@@ -117,10 +116,7 @@ class ZeroModeField:
 
     def vector_potential(self, x) -> np.ndarray:
         """A(x) = h(x) * spin_density(psi(x)) / |psi(x)|^2."""
-        a, n2 = _potential(self.evaluate(x), self.h(x))
-        if np.any(n2 < SPINOR_FLOOR):
-            raise ValueError(f"spinor vanishes at {x}")
-        return a
+        return _potential(self.evaluate(x), self.h(x))[0]
 
 
 def _potential(s: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
@@ -181,25 +177,21 @@ def _grid_rows(f: ZeroModeField, extent: float, n: int) -> np.ndarray:
     """The CSV_COLUMNS values on a cubic n^3 grid, x3 varying fastest.
 
     Each column is evaluated once on the whole grid; the residual
-    || sigma.(D - A) psi || uses the analytic sigma.D.  The first bad row
-    raises: ValueError if |psi|^2 < SPINOR_FLOOR, FloatingPointError if a
-    value is not finite (|x|^2 overflows).
+    || sigma.(D - A) psi || uses the analytic sigma.D.  A value that is not
+    finite raises FloatingPointError at the first such row.  No grid inside
+    `cli.FIELD_EXTENT_MAX` has one, so this only guards against printing NaN.
     """
     axis = np.linspace(-extent, extent, n)
     x = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    with np.errstate(all="ignore"):  # bad rows raise below
+    with np.errstate(all="ignore"):  # a non-finite row raises below
         s = f.evaluate(x)
         h = f.h(x)
         a, n2 = _potential(s, h)
         residual = np.linalg.norm(f.sigma_d(x) - _sigma_dot(a, s), axis=-1)
     rows = np.column_stack([x, s.view(float), n2, a, h, residual])  # psi as re, im per component
-    vanishing = n2 < SPINOR_FLOOR
-    bad = vanishing | ~np.isfinite(rows).all(axis=1)
+    bad = ~np.isfinite(rows).all(axis=1)
     if bad.any():
-        i = int(np.argmax(bad))
-        if vanishing[i]:
-            raise ValueError(f"spinor vanishes at {x[i]}")
-        raise FloatingPointError(f"non-finite field value at x = {tuple(rows[i, :3].tolist())}")
+        raise FloatingPointError(f"non-finite field value at x = {tuple(rows[np.argmax(bad), :3].tolist())}")
     return rows
 
 

@@ -21,7 +21,7 @@ not show up as a disagreement.
 | sigma.D psi = h psi | `loss_yau_residual` | `evaluate`, `h`, `_sigma_d` |
 | `l2_norm_squared` | `beta_sum_l2`, `fraction_l2` and `quadrature_l2` on the solution | `over_common_denominator` (first) |
 | `sample_grid` | `csv_reference` | `_grid_rows` |
-| psi != 0, below `SPINOR_FLOOR` only by underflow | `coprime_mod_p` on `closed_form_solution(k, k, sign)` | `closed_form_solution` |
+| psi != 0 on R^3, the divisor of the potential A | `coprime_mod_p` on `closed_form_solution(k, k, sign)` | `closed_form_solution` |
 
 A field keeps only its family member (k, sign), so the routes marked "on
 the solution" read the coefficients of `instantiate_solution(m, b0)` for

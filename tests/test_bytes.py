@@ -54,8 +54,8 @@ GROUPS = {
         *(["field", "--m", str(m), "--b0=-5/3", "--grid", "2"] for m in range(51)),
         ["field", "--m", "50", "--j", "1", "--sign", "-", "--grid", "16"],
     ],
-    # far out, where y = (1-|x|^2)/(1+|x|^2) nears -1: k = 0 up to the extent where |psi|^2
-    # falls below SPINOR_FLOOR (1e8 exits 2), k = 0 lifted 50 times, and a k > 0 field
+    # far out, where y = (1-|x|^2)/(1+|x|^2) nears -1: k = 0 at |psi|^2 down to 1e-33 (1e8),
+    # k = 0 lifted 50 times, and a k > 0 field
     "field_far": [
         *(["field", "--m", "0", "--designated", "--grid", "16", "--extent", extent]
           for extent in ("1e3", "1e7", "1e8")),
@@ -77,9 +77,10 @@ GROUPS = {
         ["poly", "--m", "0"],
         ["verify", "--m", "501"],
         ["field", "--m", "51", "--designated"],
+        ["field", "--m", "1", "--designated", "--extent", "1.0000000000000002e+30"],  # past cli.FIELD_EXTENT_MAX
     ],
-    # the README's field grids that reach too far out: non-finite values exit 1, a
-    # |psi|^2 below SPINOR_FLOOR exits 2; their error lines print grid doubles
+    # the README's far-out field grids: 1e160, where |x|^2 would overflow, is past
+    # cli.FIELD_EXTENT_MAX and exits 2; 1e10 prints its grid
     "field_errors": [
         ["field", "--m", "50", "--designated", "--grid", "2", "--extent", "1e160"],
         ["field", "--m", "0", "--designated", "--grid", "2", "--extent", "1e10"],
@@ -92,9 +93,9 @@ DIGESTS = {
     "mode": "3e6e1098b40b25820c86f9d7444890e26750af52ac37f3bfbf1b1b049ee95cdc",
     "field": "94d03383671b676187f86b0bc73589e1ad25bcf24c8bba1c414ffecb0be0af5f",
     "field_members": "df790046a86c5a96832f2a5279a59c8acfde3e0e0f952e60537b53757084e064",
-    "field_far": "3ef6539c578cb420591b815bfa4482d127077a38538da7be8687d57592daf3f9",
-    "errors": "390c72c26c4801032d0d0fd4710d4f4e57ff6a21f54d6c4e18b5b4bd2da0c7bf",
-    "field_errors": "9818f28399f98887adb11ff5e50a003cd780a2ab12318088de3a74bd2b3c4c6e",
+    "field_far": "69adbecb1af2aff2a038ac353756f14737b91dbd3b24bd0fb3a9288ae6f71faf",
+    "errors": "51786f0b3d04576c8e0c9655759f7ae20f87b299f47f92babf7cc12c5240dfe9",
+    "field_errors": "1de66cd2028094e4c808b1bfce3fd54678eb7d2dae1c7a37f2b7a4b27f9d1f7c",
 }
 
 
