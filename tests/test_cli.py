@@ -243,6 +243,15 @@ class TestField:
         assert not out.exists()
         assert capsys.readouterr().err == "error: non-finite field value at x = (-2.0, -2.0, -2.0)\n"
 
+    @pytest.mark.parametrize("m, extent, error", [
+        (50, 1e160, FloatingPointError),  # |x|^2 overflows
+    ], ids=["non-finite"])
+    def test_grid_checks_run_before_any_chunk(self, m, extent, error):
+        # `field` refuses this extent, but sample_grid itself still raises when it is
+        # called, so a caller of the library sees the error before any chunk exists
+        with pytest.raises(error, match=r"non-finite field value at x = \(-1e\+160, "):
+            sample_grid(ZeroModeField.designated(m), extent=extent, n=2)
+
     def test_far_out_at_the_highest_order(self, tmp_path):
         # |x| ~ 1.7e3 at m = 50, where a power-basis evaluation overflows
         out = tmp_path / "f.csv"
