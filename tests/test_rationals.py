@@ -34,7 +34,7 @@ def test_denominator_always_positive():
 
 
 def test_parse_rejects_garbage(tmp_path, capsys):
-    for b0 in ("1/2/3", "1/0"):
+    for b0 in ("1/2/3", "1/0", "1e"):  # "1e": an exponent marker with no exponent
         assert mode_b0(tmp_path, b0) == (2, None)
         assert main(["field", "--m", "1", f"--b0={b0}"]) == 2
         assert capsys.readouterr().err.startswith("error:")

@@ -23,7 +23,7 @@ from reference import (
     trim,
 )
 
-from amnmodes.cli import B0_BITS
+from amnmodes.cli import B0_BITS, POLY_M_MAX
 from amnmodes.recurrence import (
     build_amn_polynomial,
     closed_form_extremes,
@@ -183,7 +183,7 @@ class TestAmnPolynomial:
             assert len(build_amn_polynomial(m).integer.coeffs) == m + 2
 
     def test_extremes_match_closed_forms_up_to_30(self):
-        for m in range(1, 31):
+        for m in range(0, 31):
             rational = rational_form(build_amn_polynomial(m))
             c, d = closed_form_extremes(m)
             assert rational[-1] == d
@@ -197,6 +197,7 @@ class TestClosedForms:
             (1, F(5, 2), F(-9, 10)),
             (2, F(35, 8), F(81, 280)),
             (3, F(105, 16), F(-27, 560)),
+            (0, 1, 1),
         ],
     )
     def test_small_m(self, m, c, d):
@@ -208,6 +209,17 @@ class TestClosedForms:
         c, _ = closed_form_extremes(3)
         assert amn.scale * (-c) == 11025
         assert amn.integer.coeffs[0] == 11025
+
+    def test_constant_term_of_the_factored_form(self):
+        # d_m (-1)**(m+1) prod_{j<=m+1} family_b0(j)**2 = -c_m, the constant term of
+        # P_m = d_m prod_j (t - family_b0(j)**2), for every order the CLI accepts.
+        # Proof: with o_m = 5*7*...*(2m+3), prod_j ((2j+1)/3)**2 = (3 o_m)**2 / 9**(m+1),
+        # and d_m = (-1)**m 9**m / (o_m 2**m m!), so the left side is -o_m/(2**m m!) = -c_m.
+        product = F(1)
+        for m in range(POLY_M_MAX + 1):
+            product *= family_b0(m + 1) ** 2
+            c, d = closed_form_extremes(m)
+            assert d * (-1) ** (m + 1) * product == -c, m
 
     @pytest.mark.parametrize("m, k", [(2, 5), (2, 3), (0, 1), (0, -1), (3, -1)])
     def test_closed_form_solution_refuses_k_outside_0_to_m(self, m, k):

@@ -143,7 +143,7 @@ class TestFactorization:
         assert verify_factorization(build_amn_polynomial(1), predicted_roots(1)) == ()
 
     def test_printed_range(self):
-        for m in range(1, 7):
+        for m in range(0, 7):
             failures = verify_factorization(build_amn_polynomial(m), predicted_roots(m))
             assert failures == (), failures
 
@@ -312,7 +312,7 @@ class TestDeflation:
             deflate((1, 1), 5)
 
     def test_all_roots_simple_up_to_30(self):
-        for m in range(1, 31):
+        for m in range(0, 31):
             amn = build_amn_polynomial(m)
             current = rational_form(amn)
             for r in predicted_roots(m):
