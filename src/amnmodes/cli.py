@@ -10,9 +10,9 @@ verdict gives 0 or 1.  `field` fails only on usage and I/O: inside
 FIELD_EXTENT_MAX no value is non-finite, and FloatingPointError guards
 against printing NaN with exit 0.  Large integers are serialized as
 decimal strings; native JSON numbers lose precision once coefficients
-pass 2**53.  numpy and scipy load only here: `verify` imports `roots`
-(numpy) and `field` `fields` (numpy and scipy), each once its arguments
-are checked, so `poly`, `mode` and `bench` load neither.
+pass 2**53.  numpy loads only here: `verify` imports `roots` and
+`field` `fields`, each of which imports numpy, once its arguments are
+checked, so `poly`, `mode` and `bench` load no numpy.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ EXIT_IO = 3
 POLY_M_MAX = 500
 FIELD_M_MAX = 50
 # points per axis; all n^3 are evaluated at once: --grid 64 at m = 50 takes
-# 2.2-2.7 s and 167 MB (2-vCPU VM, Python 3.11.7)
+# 1.1-1.3 s and 143 MB (2-vCPU VM, Python 3.11.7)
 FIELD_GRID_MAX = 64
 # --extent E at most this.  On the cube u = |x|^2 <= 3 E^2; far out |h psi| ~ (2k+3)/u^2, and
 # its smallest component, Re (h psi)_1 ~ (2k+3)^2/(3 u^2.5), is a factor |x| below.  The

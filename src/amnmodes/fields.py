@@ -5,11 +5,15 @@ Every verified order-m solution is the order-k designated one
 against the prefactor, so psi = <x>^-3 [F_k(s) + sign (-1)^k F_k(1-s) X] phi0
 with s = |x|^2/(1+|x|^2), X = i sigma.x, phi0 = (1, 0) and
 F_k(s) = 2F1(-k, k+3; 3/2; s) = k!/(3/2)_k P_k^(1/2,3/2)(1-2s), a Jacobi
-polynomial (DLMF 15.8.1, 18.5.7).  A field is built from its request
+polynomial (DLMF 18.5.7).  Pfaff's transformation (DLMF 15.8.1) gives
+F_k(s) = (1+u)^-k 2F1(-k, -k-3/2; 3/2; -u), u = |x|^2, whose term ratio is
+the a_n ratio of `closed_form_solution`.  A field is built from its request
 (m, b0) alone and checks its coefficients against the lifted closed form
 exactly.  psi and (sigma.D) psi are evaluated on arrays of points; their
 radial parts depend on |x|^2 alone and are evaluated once per distinct
-|x|^2.  The L2 norm is a closed form in k, from the Jacobi norms.  No
+|x|^2, by the forward recurrence (DLMF 18.9.1) with the reflection
+P_n^(b,a)(y) = (-1)^n P_n^(a,b)(-y) (DLMF 18.6.1).  The L2 norm is a
+closed form in k, from the Jacobi norms.  No
 request runs the finite-difference Weyl-Dirac residual (with `_sigma_d`
 and `vector_potential`, which it reads), `designated` or the L2 norm:
 the bench harness in `perfbench/` calls them by name.
@@ -27,7 +31,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import eval_jacobi
 
 from .recurrence import closed_form_solution, family_b0, family_member, instantiate_solution, verify_system
 
@@ -58,6 +61,21 @@ def _radial_spinor(x, radial) -> np.ndarray:
     return _spinor(x, *(v[index.reshape(u.shape)] for v in radial(distinct)))
 
 
+def jacobi(n: int, a: float, b: float, y: np.ndarray) -> np.ndarray:
+    """P_n^(a,b)(y) by the forward three-term recurrence (DLMF 18.9.1-2) from
+    P_-1 = 0 and P_0 = 1, so degree -1 gives zeros.  Each step coefficient is
+    one division of products that are exact for half-integer a and b."""
+    previous, p = np.zeros_like(y), np.ones_like(y)
+    if n < 0:
+        return previous
+    for j in range(n):  # d P_j+1 = (c+1) ((c+2) c y + a^2 - b^2) P_j - 2 (j+a) (j+b) (c+2) P_j-1
+        c = 2 * j + a + b
+        d = 2 * (j + 1) * (j + a + b + 1) * c
+        slope, offset = (c + 1) * (c + 2) * c / d, (c + 1) * (a * a - b * b) / d
+        p, previous = (slope * y + offset) * p - 2 * (j + a) * (j + b) * (c + 2) / d * previous, p
+    return p
+
+
 class ZeroModeField:
     """Evaluatable spinor field of order m with coupling h = 3*b0/<x>^2.
 
@@ -85,9 +103,10 @@ class ZeroModeField:
         return cls(m, family_b0(m + 1))
 
     def _jacobi(self, y, n: int, shift: float = 0.0):
-        """k!/(3/2)_k times P_n^(1/2+shift,3/2+shift)(y) and sign P_n^(3/2+shift,1/2+shift)(y)."""
-        a, b = 0.5 + shift, 1.5 + shift
-        return self._norm * eval_jacobi(n, a, b, y), self.sign * self._norm * eval_jacobi(n, b, a, y)
+        """k!/(3/2)_k times P_n^(1/2+shift,3/2+shift)(y) and sign P_n^(3/2+shift,1/2+shift)(y),
+        the second from the same run at -y."""
+        p = self._norm * jacobi(n, 0.5 + shift, 1.5 + shift, np.concatenate([y, -y]))
+        return p[:len(y)], self.sign * (-1) ** (n % 2) * p[len(y):]
 
     def evaluate(self, x) -> np.ndarray:
         """psi at points x."""
@@ -104,8 +123,7 @@ class ZeroModeField:
         def radial(u):
             w, y = 1.0 + u, (1.0 - u) / (1.0 + u)
             p, q = self._jacobi(y, self.k)
-            # P_0 is constant, so k = 0 skips degree -1, where scipy's value is undocumented (NaN at y = -1)
-            dp, dq = ((self.k + 3) / 2 * d for d in self._jacobi(y, self.k - 1, 1.0)) if self.k else (0.0, 0.0)
+            dp, dq = ((self.k + 3) / 2 * d for d in self._jacobi(y, self.k - 1, 1.0))
             return 3 * q - 4 * u / w * dq, 3 * p + 4 * dp / w, w**-2.5
         return _radial_spinor(x, radial)
 

@@ -13,11 +13,12 @@ not show up as a disagreement.
 | `verify_system` | `fraction_verify_system` | nothing |
 | the lift in `closed_form_solution` | `lift_solution` | `times_linear`, `verify_system` |
 | `closed_form_solution(k, k, sign)` | `jacobi_coefficients` | nothing |
+| `fields.jacobi` | `exact_jacobi` | nothing |
 | `verify_factorization` | `deflate` | nothing |
 | `check_root_solutions` | `reference_root_solutions` on `matrix_chain_pairs` | `verify_system`, `homogeneous` |
 | `root_theorem_failures` | `monotonicity_check` | the build, `root_product`, `homogeneous` |
-| `ZeroModeField.evaluate` | `reference_evaluate`; `PowerBasisField` and `mp_psi` on the solution | `_jacobi`, `_spinor` (first) |
-| `ZeroModeField.sigma_d` | `reference_sigma_d`; `fields._sigma_d` | `_jacobi`, `_spinor` (first) |
+| `ZeroModeField.evaluate` | `reference_evaluate`; `PowerBasisField` and `mp_psi` on the solution | `_jacobi` and its `jacobi`, `_spinor` (first) |
+| `ZeroModeField.sigma_d` | `reference_sigma_d`; `fields._sigma_d` | `_jacobi` and its `jacobi`, `_spinor` (first) |
 | sigma.D psi = h psi | `loss_yau_residual` | `evaluate`, `h`, `_sigma_d` |
 | `l2_norm_squared` | `beta_sum_l2`, `fraction_l2` and `quadrature_l2` on the solution | `over_common_denominator` (first) |
 | `sample_grid` | `csv_reference` | `_grid_rows` |
@@ -268,6 +269,20 @@ def jacobi_coefficients(k: int, sign: int) -> tuple[tuple, tuple]:
     return a, b
 
 
+def exact_jacobi(n: int, a, b, y: float) -> Fraction:
+    """The reference route of `fields.jacobi`: P_n^(a,b)(y) exactly, by the
+    three-term recurrence (DLMF 18.9.1, 18.9.2) in Fractions at the exact double y."""
+    a, b, y = F(a), F(b), F(y)
+    previous, p = F(0), F(1)
+    if n < 0:
+        return previous
+    for j in range(n):
+        c = 2 * j + a + b
+        step = (c + 1) * ((c + 2) * c * y + a * a - b * b) * p - 2 * (j + a) * (j + b) * (c + 2) * previous
+        previous, p = p, step / (2 * (j + 1) * (j + a + b + 1) * c)
+    return p
+
+
 def deflate(p, r):
     """Exact synthetic division of p, ascending coefficients, by (t - r); r
     must be a root.
@@ -414,8 +429,7 @@ def reference_sigma_d(f: ZeroModeField, x) -> np.ndarray:
     y = (1.0 - u) / (1.0 + u)
     w = 1.0 + u
     p, q = f._jacobi(y, f.k)
-    # P_0 is constant, so k = 0 skips degree -1, where scipy's value is undocumented (NaN at y = -1)
-    dp, dq = ((f.k + 3) / 2 * d for d in f._jacobi(y, f.k - 1, 1.0)) if f.k else (0.0, 0.0)
+    dp, dq = ((f.k + 3) / 2 * d for d in f._jacobi(y, f.k - 1, 1.0))
     return fields._spinor(x, 3 * q - 4 * u / w * dq, 3 * p + 4 * dp / w, w**-2.5)
 
 

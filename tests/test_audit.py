@@ -28,8 +28,8 @@ harness alone, and ROADMAP plans to remove them with a change to
 and `fields.l2_norm_squared`.
 
 Imports: no module but `cli` imports inside a function, so `cli` alone
-decides which command loads numpy and scipy, and no stage time that a
-report gives includes an import.
+decides which command loads numpy, and no stage time that a report gives
+includes an import.
 """
 
 import ast

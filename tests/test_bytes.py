@@ -10,10 +10,11 @@ usage text argparse writes differs between Python versions.
 
 The exact groups (`verify`, `poly`, `mode`, `errors`) print rationals and
 integers only, so their bytes are the same on every platform.  The field
-groups print doubles from numpy and scipy's `eval_jacobi`; their digests
-hold for the versions in FIELD_VERSIONS, with which they were made.  On
-any other versions those groups are skipped with a reason naming both
-sets of versions, so the skip shows in the summary.
+groups print doubles from numpy's arithmetic, with `fields.jacobi`'s own
+recurrence for the Jacobi polynomials; their digests hold for the numpy
+version in FIELD_VERSIONS, with which they were made.  On any other
+version those groups are skipped with a reason naming both versions, so
+the skip shows in the summary.
 
 A digest is to be remade only for a change that means to change the
 bytes; CHANGES.md then says which request changed and why.
@@ -26,11 +27,10 @@ import json
 
 import numpy
 import pytest
-import scipy
 
 from amnmodes.cli import main
 
-FIELD_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+FIELD_VERSIONS = {"numpy": "2.4.6"}
 
 GROUPS = {
     "verify": [["verify", "--m", str(m)] for m in [*range(1, 65), 100, 200]],
@@ -91,9 +91,9 @@ DIGESTS = {
     "verify": "b5a1484d1ef07eef23ade719b68032e93b31832f43b7089df8d4d24328edc4e5",
     "poly": "4f8dde48531812d37bd4a5f92e60fd0c0f3c6bb7404080f5cf158e11215835a8",
     "mode": "3e6e1098b40b25820c86f9d7444890e26750af52ac37f3bfbf1b1b049ee95cdc",
-    "field": "94d03383671b676187f86b0bc73589e1ad25bcf24c8bba1c414ffecb0be0af5f",
-    "field_members": "df790046a86c5a96832f2a5279a59c8acfde3e0e0f952e60537b53757084e064",
-    "field_far": "69adbecb1af2aff2a038ac353756f14737b91dbd3b24bd0fb3a9288ae6f71faf",
+    "field": "c7f3a991cdeb0b5845a644dc68e31337ff4775e9d6e4731f96169f006d3f376a",
+    "field_members": "1c396bacaa97e2e9b7712c728936019f2ff6bfd74b31f87f2e545a065a40d240",
+    "field_far": "35d88ffc5e96f82c470b6ed835c438bab85b6bab79340ba89ba5285ec7cac9ee",
     "errors": "2586aff98caa3ca67d5ad3e31ed320e268bdf84c5418fed6a1c75880754bbfe7",
     "field_errors": "1de66cd2028094e4c808b1bfce3fd54678eb7d2dae1c7a37f2b7a4b27f9d1f7c",
 }
@@ -128,7 +128,7 @@ def group_digest(group: str, tmp_path) -> str:
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_group_bytes(group, tmp_path):
     if group.startswith("field"):
-        found = {"numpy": numpy.__version__, "scipy": scipy.__version__}
+        found = {"numpy": numpy.__version__}
         if found != FIELD_VERSIONS:
             pytest.skip(f"field digests made with {FIELD_VERSIONS}; this run has {found}")
     assert group_digest(group, tmp_path) == DIGESTS[group]
