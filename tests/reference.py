@@ -20,7 +20,7 @@ not show up as a disagreement.
 | `ZeroModeField.evaluate` | `reference_evaluate`; `PowerBasisField` and `mp_psi` on the solution | `_jacobi` and its `jacobi`, `_spinor` (first) |
 | `ZeroModeField.sigma_d` | `reference_sigma_d`; `fields._sigma_d` | `_jacobi` and its `jacobi`, `_spinor` (first) |
 | sigma.D psi = h psi | `loss_yau_residual` | `evaluate`, `h`, `_sigma_d` |
-| `l2_norm_squared` | `beta_sum_l2`, `fraction_l2` and `quadrature_l2` on the solution | `over_common_denominator` (first) |
+| `l2_norm_squared` | `beta_sum_l2` and `quadrature_l2` on the solution | `over_common_denominator` (first) |
 | `sample_grid` | `csv_reference` | `_grid_rows` |
 | psi != 0 on R^3, the divisor of the potential A | `coprime_mod_p` on `closed_form_solution(k, k, sign)` | `closed_form_solution` |
 
@@ -449,22 +449,6 @@ def quadrature_l2(f: PowerBasisField) -> float:
     head, _ = quad(integrand, 0.0, 100.0, epsabs=1e-13, epsrel=1e-12, limit=200)
     tail, _ = quad(lambda v: integrand(1.0 / v) / (v * v), 0.0, 0.01, epsabs=1e-13, epsrel=1e-12)
     return 4 * math.pi * (head + tail)
-
-
-def fraction_l2(s: AnsatzSolution) -> float:
-    """The reference route for the exact L2 norm: the Beta-integral sum over the
-    coefficients of s, term by term in Fraction."""
-    big_n = 2 * s.m + 2
-    c = [F(0)] * big_n  # A^2 + u B^2, ascending in u
-    for i in range(s.m + 1):
-        for j in range(s.m + 1):
-            c[i + j] += s.a[i] * s.a[j]
-            c[i + j + 1] += s.b[i] * s.b[j]
-    radial = sum(
-        cn * F(math.comb(2 * p, p) * math.comb(2 * q, q), math.comb(big_n, p))
-        for p, q, cn in zip(range(1, big_n + 1), range(big_n - 1, -1, -1), c)
-    )
-    return float(2 * radial / 4**big_n) * math.pi**2
 
 
 def beta_sum_l2(s: AnsatzSolution) -> Fraction:

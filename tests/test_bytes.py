@@ -4,13 +4,14 @@ Each request runs in this process through `cli.main`, with `-o` to a
 file where it writes one.  A group's digest covers, request by request
 and in order, the argv (without `-o`), the exit code, the stderr text and
 the output bytes.  `verify` documents are pinned without their
-`timings_ms`, re-serialised as `json.dumps(doc, indent=2)`, as the CI pins
-do.  A request that argparse refuses is pinned by its exit code only: the
-usage text argparse writes differs between Python versions.
+`timings_ms`, re-serialised as `json.dumps(doc, indent=2)`.  A request
+that argparse refuses is pinned by its exit code only: the usage text
+argparse writes differs between Python versions.
 
-The exact groups (`verify`, `poly`, `mode`, `errors`) print rationals and
-integers only, so their bytes are the same on every platform.  The field
-groups print doubles from numpy's arithmetic, with `fields.jacobi`'s own
+The exact groups (`verify`, `poly`, `mode`, `largest`, `errors`) print
+rationals and integers only, so their bytes are the same on every
+platform; `largest` holds the order-500 requests.  The field groups
+print doubles from numpy's arithmetic, with `fields.jacobi`'s own
 recurrence for the Jacobi polynomials; their digests hold for the numpy
 version in FIELD_VERSIONS, with which they were made.  On any other
 version those groups are skipped with a reason naming both versions, so
@@ -40,6 +41,14 @@ GROUPS = {
         for selector in (["--designated"], ["--j", "1", "--sign", "-"],
                          ["--b0", "7/5"], ["--b0", "1/100000"])
         for m in range(41)
+    ],
+    # the largest order: its report, and members whose coefficients print past the
+    # int-to-str digit limit, up to the largest --b0 inside the bound
+    "largest": [
+        ["verify", "--m", "500"],
+        ["mode", "--m", "500", "--designated"],
+        ["mode", "--m", "500", "--b0", "1/100000"],
+        ["mode", "--m", "500", "--b0=-4294967291/4294967279"],
     ],
     "field": [
         ["field", "--m", str(m), "--designated", "--grid", str(grid)]
@@ -94,6 +103,7 @@ DIGESTS = {
     "field": "c7f3a991cdeb0b5845a644dc68e31337ff4775e9d6e4731f96169f006d3f376a",
     "field_members": "1c396bacaa97e2e9b7712c728936019f2ff6bfd74b31f87f2e545a065a40d240",
     "field_far": "35d88ffc5e96f82c470b6ed835c438bab85b6bab79340ba89ba5285ec7cac9ee",
+    "largest": "5d30bac5122d7c6896f4f4b67224946f2d48fde21a57f5869d88da105097b63e",
     "errors": "2586aff98caa3ca67d5ad3e31ed320e268bdf84c5418fed6a1c75880754bbfe7",
     "field_errors": "1de66cd2028094e4c808b1bfce3fd54678eb7d2dae1c7a37f2b7a4b27f9d1f7c",
 }

@@ -79,10 +79,13 @@ class TestPoly:
         doc = json.loads(out.read_text())
         assert doc["integer_coefficients"][-1] == "6561"
 
-    def test_m_outside_range_is_usage_error(self, capsys):
-        for m in (-1, POLY_M_MAX + 1):
-            assert run(["poly", "--m", str(m)]) == 2
-            assert capsys.readouterr() == ("", f"error: --m must be in 0..{POLY_M_MAX}\n")
+    def test_m_outside_range_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for command in (["poly"], ["mode", "--designated"]):  # mode takes poly's orders
+            for m in (-1, POLY_M_MAX + 1):
+                assert run([*command, "--m", str(m), "-o", str(out)]) == 2
+                assert capsys.readouterr() == ("", f"error: --m must be in 0..{POLY_M_MAX}\n")
+                assert not out.exists()
 
     def test_unwritable_output_is_io_error(self, capsys):
         assert run(["poly", "--m", "1", "-o", "/nonexistent/dir/x.json"]) == 3
@@ -106,10 +109,12 @@ class TestVerify:
         assert doc["factorization_failures"] == ["coefficient of t^0: product 25 != P_m 15"]
         assert doc["oracle_matches"] is False
 
-    def test_bad_m(self, capsys):
+    def test_bad_m(self, tmp_path, capsys):
+        out = tmp_path / "v.json"
         for m in (-1, POLY_M_MAX + 1):
-            assert run(["verify", "--m", str(m)]) == 2
+            assert run(["verify", "--m", str(m), "-o", str(out)]) == 2
             assert capsys.readouterr() == ("", f"error: --m must be in 0..{POLY_M_MAX}\n")
+            assert not out.exists()
 
     def test_constant_build_fails(self, tmp_path, monkeypatch, capsys):
         # a fault in the object under check is a failed verification, never a usage error
@@ -198,7 +203,11 @@ class TestField:
         assert len(lines) == 9
 
     def test_m_out_of_range(self, tmp_path, capsys):
-        assert run(["field", "--m", "51", "--designated"]) == 2
+        out = tmp_path / "f.csv"
+        for m in (-1, FIELD_M_MAX + 1):
+            assert run(["field", "--m", str(m), "--designated", "-o", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: --m must be in 0..{FIELD_M_MAX}\n"
+            assert not out.exists()
         # sampling inputs that would crash or print NaN rows are usage errors too
         for bad in (
             ["--grid", "-1"],
@@ -208,11 +217,10 @@ class TestField:
             ["--extent=-2", "--grid", "2"],  # a negative half-width would mirror the cube
             ["--extent=-1e-300", "--grid", "2"],
         ):
-            capsys.readouterr()
-            assert run(["field", "--m", "1", "--designated", *bad]) == 2, bad
+            assert run(["field", "--m", "1", "--designated", *bad, "-o", str(out)]) == 2, bad
             assert capsys.readouterr().err.startswith("error:"), bad
+            assert not out.exists(), bad
         # a grid past the cap would exhaust memory; it is refused before anything is built
-        out = tmp_path / "f.csv"
         for grid in (FIELD_GRID_MAX + 1, 100_000):
             capsys.readouterr()
             argv = ["field", "--m", "0", "--designated", "--grid", str(grid), "-o", str(out)]
@@ -400,7 +408,9 @@ def test_removed_surface_is_usage_error(argv):
 )
 def test_b0_past_the_bound_is_usage_error(command, b0, tmp_path, capsys):
     out = tmp_path / "out"
+    start = time.perf_counter()
     assert run([command, "--m", "1", "--b0", b0, "-o", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == f"error: --b0 numerator and denominator must be below 2**{B0_BITS}\n"
     assert not out.exists()
 
