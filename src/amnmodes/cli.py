@@ -69,9 +69,9 @@ def _emit(chunks: Iterable[str], path: str | None) -> None:
 def _parse_b0(text: str) -> Fraction:
     """--b0 as a Fraction whose numerator and denominator are below 2**B0_BITS.
 
-    `Fraction` expands 10**|e| for a decimal exponent e (for minutes at
-    1e-1000000), so e is bounded on the string first: past len(text) +
-    B0_BITS no literal but a zero can meet the bound.
+    `Fraction` expands 10**|e| for a decimal exponent e (0.2 s at
+    1e-1000000, about 40 s at 1e-30000000), so e is bounded on the string
+    first: past len(text) + B0_BITS no literal but a zero can meet the bound.
     """
     _, marker, exponent = text.lower().partition("e")
     try:

@@ -7,12 +7,18 @@ with s = |x|^2/(1+|x|^2), X = i sigma.x, phi0 = (1, 0) and
 F_k(s) = 2F1(-k, k+3; 3/2; s) = k!/(3/2)_k P_k^(1/2,3/2)(1-2s), a Jacobi
 polynomial (DLMF 18.5.7).  Pfaff's transformation (DLMF 15.8.1) gives
 F_k(s) = (1+u)^-k 2F1(-k, -k-3/2; 3/2; -u), u = |x|^2, whose term ratio is
-the a_n ratio of `closed_form_solution`.  A field is built from its request
-(m, b0) alone and checks its coefficients against the lifted closed form
-exactly.  psi and (sigma.D) psi are evaluated on arrays of points; their
-radial parts depend on |x|^2 alone and are evaluated once per distinct
-|x|^2, by the forward recurrence (DLMF 18.9.1) with the reflection
-P_n^(b,a)(y) = (-1)^n P_n^(a,b)(-y) (DLMF 18.6.1).  The L2 norm is a
+the a_n ratio of `closed_form_integers`.  A field is built from its request
+(m, b0) alone, after one exact check of the lifted closed form in integers
+(`ZeroModeField`).  psi and (sigma.D) psi are evaluated on arrays of
+points; their radial parts depend on |x|^2 alone and are evaluated once
+per distinct |x|^2, by the forward recurrence (DLMF 18.9.1) with the
+reflection P_n^(b,a)(y) = (-1)^n P_n^(a,b)(-y) (DLMF 18.6.1).  Every
+number of a field grid comes from real + - * / and sqrt on real and
+imaginary parts, which IEEE 754 rounds correctly: the powers of w = 1+u
+are 1/(w sqrt(w)) and 1/(w^2 sqrt(w)), and the spin algebra and the
+residual norm are written out per component, so no complex product,
+power or library norm is left whose last bit numpy's dispatch by CPU
+feature could change.  The L2 norm is a
 closed form in k, from the Jacobi norms.  No
 request runs the finite-difference Weyl-Dirac residual (with `_sigma_d`
 and `vector_potential`, which it reads), `designated` or the L2 norm:
@@ -32,25 +38,47 @@ from fractions import Fraction
 
 import numpy as np
 
-from .recurrence import closed_form_solution, family_b0, family_member, instantiate_solution, verify_system
+from .recurrence import _residuals, closed_form_integers, family_b0, family_member
 
-SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # sigma_1..3
+
+def _spinors(re1, im1, re2, im2) -> np.ndarray:
+    """The spinors (re1 + i im1, re2 + i im2), shape (..., 2), from real parts."""
+    return np.stack([re1, im1, re2, im2], axis=-1).view(complex)
+
+
+def _parts(s: np.ndarray) -> tuple:
+    """(a, b, c, d) with s = (a + ib, c + id) per point."""
+    return s[..., 0].real, s[..., 0].imag, s[..., 1].real, s[..., 1].imag
+
+
+def _norm2(s: np.ndarray) -> np.ndarray:
+    """|s|^2 = (a^2 + b^2) + (c^2 + d^2) per point."""
+    a, b, c, d = _parts(s)
+    return (a * a + b * b) + (c * c + d * d)
 
 
 def spin_density(s: np.ndarray) -> np.ndarray:
-    """The real 3-vectors (s.sigma_k s) of spinors s, shape (..., 2); their length is |s|^2."""
-    return np.einsum("...i,kij,...j->...k", np.conj(s), SIGMA, s).real
+    """The real 3-vectors (s.sigma_k s) of spinors s, shape (..., 2); their length is |s|^2.
+
+    For s = (a + ib, c + id): (2(ac + bd), 2(ad - bc), (a^2 + b^2) - (c^2 + d^2)).
+    """
+    a, b, c, d = _parts(s)
+    return np.stack([2 * (a * c + b * d), 2 * (a * d - b * c), (a * a + b * b) - (c * c + d * d)], axis=-1)
 
 
 def _sigma_dot(v: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """(sigma.v) s, per point."""
-    return np.einsum("...k,kij,...j->...i", v, SIGMA, s)
+    """(sigma.v) s per point, for real 3-vectors v: with s = (a + ib, c + id),
+    (v3 s1 + (v1 - i v2) s2, (v1 + i v2) s1 - v3 s2) in real and imaginary parts."""
+    v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
+    a, b, c, d = _parts(s)
+    return _spinors(v3 * a + (v1 * c + v2 * d), v3 * b + (v1 * d - v2 * c),
+                    (v1 * a - v2 * b) - v3 * c, (v1 * b + v2 * a) - v3 * d)
 
 
 def _spinor(x: np.ndarray, upper, lower, scale) -> np.ndarray:
     """scale (upper + lower X) phi0 = scale (upper + i lower x3, lower (i x1 - x2))."""
-    up, down = upper + 1j * lower * x[..., 2], lower * (1j * x[..., 0] - x[..., 1])
-    return np.stack([scale * up, scale * down], axis=-1)
+    return _spinors(scale * upper, scale * (lower * x[..., 2]),
+                    scale * -(lower * x[..., 1]), scale * (lower * x[..., 0]))
 
 
 def _radial_spinor(x, radial) -> np.ndarray:
@@ -79,20 +107,30 @@ def jacobi(n: int, a: float, b: float, y: np.ndarray) -> np.ndarray:
 class ZeroModeField:
     """Evaluatable spinor field of order m with coupling h = 3*b0/<x>^2.
 
-    Construction steps the coefficients at (m, b0) with `instantiate_solution`,
-    checks them exactly against the coefficient system and the lifted closed
-    form of (k, sign), and refuses anything else; then it keeps only (k, sign),
-    k = j-1 for (j, sign) = `family_member(b0)`, which is all that it evaluates.
+    Construction runs one exact check, in integers.  It takes (j, sign) =
+    `family_member(b0)` and refuses b0 if it is no family member or j > m+1:
+    `root_theorem_failures` proves that such b0^2 is no root of P_m, so the
+    closing equation fails.  Otherwise it checks the lifted closed form of
+    (k, sign), k = j-1, as `closed_form_integers` gives it: a_0 = 1,
+    b_0 = b0 and every `_residuals` equation zero.  Given a_0 and b_0 the
+    equations fix (a, b), so these are the coefficients that
+    `instantiate_solution(m, b0)` steps.  The field then keeps only
+    (k, sign), which is all that it evaluates.
     Methods take points of shape (..., 3) and return spinors of shape (..., 2).
     """
 
     def __init__(self, m: int, b0):
-        solution = instantiate_solution(m, b0)
-        if any(r != 0 for r in verify_system(solution)):
-            raise ValueError("coefficients do not solve the order-m system")
-        j, self.sign = family_member(solution.b0)
+        b0 = Fraction(b0)
+        try:
+            j, self.sign = family_member(b0)
+            if j > m + 1:
+                raise ValueError
+        except ValueError:
+            raise ValueError("coefficients do not solve the order-m system") from None
         self.k = k = j - 1
-        if closed_form_solution(m, k, self.sign) != solution:  # same m and b0, so compares a and b
+        den, a, b = closed_form_integers(m, k, self.sign)
+        beta, gamma = b0.numerator, b0.denominator
+        if a[0] != den or gamma * b[0] != beta * den or any(_residuals(m, beta, gamma, a, b)):
             raise ValueError("coefficients differ from the lifted closed form")
         # k!/(3/2)_k, which turns P_k^(1/2,3/2)(1-2s) into F_k(s)
         self._norm = float(Fraction(math.factorial(k) * 2**k, math.prod(range(3, 2 * k + 2, 2))))
@@ -111,7 +149,8 @@ class ZeroModeField:
     def evaluate(self, x) -> np.ndarray:
         """psi at points x."""
         def radial(u):
-            return *self._jacobi((1.0 - u) / (1.0 + u), self.k), (1.0 + u) ** -1.5
+            w = 1.0 + u
+            return *self._jacobi((1.0 - u) / w, self.k), 1.0 / (w * np.sqrt(w))
         return _radial_spinor(x, radial)
 
     def sigma_d(self, x) -> np.ndarray:
@@ -124,7 +163,7 @@ class ZeroModeField:
             w, y = 1.0 + u, (1.0 - u) / (1.0 + u)
             p, q = self._jacobi(y, self.k)
             dp, dq = ((self.k + 3) / 2 * d for d in self._jacobi(y, self.k - 1, 1.0))
-            return 3 * q - 4 * u / w * dq, 3 * p + 4 * dp / w, w**-2.5
+            return 3 * q - 4 * u / w * dq, 3 * p + 4 * dp / w, 1.0 / (w * w * np.sqrt(w))
         return _radial_spinor(x, radial)
 
     def h(self, x):
@@ -139,7 +178,7 @@ class ZeroModeField:
 
 def _potential(s: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
     """The vector potential and |s|^2 per point, for s = psi(x) and h = h(x)."""
-    n2 = np.sum(s.real**2 + s.imag**2, axis=-1)
+    n2 = _norm2(s)
     return (h / n2)[..., None] * spin_density(s), n2
 
 
@@ -149,19 +188,17 @@ def _sigma_d(evaluate, x, step: float) -> np.ndarray:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=float)
     out = np.zeros(2, dtype=complex)
-    for k in range(3):
-        e = step * np.eye(3)[k]
-        grad_k = (
-            evaluate(x - 2 * e) - 8 * evaluate(x - e) + 8 * evaluate(x + e) - evaluate(x + 2 * e)
-        ) / (12 * step)
-        out += -1j * (SIGMA[k] @ grad_k)
-    return out
+    for unit in np.eye(3):
+        e = step * unit
+        grad = (evaluate(x - 2 * e) - 8 * evaluate(x - e) + 8 * evaluate(x + e) - evaluate(x + 2 * e)) / (12 * step)
+        out += _sigma_dot(unit, grad)
+    return -1j * out
 
 
 def weyl_dirac_residual(f: ZeroModeField, x, step: float = 1e-3) -> float:
     """|| sigma.(D - A) psi || at x; A from the induced vector potential."""
     lhs = _sigma_d(f.evaluate, x, step)
-    return float(np.linalg.norm(lhs - _sigma_dot(f.vector_potential(x), f.evaluate(x))))
+    return float(np.sqrt(_norm2(lhs - _sigma_dot(f.vector_potential(x), f.evaluate(x)))))
 
 
 def l2_norm_squared(f: ZeroModeField) -> float:
@@ -205,7 +242,7 @@ def _grid_rows(f: ZeroModeField, extent: float, n: int) -> np.ndarray:
         s = f.evaluate(x)
         h = f.h(x)
         a, n2 = _potential(s, h)
-        residual = np.linalg.norm(f.sigma_d(x) - _sigma_dot(a, s), axis=-1)
+        residual = np.sqrt(_norm2(f.sigma_d(x) - _sigma_dot(a, s)))
     rows = np.column_stack([x, s.view(float), n2, a, h, residual])  # psi as re, im per component
     bad = ~np.isfinite(rows).all(axis=1)
     if bad.any():

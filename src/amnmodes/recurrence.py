@@ -35,6 +35,7 @@ which is how `build_amn_polynomial` makes it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -162,26 +163,34 @@ def instantiate_solution(m: int, b0) -> AnsatzSolution:
     return AnsatzSolution(m, b0, tuple(a), tuple(b))
 
 
-def closed_form_solution(m: int, k: int, sign: int) -> AnsatzSolution:
-    """The order-k designated coefficients with b0 = sign (2k+3)/3, lifted to order m.
+def closed_form_integers(m: int, k: int, sign: int) -> tuple[int, list, list]:
+    """(den, a, b) in integers: the order-k designated coefficients with
+    b0 = sign (2k+3)/3, lifted to order m, are a/den and b/den.
 
     a_n/a_{n-1} = -(k-n+1)(2k+5-2n)/(n(2n+1)) from a_0 = 1, and
-    b_n = sign a_n (2k+3-2n)/(2n+3).  Each lift multiplies a and b by
-    1 + |x|**2, in integers over one common denominator; the lift of an
+    b_n = sign a_n (2k+3-2n)/(2n+3).  den is the product of the ratios'
+    denominators times lcm(3, 5, ..., 2k+3), so every division below is
+    exact.  Each lift multiplies a and b by 1 + |x|**2; the lift of an
     exact solution solves the next order's system (`root_theorem_failures`).
     """
     if not 0 <= k <= m:
         raise ValueError(f"closed form defined for k in 0..m, not k = {k} at m = {m}")
-    a = [Fraction(1)]
-    for n in range(1, k + 1):
-        a.append(a[-1] * Fraction(-(k - n + 1) * (2 * k + 5 - 2 * n), n * (2 * n + 1)))
-    b = [c * Fraction(sign * (2 * k + 3 - 2 * n), 2 * n + 3) for n, c in enumerate(a)]
-    if m > k:
-        den, ints = over_common_denominator(a, b)
-        for _ in range(m - k):
-            ints = [times_linear(cs, -1, 1) for cs in ints]
-        a, b = ([Fraction(c, den) for c in cs] for cs in ints)
-    return AnsatzSolution(m, family_b0(k + 1, sign), tuple(a), tuple(b))
+    ratios = [(-(k - n + 1) * (2 * k + 5 - 2 * n), n * (2 * n + 1)) for n in range(1, k + 1)]
+    den = math.lcm(*range(3, 2 * k + 4, 2)) * math.prod(q for _, q in ratios)
+    a = [den]
+    for p, q in ratios:
+        a.append(a[-1] * p // q)
+    b = [sign * c * (2 * k + 3 - 2 * n) // (2 * n + 3) for n, c in enumerate(a)]
+    for _ in range(m - k):
+        a, b = times_linear(a, -1, 1), times_linear(b, -1, 1)
+    return den, list(a), list(b)
+
+
+def closed_form_solution(m: int, k: int, sign: int) -> AnsatzSolution:
+    """The order-k designated coefficients with b0 = sign (2k+3)/3, lifted to
+    order m: `closed_form_integers` as Fractions."""
+    den, a, b = closed_form_integers(m, k, sign)
+    return AnsatzSolution(m, family_b0(k + 1, sign), *(tuple(Fraction(c, den) for c in cs) for cs in (a, b)))
 
 
 def _residuals(m: int, beta: int, gamma: int, a, b) -> list:

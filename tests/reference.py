@@ -17,6 +17,8 @@ not show up as a disagreement.
 | `verify_factorization` | `deflate` | nothing |
 | `check_root_solutions` | `reference_root_solutions` on `matrix_chain_pairs` | `verify_system`, `homogeneous` |
 | `root_theorem_failures` | `monotonicity_check` | the build, `root_product`, `homogeneous` |
+| `spin_density` | `reference_spin_density` (`SIGMA`) | nothing |
+| `fields._sigma_dot` | `reference_sigma_dot` (`SIGMA`) | nothing |
 | `ZeroModeField.evaluate` | `reference_evaluate`; `PowerBasisField` and `mp_psi` on the solution | `_jacobi` and its `jacobi`, `_spinor` (first) |
 | `ZeroModeField.sigma_d` | `reference_sigma_d`; `fields._sigma_d` | `_jacobi` and its `jacobi`, `_spinor` (first) |
 | sigma.D psi = h psi | `loss_yau_residual` | `evaluate`, `h`, `_sigma_d` |
@@ -45,7 +47,6 @@ from itertools import zip_longest
 
 import mpmath
 import numpy as np
-from scipy.integrate import quad
 
 from amnmodes import fields, roots
 from amnmodes.fields import CSV_COLUMNS, ZeroModeField, _sigma_d
@@ -65,6 +66,8 @@ from amnmodes.recurrence import (
 from amnmodes.roots import predicted_roots
 
 F = Fraction
+
+SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # sigma_1..3
 
 
 def trim(cs) -> tuple:
@@ -394,11 +397,6 @@ class PowerBasisField:
         x = np.asarray(x, dtype=float)
         return self.alpha / (1.0 + float(x @ x))
 
-    def radial_density(self, r: float) -> float:
-        """|psi|^2 on the sphere of radius r."""
-        amp_a, amp_b = self._amplitudes(r * r)
-        return (1.0 + r * r) ** (-(3 + 2 * self.m)) * (amp_a**2 + r * r * amp_b**2)
-
 
 def mp_psi(s: AnsatzSolution, x) -> list:
     """psi at x from the exact a_n, b_n of s in the power basis, to 50 digits."""
@@ -414,12 +412,22 @@ def mp_psi(s: AnsatzSolution, x) -> list:
         ]
 
 
+def reference_spin_density(s) -> np.ndarray:
+    """The reference route of `spin_density`: the sums conj(s_i) sigma_k,ij s_j over `SIGMA`."""
+    return np.einsum("...i,kij,...j->...k", np.conj(s), SIGMA, s).real
+
+
+def reference_sigma_dot(v, s) -> np.ndarray:
+    """The reference route of `fields._sigma_dot`: the sums v_k sigma_k,ij s_j over `SIGMA`."""
+    return np.einsum("...k,kij,...j->...i", v, SIGMA, s)
+
+
 def reference_evaluate(f: ZeroModeField, x) -> np.ndarray:
     """The reference route of `evaluate`: the radial functions at every point."""
     x = np.asarray(x, dtype=float)
     u = np.sum(x * x, axis=-1)
     y = (1.0 - u) / (1.0 + u)
-    return fields._spinor(x, *f._jacobi(y, f.k), (1.0 + u) ** -1.5)
+    return fields._spinor(x, *f._jacobi(y, f.k), 1.0 / ((1.0 + u) * np.sqrt(1.0 + u)))
 
 
 def reference_sigma_d(f: ZeroModeField, x) -> np.ndarray:
@@ -430,7 +438,7 @@ def reference_sigma_d(f: ZeroModeField, x) -> np.ndarray:
     w = 1.0 + u
     p, q = f._jacobi(y, f.k)
     dp, dq = ((f.k + 3) / 2 * d for d in f._jacobi(y, f.k - 1, 1.0))
-    return fields._spinor(x, 3 * q - 4 * u / w * dq, 3 * p + 4 * dp / w, w**-2.5)
+    return fields._spinor(x, 3 * q - 4 * u / w * dq, 3 * p + 4 * dp / w, 1.0 / (w * w * np.sqrt(w)))
 
 
 def loss_yau_residual(f, x, step: float = 1e-3) -> float:
@@ -441,14 +449,17 @@ def loss_yau_residual(f, x, step: float = 1e-3) -> float:
 
 
 def quadrature_l2(f: PowerBasisField) -> float:
-    """4 pi int_0^inf r^2 |psi|^2 dr: adaptive on [0, 100], the tail on u = 1/r."""
+    """4 pi int_0^inf r^2 |psi|^2 dr, with |psi|^2 = (1 + u)^-(3+2m) (A(u)^2 + u B(u)^2)
+    and u = r^2 from the field's coefficients: mpmath's adaptive quadrature at 20
+    digits, split at r = 1 and 10, whose exponents do not overflow far out."""
+    with mpmath.workdps(20):
+        a, b = ([mpmath.mpf(c) for c in cs[::-1]] for cs in (f.a, f.b))
 
-    def integrand(r):
-        return r * r * f.radial_density(r)
+        def density(r):  # r^2 |psi|^2 on the sphere of radius r
+            u = r * r
+            return u * (mpmath.polyval(a, u) ** 2 + u * mpmath.polyval(b, u) ** 2) / (1 + u) ** (3 + 2 * f.m)
 
-    head, _ = quad(integrand, 0.0, 100.0, epsabs=1e-13, epsrel=1e-12, limit=200)
-    tail, _ = quad(lambda v: integrand(1.0 / v) / (v * v), 0.0, 0.01, epsabs=1e-13, epsrel=1e-12)
-    return 4 * math.pi * (head + tail)
+        return 4 * math.pi * float(mpmath.quad(density, [0, 1, 10, mpmath.inf]))
 
 
 def beta_sum_l2(s: AnsatzSolution) -> Fraction:

@@ -225,6 +225,33 @@ def test_src_holds_only_what_a_request_or_the_bench_runs(package, monkeypatch):
     assert bench - requests == HARNESS_ONLY
 
 
+def test_field_gate_runs_one_integer_check(package):
+    """A field's construction checks the integer closed form with `_residuals`
+    and forms no stepped solution, no `verify_system` and no Fraction closed form."""
+    reached = package.reach("fields.ZeroModeField.__init__")
+    assert {"recurrence.closed_form_integers", "recurrence._residuals"} <= reached
+    assert reached & {"recurrence.instantiate_solution", "recurrence.verify_system",
+                      "recurrence.closed_form_solution"} == set()
+
+
+def test_fields_name_no_cpu_dispatched_operation(package):
+    """The field numbers come from + - * / and sqrt: `fields` names no Pauli
+    matrices, `einsum`, power or library norm, whose results numpy's dispatch by
+    CPU feature can change in the last bit, and each `**` is a square or a
+    power of an integer."""
+    tree = package.modules["fields"]
+    assert named(tree) & {"SIGMA", "einsum", "power", "linalg", "norm"} == set()
+
+    def integer(node):
+        node = node.operand if isinstance(node, ast.UnaryOp) else node
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            square = isinstance(node.right, ast.Constant) and node.right.value == 2
+            assert square or integer(node.left), ast.unparse(node)
+
+
 def named(node) -> set:
     """The identifiers that `node` names, as variables or as attributes."""
     return {n.id if isinstance(n, ast.Name) else n.attr

@@ -11,9 +11,13 @@ argparse writes differs between Python versions.
 The exact groups (`verify`, `poly`, `mode`, `largest`, `errors`) print
 rationals and integers only, so their bytes are the same on every
 platform; `largest` holds the order-500 requests.  The field groups
-print doubles from numpy's arithmetic, with `fields.jacobi`'s own
-recurrence for the Jacobi polynomials; their digests hold for the numpy
-version in FIELD_VERSIONS, with which they were made.  On any other
+print doubles.  Each one rests on real + - * / and sqrt, which IEEE 754
+rounds correctly, on `repr`, and on numpy's `unique` and `linspace`; no
+operation on the way is one whose result numpy's dispatch by CPU feature
+can change (no power, no complex product, no library norm), and
+`test_field_bytes_independent_of_cpu_dispatch` checks that in a child
+with the dispatched kernels switched off.  Their digests hold for the
+numpy version in FIELD_VERSIONS, with which they were made.  On any other
 version those groups are skipped with a reason naming both versions, so
 the skip shows in the summary.
 
@@ -25,10 +29,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy
 import pytest
 
+import amnmodes
 from amnmodes.cli import main
 
 FIELD_VERSIONS = {"numpy": "2.4.6"}
@@ -100,12 +108,12 @@ DIGESTS = {
     "verify": "b5a1484d1ef07eef23ade719b68032e93b31832f43b7089df8d4d24328edc4e5",
     "poly": "4f8dde48531812d37bd4a5f92e60fd0c0f3c6bb7404080f5cf158e11215835a8",
     "mode": "3e6e1098b40b25820c86f9d7444890e26750af52ac37f3bfbf1b1b049ee95cdc",
-    "field": "c7f3a991cdeb0b5845a644dc68e31337ff4775e9d6e4731f96169f006d3f376a",
-    "field_members": "1c396bacaa97e2e9b7712c728936019f2ff6bfd74b31f87f2e545a065a40d240",
-    "field_far": "35d88ffc5e96f82c470b6ed835c438bab85b6bab79340ba89ba5285ec7cac9ee",
+    "field": "dd204cffdbfdcca70240e49bc4fca0fbfed58060d53ebc5a3ed7329af5eeab02",
+    "field_members": "b08c710d57f4cb54a0b3d5364ff1fdfa9994a4461a8b3f33b5d1fccde8c80f80",
+    "field_far": "fb0052a191f6cd9841c264310b97b2287aab6bfdb4c3e54deeba6f6545470698",
     "largest": "5d30bac5122d7c6896f4f4b67224946f2d48fde21a57f5869d88da105097b63e",
     "errors": "2586aff98caa3ca67d5ad3e31ed320e268bdf84c5418fed6a1c75880754bbfe7",
-    "field_errors": "1de66cd2028094e4c808b1bfce3fd54678eb7d2dae1c7a37f2b7a4b27f9d1f7c",
+    "field_errors": "e5f17cfe0420c028db61107ed4bb06670d82d00d7ccfc317c7c80ef5a86b7d62",
 }
 
 
@@ -142,3 +150,41 @@ def test_group_bytes(group, tmp_path):
         if found != FIELD_VERSIONS:
             pytest.skip(f"field digests made with {FIELD_VERSIONS}; this run has {found}")
     assert group_digest(group, tmp_path) == DIGESTS[group]
+
+
+# a designated field near the origin and the deepest lift far out
+DISPATCH_REQUESTS = [
+    ["field", "--m", "25", "--designated", "--grid", "16"],
+    ["field", "--m", "50", "--j", "1", "--sign", "-", "--grid", "16", "--extent", "1e3"],
+]
+
+
+def test_field_bytes_independent_of_cpu_dispatch(tmp_path):
+    """The field requests exit with the same code and print the same bytes in a
+    child in which numpy's runtime-dispatched kernels are switched off
+    (`NPY_DISABLE_CPU_FEATURES` naming every dispatch target this CPU enables)
+    as in this process.  Only dispatch targets are named: numpy refuses to
+    import with a baseline feature named, and it ignores an unknown name, so
+    the child also reports that none of them is left on."""
+    umath = pytest.importorskip("numpy._core._multiarray_umath")  # numpy 2 names its dispatch here
+    targets = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    if not targets:
+        pytest.skip("numpy enables no runtime-dispatched CPU target here, so there is nothing to switch off")
+    script = (
+        "import json, sys\n"
+        "from numpy._core import _multiarray_umath as m\n"
+        "from amnmodes.cli import main\n"
+        "print(json.dumps([t for t in m.__cpu_dispatch__ if m.__cpu_features__.get(t)]))\n"
+        "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    print(main([*argv, '-o', f'{sys.argv[2]}.{i}']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(amnmodes.__file__))
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", script, json.dumps(DISPATCH_REQUESTS), str(tmp_path / "child")],
+                           capture_output=True, text=True, env=env, check=True)
+    left_on, *codes = child.stdout.splitlines()
+    assert json.loads(left_on) == [], child.stderr
+    for i, (argv, code) in enumerate(zip(DISPATCH_REQUESTS, codes)):
+        here = main([*argv, "-o", str(tmp_path / "here")])
+        assert (int(code), (tmp_path / f"child.{i}").read_bytes()) == (here, (tmp_path / "here").read_bytes()), argv

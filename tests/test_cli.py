@@ -503,7 +503,7 @@ def test_child_with_closed_stdout_exits_3():
 
 def child_stdout(script, *argv) -> str:
     """The stdout of `script` run with `argv` in a fresh interpreter; this one
-    has imported numpy and scipy for other tests."""
+    has imported numpy for other tests."""
     return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
                           env=child_env(), check=True).stdout
 
@@ -529,6 +529,7 @@ EVERY_COMMAND = pytest.mark.parametrize("argv", [
 
 @EVERY_COMMAND
 def test_no_command_loads_scipy(argv, tmp_path):
+    # the test extra installs no scipy, so this guards the machines that have it
     assert not loaded_in_child(argv, tmp_path, "scipy")
 
 

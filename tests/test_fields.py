@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from reference import (
+    SIGMA,
     PowerBasisField,
     beta_sum_l2,
     coprime_mod_p,
@@ -24,13 +25,14 @@ from reference import (
     rational_form,
     reference_evaluate,
     reference_sigma_d,
+    reference_sigma_dot,
+    reference_spin_density,
 )
 
 from amnmodes import fields, recurrence, roots
 from amnmodes.cli import FIELD_EXTENT_MAX
 from amnmodes.fields import (
     CSV_COLUMNS,
-    SIGMA,
     ZeroModeField,
     _sigma_d,
     l2_norm_squared,
@@ -45,6 +47,7 @@ from amnmodes.recurrence import (
     family_b0,
     family_member,
     instantiate_solution,
+    verify_system,
 )
 
 F = Fraction
@@ -98,13 +101,26 @@ class TestEvaluation:
         with pytest.raises(ValueError, match="do not solve"):
             ZeroModeField(1, F(7, 5))
 
+    @pytest.mark.parametrize("m", range(13))
+    def test_construction_refuses_what_the_closing_equation_refuses(self, m):
+        """The gate refuses a non-member, or a member j > m+1, without solving for
+        it, on the strength of `root_theorem_failures`; here the closing residual
+        of the stepped coefficients is computed and is nonzero for each such b0."""
+        b0s = [F(7, 5), F(1, 2), *(family_b0(j, sign) for j in (m + 2, m + 3) for sign in (1, -1))]
+        for b0 in b0s:
+            *_, closing = verify_system(instantiate_solution(m, b0))
+            assert closing != 0, b0
+            with pytest.raises(ValueError, match="do not solve"):
+                ZeroModeField(m, b0)
+
     def test_construction_rejects_scaled_solution(self, monkeypatch):
         # twice a solution solves the linear system, but is not the closed form
-        def scaled(m, b0):
-            s = instantiate_solution(m, b0)
-            return AnsatzSolution(m, s.b0, tuple(2 * c for c in s.a), tuple(2 * c for c in s.b))
+        def scaled(m, k, sign):
+            den, a, b = original(m, k, sign)
+            return den, [2 * c for c in a], [2 * c for c in b]
 
-        monkeypatch.setattr(fields, "instantiate_solution", scaled)
+        original = fields.closed_form_integers
+        monkeypatch.setattr(fields, "closed_form_integers", scaled)
         with pytest.raises(ValueError, match="closed form"):
             ZeroModeField(2, F(5, 3))
 
@@ -136,6 +152,22 @@ class TestSpinDensity:
     def test_sigma1_eigenvector(self):
         s = np.array([1, 1], complex) / math.sqrt(2)
         assert np.allclose(spin_density(s), [1, 0, 0])
+
+    def test_matches_sigma_route(self):
+        """`spin_density` and `_sigma_dot` against their sums over `SIGMA`: equal on
+        small Gaussian integers, where every operation is exact, and within a few
+        roundings on random doubles."""
+        rng = np.random.default_rng(12)
+        small = rng.integers(-9, 10, (500, 2)) + 1j * rng.integers(-9, 10, (500, 2))
+        v = rng.integers(-9, 10, (500, 3)).astype(float)
+        assert np.array_equal(spin_density(small), reference_spin_density(small))
+        assert np.array_equal(fields._sigma_dot(v, small), reference_sigma_dot(v, small))
+        s = rng.normal(size=(500, 2)) + 1j * rng.normal(size=(500, 2))
+        v = rng.normal(size=(500, 3))
+        n2 = np.sum(np.abs(s) ** 2, axis=-1)
+        scale = np.linalg.norm(v, axis=-1) * np.sqrt(n2)
+        assert np.all(np.abs(spin_density(s) - reference_spin_density(s)) <= 1e-15 * n2[:, None])
+        assert np.all(np.abs(fields._sigma_dot(v, s) - reference_sigma_dot(v, s)) <= 1e-15 * scale[:, None])
 
     def test_length_equals_norm_squared(self):
         rng = np.random.default_rng(7)
@@ -443,12 +475,8 @@ class TestRadialOncePerRadius:
                     assert got == want, (f.k, f.sign, n, extent)
 
     def test_per_point_calls_equal_full_grid_route(self):
-        """Each point on its own gets the doubles the full-grid route gives it in an array.
-
-        numpy's scalar power (libm) and its array loop differ in the last bit
-        of (1+u)^-1.5 at about 1 in 20 points, so one point is evaluated as an
-        array of one, the same path as a grid.
-        """
+        """Each point on its own gets the doubles the full-grid route gives it in
+        an array: one point is evaluated as an array of one, the same path as a grid."""
         points = np.random.default_rng(9).uniform(-3, 3, (200, 3))
         for f in (ZeroModeField.designated(7), ZeroModeField(7, F(-5, 3))):
             routes = ((f.evaluate, reference_evaluate), (f.sigma_d, reference_sigma_d))
