@@ -7,9 +7,9 @@ with s = |x|^2/(1+|x|^2), X = i sigma.x, phi0 = (1, 0) and
 F_k(s) = 2F1(-k, k+3; 3/2; s) = k!/(3/2)_k P_k^(1/2,3/2)(1-2s), a Jacobi
 polynomial (DLMF 18.5.7).  Pfaff's transformation (DLMF 15.8.1) gives
 F_k(s) = (1+u)^-k 2F1(-k, -k-3/2; 3/2; -u), u = |x|^2, whose term ratio is
-the a_n ratio of `closed_form_integers`.  A field is built from its request
-(m, b0) alone, after one exact check of the lifted closed form in integers
-(`ZeroModeField`).  psi and (sigma.D) psi are evaluated on arrays of
+the a_n ratio of the closed form in `recurrence`.  A field is built from its
+request (m, b0) alone, after one exact check of the lifted closed form in
+integers (`ZeroModeField`).  psi and (sigma.D) psi are evaluated on arrays of
 points; their radial parts depend on |x|^2 alone and are evaluated once
 per distinct |x|^2, by the forward recurrence (DLMF 18.9.1) with the
 reflection P_n^(b,a)(y) = (-1)^n P_n^(a,b)(-y) (DLMF 18.6.1).  Every
@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .recurrence import _residuals, closed_form_integers, family_b0, family_member
+from .recurrence import closed_form_failures, family_b0, family_member
 
 
 def _spinors(re1, im1, re2, im2) -> np.ndarray:
@@ -110,9 +110,9 @@ class ZeroModeField:
     Construction runs one exact check, in integers.  It takes (j, sign) =
     `family_member(b0)` and refuses b0 if it is no family member or j > m+1:
     `root_theorem_failures` proves that such b0^2 is no root of P_m, so the
-    closing equation fails.  Otherwise it checks the lifted closed form of
-    (k, sign), k = j-1, as `closed_form_integers` gives it: a_0 = 1,
-    b_0 = b0 and every `_residuals` equation zero.  Given a_0 and b_0 the
+    closing equation fails.  Otherwise the lifted closed form of (k, sign),
+    k = j-1, must pass `closed_form_failures(m, k, sign)`: a_0 = 1, b_0 = b0
+    and every equation of the order-m system.  Given a_0 and b_0 the
     equations fix (a, b), so these are the coefficients that
     `instantiate_solution(m, b0)` steps.  The field then keeps only
     (k, sign), which is all that it evaluates.
@@ -120,17 +120,14 @@ class ZeroModeField:
     """
 
     def __init__(self, m: int, b0):
-        b0 = Fraction(b0)
         try:
-            j, self.sign = family_member(b0)
+            j, self.sign = family_member(Fraction(b0))
             if j > m + 1:
                 raise ValueError
         except ValueError:
             raise ValueError("coefficients do not solve the order-m system") from None
         self.k = k = j - 1
-        den, a, b = closed_form_integers(m, k, self.sign)
-        beta, gamma = b0.numerator, b0.denominator
-        if a[0] != den or gamma * b[0] != beta * den or any(_residuals(m, beta, gamma, a, b)):
+        if closed_form_failures(m, k, self.sign):
             raise ValueError("coefficients differ from the lifted closed form")
         # k!/(3/2)_k, which turns P_k^(1/2,3/2)(1-2s) into F_k(s)
         self._norm = float(Fraction(math.factorial(k) * 2**k, math.prod(range(3, 2 * k + 2, 2))))

@@ -186,13 +186,6 @@ def closed_form_integers(m: int, k: int, sign: int) -> tuple[int, list, list]:
     return den, list(a), list(b)
 
 
-def closed_form_solution(m: int, k: int, sign: int) -> AnsatzSolution:
-    """The order-k designated coefficients with b0 = sign (2k+3)/3, lifted to
-    order m: `closed_form_integers` as Fractions."""
-    den, a, b = closed_form_integers(m, k, sign)
-    return AnsatzSolution(m, family_b0(k + 1, sign), *(tuple(Fraction(c, den) for c in cs) for cs in (a, b)))
-
-
 def _residuals(m: int, beta: int, gamma: int, a, b) -> list:
     """The integer core of `verify_system`: its 2m+1 equations times gamma,
     on integer lists a, b of length m+1 at b0 = beta/gamma.
@@ -205,6 +198,16 @@ def _residuals(m: int, beta: int, gamma: int, a, b) -> list:
     res += [gamma * ((2 * k + 3) * b[k] - (2 * m + 2 - 2 * k) * b[k - 1]) - 3 * beta * a[k]
             for k in range(1, m + 1)]
     return [*res, gamma * a[m] - beta * b[m]]
+
+
+def closed_form_failures(m: int, k: int, sign: int) -> tuple:
+    """The checks that `closed_form_integers(m, k, sign)` fails in the order-m system; empty on a pass."""
+    den, a, b = closed_form_integers(m, k, sign)
+    b0 = family_b0(k + 1, sign)
+    beta, gamma = b0.numerator, b0.denominator
+    names = ["a_0", "b_0", *["a-identity"] * m, *["b-identity"] * m, "closing identity"]
+    values = [a[0] - den, gamma * b[0] - beta * den, *_residuals(m, beta, gamma, a, b)]
+    return tuple(name for name, r in zip(names, values) if r)
 
 
 def verify_system(s: AnsatzSolution) -> list[Fraction]:
@@ -231,15 +234,16 @@ def root_theorem_failures() -> tuple:
     more per variable than its degree in that variable, which proves a
     polynomial identity (Petkovsek, Wilf and Zeilberger, "A = B", 1996).
 
-    Designated solution `closed_form_solution(m, m, 1)`, b0 = (2m+3)/3:
+    Designated solution `closed_form_integers(m, m, 1)`, b0 = (2m+3)/3:
     a_j = r_1...r_j and b_n = beta_n a_n, with r_j = -(m-j+1)(2m+5-2j)/(j(2j+1))
     and beta_n = (2m+3-2n)/(2n+3), so a_0 = 1 and b_0 = b0.  The a- and
     b-equations at j are a_{j-1} times 2j r_j - (2m+5-2j) + 3 b0 beta_{j-1}
     and (2j+3) beta_j r_j - (2m+2-2j) beta_{j-1} - 3 b0 r_j; times j(2j+1)
     both are integer polynomials of degree <= 3 in m and in j.  The closing
     one is a_m (1 - b0 beta_m), of degree <= 1 in m times 2m+3.  r_i = 0
-    only at i = m+1, so the residuals at m = 4..7 check them on a 4 x 4 grid
-    (j = 1..4, where a_{j-1} != 0); at m = 0 only the closing one is left, 1 - 1 = 0.
+    only at i = m+1, so `closed_form_failures(m, m, 1)` at m = 4..7 checks
+    them on a 4 x 4 grid (j = 1..4, where a_{j-1} != 0); at m = 0 only the
+    closing one is left, 1 - 1 = 0.
 
     Lift: with A_n, B_n, C the a-, b- and closing residuals of (a, b) at
     order m and A', B', C' those of the lift times_linear(., -1, 1) at m+1,
@@ -260,9 +264,7 @@ def root_theorem_failures() -> tuple:
     """
     failures = []
     for m in range(4, 8):
-        res = verify_system(closed_form_solution(m, m, 1))
-        names = ["a-identity"] * m + ["b-identity"] * m + ["closing identity"]
-        failures += [f"designated {name} at m = {m}" for name, r in zip(names, res) if r]
+        failures += [f"designated {name} at m = {m}" for name in closed_form_failures(m, m, 1)]
     for m in (3, 4):
         names = (["A'_n = A_n + A_(n-1)"] * m + ["A'_(m+1) = A_m - 3C"]
                  + ["B'_n = B_n + B_(n-1)"] * m + ["B'_(m+1) = B_m", "C' = C"])

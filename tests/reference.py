@@ -11,8 +11,8 @@ not show up as a disagreement.
 | `build_amn_polynomial` | `pair_route`; `matrix_chain_pair(m, m)` | the chain (`pair_route`) |
 | `instantiate_solution` | `evaluate_pairs` on `matrix_chain_pairs` | `homogeneous` |
 | `verify_system` | `fraction_verify_system` | nothing |
-| the lift in `closed_form_solution` | `lift_solution` | `times_linear`, `verify_system` |
-| `closed_form_solution(k, k, sign)` | `jacobi_coefficients` | nothing |
+| the lift in `closed_form_integers` | `lift_solution` | `times_linear`, `verify_system` |
+| `closed_form_integers(k, k, sign)` | `jacobi_coefficients` | nothing |
 | `fields.jacobi` | `exact_jacobi` | nothing |
 | `verify_factorization` | `deflate` | nothing |
 | `check_root_solutions` | `reference_root_solutions` on `matrix_chain_pairs` | `verify_system`, `homogeneous` |
@@ -24,7 +24,7 @@ not show up as a disagreement.
 | sigma.D psi = h psi | `loss_yau_residual` | `evaluate`, `h`, `_sigma_d` |
 | `l2_norm_squared` | `beta_sum_l2` and `quadrature_l2` on the solution | `over_common_denominator` (first) |
 | `sample_grid` | `csv_reference` | `_grid_rows` |
-| psi != 0 on R^3, the divisor of the potential A | `coprime_mod_p` on `closed_form_solution(k, k, sign)` | `closed_form_solution` |
+| psi != 0 on R^3, the divisor of the potential A | `coprime_mod_p` on `closed_form_integers(k, k, sign)` | `closed_form_integers` |
 
 A field keeps only its family member (k, sign), so the routes marked "on
 the solution" read the coefficients of `instantiate_solution(m, b0)` for
@@ -254,7 +254,7 @@ def lift_solution(s: AnsatzSolution) -> AnsatzSolution:
 
 def jacobi_coefficients(k: int, sign: int) -> tuple[tuple, tuple]:
     """The a and b of the order-k designated solution from the Jacobi form that
-    `ZeroModeField` evaluates: the reference route of `closed_form_solution(k, k, sign)`.
+    `ZeroModeField` evaluates: the reference route of `closed_form_integers(k, k, sign)`.
 
     F_k(s) = sum c_n s^n, c_n = (-k)_n (k+3)_n / ((3/2)_n n!) (DLMF 18.5.7), and
     psi = <x>^-3 [F_k(s) + sign (-1)^k F_k(1-s) X] phi0 with s = u/(1+u), u = |x|^2,

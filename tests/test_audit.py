@@ -226,12 +226,15 @@ def test_src_holds_only_what_a_request_or_the_bench_runs(package, monkeypatch):
 
 
 def test_field_gate_runs_one_integer_check(package):
-    """A field's construction checks the integer closed form with `_residuals`
-    and forms no stepped solution, no `verify_system` and no Fraction closed form."""
+    """A field's construction checks the integer closed form through its one owner,
+    `closed_form_failures`, and forms no stepped solution and no `verify_system`;
+    the root certificate checks the designated closed form through the same owner."""
     reached = package.reach("fields.ZeroModeField.__init__")
-    assert {"recurrence.closed_form_integers", "recurrence._residuals"} <= reached
-    assert reached & {"recurrence.instantiate_solution", "recurrence.verify_system",
-                      "recurrence.closed_form_solution"} == set()
+    owner = {"recurrence.closed_form_failures", "recurrence.closed_form_integers", "recurrence._residuals"}
+    assert owner <= reached
+    assert reached & {"recurrence.instantiate_solution", "recurrence.verify_system"} == set()
+    certificate = package.reach("recurrence.root_theorem_failures")
+    assert owner <= certificate and "recurrence.verify_system" not in certificate
 
 
 def test_fields_name_no_cpu_dispatched_operation(package):

@@ -1,10 +1,12 @@
 """CLI contract: subcommands, exit codes, golden JSON/CSV schemas."""
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,7 +21,7 @@ from reference import mp_psi, plus_one
 
 import amnmodes
 from amnmodes import roots
-from amnmodes.cli import B0_BITS, FIELD_EXTENT_MAX, FIELD_GRID_MAX, FIELD_M_MAX, POLY_M_MAX, main
+from amnmodes.cli import B0_BITS, FIELD_EXTENT_MAX, FIELD_GRID_MAX, FIELD_M_MAX, PARSER, POLY_M_MAX, main
 from amnmodes.fields import ZeroModeField, sample_grid
 from amnmodes.polynomials import IntPoly
 from amnmodes.recurrence import (
@@ -419,6 +421,71 @@ def test_usage_error_on_unknown_command():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 2
+
+
+# one row per flag of every subcommand but -o: a base request and the same request
+# with that flag at another value, or set where the base leaves it at its default
+FLAG_ROWS = {
+    ("poly", "m"): (["poly", "--m", "1"], ["poly", "--m", "2"]),
+    ("verify", "m"): (["verify", "--m", "1"], ["verify", "--m", "2"]),
+    ("mode", "m"): (["mode", "--m", "1", "--designated"], ["mode", "--m", "2", "--designated"]),
+    ("mode", "j"): (["mode", "--m", "2", "--j", "1"], ["mode", "--m", "2", "--j", "2"]),
+    ("mode", "sign"): (["mode", "--m", "2", "--j", "1"], ["mode", "--m", "2", "--j", "1", "--sign", "-"]),
+    ("mode", "designated"): (["mode", "--m", "2"], ["mode", "--m", "2", "--designated"]),
+    ("mode", "b0"): (["mode", "--m", "2", "--b0", "5/3"], ["mode", "--m", "2", "--b0", "7/5"]),
+    ("field", "m"): (["field", "--m", "0", "--designated", "--grid", "2"],
+                     ["field", "--m", "1", "--designated", "--grid", "2"]),
+    ("field", "grid"): (["field", "--m", "0", "--designated"], ["field", "--m", "0", "--designated", "--grid", "2"]),
+    ("field", "extent"): (["field", "--m", "0", "--designated", "--grid", "2"],
+                          ["field", "--m", "0", "--designated", "--grid", "2", "--extent", "1"]),
+    ("field", "j"): (["field", "--m", "1", "--j", "1", "--grid", "2"], ["field", "--m", "1", "--j", "2", "--grid", "2"]),
+    ("field", "sign"): (["field", "--m", "1", "--j", "1", "--grid", "2"],
+                        ["field", "--m", "1", "--j", "1", "--sign", "-", "--grid", "2"]),
+    ("field", "designated"): (["field", "--m", "1", "--grid", "2"], ["field", "--m", "1", "--designated", "--grid", "2"]),
+    ("field", "b0"): (["field", "--m", "1", "--b0", "5/3", "--grid", "2"],
+                      ["field", "--m", "1", "--b0", "-5/3", "--grid", "2"]),
+    ("bench", "m_max"): (["bench", "--m-max", "1"], ["bench", "--m-max", "2"]),
+}
+OUTPUT_BASES = [FLAG_ROWS[command, dest][0] for command, dest in FLAG_ROWS if dest in ("m", "m_max")]
+
+
+def subcommand_flags() -> set:
+    """(command, dest) of every optional action of every subcommand of `cli.PARSER`, help left out."""
+    sub = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    return {(command, action.dest) for command, parser in sub.choices.items() for action in parser._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)}
+
+
+def untimed(text: bytes) -> bytes:
+    """The output bytes with every "*_ms" timing of verify and bench set to 0."""
+    return re.sub(rb'(_ms": )[0-9][0-9.e+-]*', rb"\g<1>0", text)
+
+
+def outcome(argv, capsysbinary) -> tuple[int, bytes]:
+    """The exit code and the untimed stdout bytes of argv."""
+    code = exit_code(argv)
+    return code, untimed(capsysbinary.readouterr().out)
+
+
+def test_every_flag_has_a_row():
+    """A flag added to the parser without a row here fails, so none escapes the two tests below."""
+    assert {*FLAG_ROWS, *((base[0], "output") for base in OUTPUT_BASES)} == subcommand_flags()
+
+
+@pytest.mark.parametrize("flag", FLAG_ROWS, ids=lambda flag: " --".join(flag))
+def test_no_flag_is_accepted_and_ignored(flag, capsysbinary):
+    base, changed = FLAG_ROWS[flag]
+    assert outcome(base, capsysbinary) != outcome(changed, capsysbinary)
+
+
+@pytest.mark.parametrize("base", OUTPUT_BASES, ids=lambda argv: argv[0])
+def test_output_moves_the_bytes_from_stdout_to_the_file(base, tmp_path, capsysbinary):
+    out = tmp_path / "out"
+    code, stdout = outcome(base, capsysbinary)
+    assert code == 0 and stdout
+    assert outcome([*base, "-o", str(out)], capsysbinary) == (0, b"")
+    text = untimed(out.read_bytes())
+    assert stdout == (text if text.endswith(b"\n") else text + b"\n")  # stdout ends every output in a newline
 
 
 def test_one_parser_serves_a_sequence_of_requests(tmp_path, capsys):

@@ -40,7 +40,6 @@ from amnmodes.fields import (
     spin_density,
     weyl_dirac_residual,
 )
-from amnmodes.polynomials import over_common_denominator
 from amnmodes.recurrence import (
     AnsatzSolution,
     build_amn_polynomial,
@@ -119,8 +118,8 @@ class TestEvaluation:
             den, a, b = original(m, k, sign)
             return den, [2 * c for c in a], [2 * c for c in b]
 
-        original = fields.closed_form_integers
-        monkeypatch.setattr(fields, "closed_form_integers", scaled)
+        original = recurrence.closed_form_integers
+        monkeypatch.setattr(recurrence, "closed_form_integers", scaled)
         with pytest.raises(ValueError, match="closed form"):
             ZeroModeField(2, F(5, 3))
 
@@ -303,8 +302,7 @@ def test_spinor_never_vanishes():
     p = 2**61 - 1
     for k in range(51):
         for sign in (1, -1):
-            s = recurrence.closed_form_solution(k, k, sign)
-            _, (a, b) = over_common_denominator(s.a, s.b)
+            _, a, b = recurrence.closed_form_integers(k, k, sign)
             assert a[-1] % p and b[-1] % p, (k, sign)
             assert coprime_mod_p(a, b, p), (k, sign)
     # control: a common factor 1 + 2u planted into the k = 50 pair is found
@@ -420,22 +418,29 @@ def test_every_field_at_the_extent_bound():
             assert np.all(residual != 0.0), (k, sign)
 
 
+def times_den(den, a, b) -> tuple[list, list]:
+    """The rational lists a and b times den: integers where den clears them."""
+    return [den * c for c in a], [den * c for c in b]
+
+
 @pytest.mark.parametrize("m", range(11))
 def test_closed_form_is_repeated_lift(m):
     for k in range(m + 1):
         for sign in (1, -1):
-            s = recurrence.closed_form_solution(k, k, sign)
+            den, a, b = recurrence.closed_form_integers(k, k, sign)
+            s = AnsatzSolution(k, family_b0(k + 1, sign), *(tuple(F(c, den) for c in cs) for cs in (a, b)))
             for _ in range(m - k):
                 s = lift_solution(s)
-            assert recurrence.closed_form_solution(m, k, sign) == s, (k, sign)
+            den, a, b = recurrence.closed_form_integers(m, k, sign)
+            assert times_den(den, s.a, s.b) == (a, b), (k, sign)
 
 
 @pytest.mark.parametrize("k", [*range(51), 100, 200])
 def test_closed_form_is_the_jacobi_form(k):
     """The coefficients construction compares are those of the F_k that `evaluate` computes."""
     for sign in (1, -1):
-        s = recurrence.closed_form_solution(k, k, sign)
-        assert (s.a, s.b) == jacobi_coefficients(k, sign), sign
+        den, a, b = recurrence.closed_form_integers(k, k, sign)
+        assert times_den(den, *jacobi_coefficients(k, sign)) == (a, b), sign
 
 
 # y = (1-u)/(1+u) at |x|^2 = u from 1e-3 to 1e6, +-1 and 0, and the worst of 53
@@ -516,8 +521,9 @@ class TestFamily:
         # designated is the request (m, (2m+3)/3): the unlifted closed form, member (k, +) = (m, +)
         for m in range(51):
             f = ZeroModeField.designated(m)
-            s = recurrence.closed_form_solution(m, m, 1)
-            assert instantiate_solution(m, family_b0(m + 1)) == s, m
+            s = instantiate_solution(m, family_b0(m + 1))
+            den, a, b = recurrence.closed_form_integers(m, m, 1)
+            assert times_den(den, s.a, s.b) == (a, b), m
             assert (f.k, f.sign) == (m, 1), m
         # a lifted member is the field of its k: every (m, b0) builds what (k, b0) builds,
         # so the float sweeps evaluate each (k, sign) once, at order k and at order 50

@@ -23,11 +23,13 @@ from reference import (
     trim,
 )
 
+from amnmodes import recurrence
 from amnmodes.cli import B0_BITS, POLY_M_MAX
 from amnmodes.recurrence import (
     build_amn_polynomial,
     closed_form_extremes,
-    closed_form_solution,
+    closed_form_failures,
+    closed_form_integers,
     coefficient_polynomials,
     family_b0,
     family_member,
@@ -222,10 +224,37 @@ class TestClosedForms:
             assert d * (-1) ** (m + 1) * product == -c, m
 
     @pytest.mark.parametrize("m, k", [(2, 5), (2, 3), (0, 1), (0, -1), (3, -1)])
-    def test_closed_form_solution_refuses_k_outside_0_to_m(self, m, k):
+    def test_closed_form_integers_refuses_k_outside_0_to_m(self, m, k):
         # the order-k form lifted to a lower order m does not exist
         with pytest.raises(ValueError, match="k in 0..m"):
-            closed_form_solution(m, k, 1)
+            closed_form_integers(m, k, 1)
+
+    def test_closed_form_failures_pass_every_member(self):
+        for m in range(13):
+            for k in range(m + 1):
+                for sign in (1, -1):
+                    assert closed_form_failures(m, k, sign) == (), (m, k, sign)
+
+    def test_closed_form_failures_name_a_scaled_form(self, monkeypatch):
+        # twice a solution solves every equation, but breaks a_0 = 1 and b_0 = b0
+        change_closed_form(monkeypatch, lambda a, b: ([2 * c for c in a], [2 * c for c in b]))
+        assert closed_form_failures(2, 1, 1) == ("a_0", "b_0")
+
+    def test_closed_form_failures_name_a_perturbed_b_m(self, monkeypatch):
+        # b_m enters the b-equation at k = m and the closing equation, nothing else
+        change_closed_form(monkeypatch, lambda a, b: (a, [*b[:-1], b[-1] + 1]))
+        assert closed_form_failures(3, 1, -1) == ("b-identity", "closing identity")
+
+
+def change_closed_form(monkeypatch, change):
+    """Patch `recurrence.closed_form_integers` to return change(a, b) in place of its a, b."""
+    original = recurrence.closed_form_integers
+
+    def changed(m, k, sign):
+        den, a, b = original(m, k, sign)
+        return den, *change(a, b)
+
+    monkeypatch.setattr(recurrence, "closed_form_integers", changed)
 
 
 class TestFamilyMap:
