@@ -35,7 +35,7 @@ EXIT_IO = 3
 POLY_M_MAX = 500
 FIELD_M_MAX = 50
 # points per axis; all n^3 are evaluated at once: --grid 64 at m = 50 takes
-# 1.1-1.3 s and 143 MB (2-vCPU VM, Python 3.11.7)
+# 0.47-0.51 s and 146 MB (2-vCPU VM, Python 3.11.7)
 FIELD_GRID_MAX = 64
 # --extent E at most this.  On the cube u = |x|^2 <= 3 E^2; far out |h psi| ~ (2k+3)/u^2, and
 # its smallest component, Re (h psi)_1 ~ (2k+3)^2/(3 u^2.5), is a factor |x| below.  The

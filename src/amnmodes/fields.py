@@ -253,8 +253,9 @@ def sample_grid(f: ZeroModeField, extent: float, n: int):
     The rows are those of `_grid_rows`, which raises on the first bad row
     before this returns, so before any text exists.  The chunks are the
     header, then the lines of CSV_BLOCK_ROWS rows at a time.  Floats use
-    repr, which round-trips doubles, once per distinct double of the grid;
-    lines end in CRLF, as csv.writer ends them.
+    repr, which round-trips doubles, once per distinct magnitude of the grid:
+    for every finite double, -0.0 included, repr(-v) is "-" + repr(v).
+    Lines end in CRLF, as csv.writer ends them.
     """
     rows = _grid_rows(f, extent, n)
     # distinct doubles told apart by bit pattern, so that -0.0 keeps its sign: first per
@@ -262,10 +263,18 @@ def sample_grid(f: ZeroModeField, extent: float, n: int):
     columns = [np.unique(column, return_inverse=True) for column in rows.view(np.int64).T]
     del rows
     bits, where = np.unique(np.concatenate([d for d, _ in columns]), return_inverse=True)
-    values, text = bits.view(np.float64), np.empty(len(bits), dtype=object)
+    magnitudes, of = np.unique(bits & np.int64(2**63 - 1), return_inverse=True)  # sign bit cleared
+    values, text = magnitudes.view(np.float64), np.empty(len(magnitudes), dtype=object)
     for start in range(0, len(text), CSV_BLOCK_ROWS):  # no list of every double or repr at once
         block = slice(start, start + CSV_BLOCK_ROWS)
         text[block] = [repr(v) for v in values[block].tolist()]
+    # one string per signed double keeps the peak low: a magnitude seen only with the sign
+    # bit set takes its "-" in place, before the gather, and the other negatives after it
+    negative, positive = bits < 0, np.zeros(len(magnitudes), dtype=bool)
+    positive[of[~negative]] = True
+    text[~positive] = "-" + text[~positive]
+    text, paired = text[of], negative & positive[of]
+    text[paired] = "-" + text[paired]
     ends = np.cumsum([len(d) for d, _ in columns])
     texts = [text[w] for w in np.split(where, ends[:-1])]  # shared strings, per column
     return _csv_chunks(texts, [index for _, index in columns])

@@ -585,9 +585,22 @@ class TestCsvSampling:
         "".join(sample_grid(order1, extent=1.0, n=3))
         assert shapes == [(3**3, 3)]
 
+    @given(st.floats(max_value=-0.0, allow_nan=False, allow_infinity=False))
+    @example(-0.0)
+    @example(-5e-324)  # the least subnormal
+    @example(-2.225073858507201e-308)  # the greatest subnormal
+    @example(-2.2250738585072014e-308)  # the least normal
+    @example(-1.7976931348623157e308)  # the greatest finite
+    @example(-1e16)  # repr turns to an exponent from here up
+    @example(-1e-5)  # and below 1e-4
+    def test_repr_of_a_negative_is_minus_the_repr_of_its_magnitude(self, v):
+        # what lets sample_grid format each magnitude once
+        assert math.copysign(1.0, v) < 0
+        assert repr(v) == "-" + repr(-v)
+
     @pytest.mark.parametrize("m, b0", [(0, None), (50, None), (5, F(-7, 3))], ids=str)
-    def test_one_repr_per_distinct_double_of_the_grid(self, m, b0, monkeypatch):
-        # a double shared by two columns is formatted once, not once per column
+    def test_one_repr_per_distinct_magnitude_of_the_grid(self, m, b0, monkeypatch):
+        # a double shared by two columns, or by v and -v, is formatted once, never negative
         f = ZeroModeField.designated(m) if b0 is None else ZeroModeField(m, b0)
         calls = []
 
@@ -597,7 +610,9 @@ class TestCsvSampling:
 
         monkeypatch.setattr(fields, "repr", counted, raising=False)
         "".join(sample_grid(f, extent=2.0, n=16))
-        assert len(calls) == len(np.unique(fields._grid_rows(f, 2.0, 16).view(np.int64)))
+        magnitudes = fields._grid_rows(f, 2.0, 16).view(np.int64) & np.int64(2**63 - 1)
+        assert len(calls) == len(np.unique(magnitudes))
+        assert not np.signbit(calls).any()
 
     @pytest.mark.parametrize(
         "m, b0", [(0, None), (1, None), (6, None), (5, F(-7, 3))],
@@ -643,12 +658,14 @@ class TestCsvSampling:
         "m, b0, extent, n",
         [(m, b0, 2.0, n) for m in (0, 5, 50) for b0 in (None, -1) for n in (0, 1, 2, 5, 16)]
         + [(m, b0, 1e3, 5) for m in (0, 5, 50) for b0 in (None, -1)]
-        + [(5, F(-7, 3), 2.0, 5)],
+        + [(5, F(-7, 3), 2.0, 5)]
+        # every row the origin: -0.0 beside 0.0 in a row, and with b0 = -1 negatives alone
+        + [(m, b0, 0.0, n) for m in (0, 5) for b0 in (None, -1) for n in (2, 3)],
         ids=str,
     )
     def test_bytes_match_csv_writer(self, m, b0, extent, n):
         f = ZeroModeField.designated(m) if b0 is None else ZeroModeField(m, b0)
         want = csv_reference(f, extent, n)
         assert "".join(sample_grid(f, extent=extent, n=n)) == want
-        if b0 == F(-7, 3):
+        if b0 == F(-7, 3) or extent == 0.0:
             assert ",-0.0," in want and ",0.0," in want  # signed zeros occur and must stay apart
