@@ -20,12 +20,14 @@ w_j = 2m+5-2j the pair step reads
     (2j+3) q_j = (2m+2-2j) q_{j-1} + 3 p_j.
 
 The first at index j+1 gives 3t q_j = w_{j+1} p_j - 2(j+1) p_{j+1};
-substituted into 3t times the second, the t p_{j-1} terms cancel:
+substituted into 3t times the second, the t p_{j-1} terms cancel.  In
+s = 9t the -9t p_j term is a plain shift of p_j, with no multiplication:
 
-    2(j+1)(2j+3) p_{j+1} = [(2j+3)(2m+3-2j) + 2j(2m+2-2j) - 9t] p_j
+    2(j+1)(2j+3) p_{j+1} = [(2j+3)(2m+3-2j) + 2j(2m+2-2j) - s] p_j
                            - (2m+2-2j)(2m+5-2j) p_{j-1},
 
-from p_0 = 1 and p_1 = ((2m+3) - 3t)/2.  The first equation taken at
+from p_0 = 1 and p_1 = (3(2m+3) - s)/6; the coefficient of s^i times 9^i
+is that of t^i.  The first equation taken at
 j = m+1, where w_{m+1} = 3, reads 2(m+1) p_{m+1} = 3(p_m - t q_m), so
 
     P_m = -(2(m+1)/3) p_{m+1},
@@ -108,23 +110,24 @@ class AmnPolynomial:
 def build_amn_polynomial(m: int) -> AmnPolynomial:
     """P_m = -(2(m+1)/3) p_{m+1}, m >= 0, from the three-term recurrence in p_j.
 
-    Fraction-free: p_j = P_j(t)/D_j with integer coefficients and
-    D_{j+1} = D_j * 2(j+1)(2j+3), so the p_{j-1} term is scaled by
-    D_j/D_{j-1}.  Only two polynomials are alive at a time.
+    Fraction-free in s = 9t: p_j = P_j(s)/D_j, D_1 = 6, with integer
+    coefficients and D_{j+1} = D_j * 2(j+1)(2j+3), so the p_{j-1} term is
+    scaled by D_j/D_{j-1}.  Only two polynomials are alive at a time.
     """
-    prev, cur = (1,), (2 * m + 3, -3)  # p_0 and p_1 over D_0 = 1 and D_1 = 2
-    den, ratio = 2, 2  # D_j and D_j/D_{j-1}
+    prev, cur = (1,), (6 * m + 9, -1)  # p_0 and p_1 in s, over D_0 = 1 and D_1 = 6
+    den, ratio = 6, 6  # D_j and D_j/D_{j-1}
     for j in range(1, m + 1):
         u = 2 * m + 2 - 2 * j
         c0 = (2 * j + 3) * (u + 1) + 2 * j * u
         c1 = u * (u + 3) * ratio
-        cols = zip_longest(cur, (0,) + cur, prev, fillvalue=0)  # p_j, t*p_j, p_{j-1}
-        prev, cur = cur, tuple(c0 * a - 9 * b - c1 * c for a, b, c in cols)
+        cols = zip_longest(cur, (0,) + cur, prev, fillvalue=0)  # p_j, s*p_j, p_{j-1}
+        prev, cur = cur, tuple(c0 * a - b - c1 * c for a, b, c in cols)
         ratio = 2 * (j + 1) * (2 * j + 3)
         den *= ratio
-    # P_m = -2(m+1) P_{m+1} / (3 D_{m+1}), so integer = s * P_{m+1} = scale * P_m
-    integer, s = primitive_integer_form(cur)
-    return AmnPolynomial(m, integer, s * Fraction(3 * den, -2 * (m + 1)))
+    cur = [c * 9**i for i, c in enumerate(cur)]  # P_{m+1} in t: s^i = 9^i t^i
+    # P_m = -2(m+1) P_{m+1} / (3 D_{m+1}), so integer = k * P_{m+1} = scale * P_m
+    integer, k = primitive_integer_form(cur)
+    return AmnPolynomial(m, integer, k * Fraction(3 * den, -2 * (m + 1)))
 
 
 def closed_form_extremes(m: int) -> tuple[Fraction, Fraction]:

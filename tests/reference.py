@@ -8,7 +8,7 @@ not show up as a disagreement.
 |---|---|---|
 | `coefficient_polynomials` | `matrix_chain_pair(m, m)` (`seed_pair`, `recurrence_matrix`) | nothing |
 | the chain's 2m recurrence equations | `system_polynomials` on `matrix_chain_pairs` | nothing |
-| `build_amn_polynomial` | `pair_route`; `matrix_chain_pair(m, m)` | the chain (`pair_route`) |
+| `build_amn_polynomial` | `pair_route`; `matrix_chain_pairs(m)[m]` | the chain (`pair_route`) |
 | `instantiate_solution` | `evaluate_pairs` on `matrix_chain_pairs` | `homogeneous` |
 | `verify_system` | `fraction_verify_system` | nothing |
 | the lift in `closed_form_integers` | `lift_solution` | `times_linear`, `verify_system` |

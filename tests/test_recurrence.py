@@ -153,13 +153,14 @@ class TestRecurrenceIdentities:
 class TestScalarRoute:
     """`build_amn_polynomial` runs the three-term recurrence in p_j alone."""
 
-    @pytest.mark.parametrize("m", [*range(1, 81), 200])
+    # m = 0 runs no step, so p_1 over D_1 alone carries P_0
+    @pytest.mark.parametrize("m", [*range(81), 200, 500])
     def test_equals_pair_route(self, m):
         assert rational_form(build_amn_polynomial(m)) == pair_route(m)
 
-    @pytest.mark.parametrize("m", range(1, 13))
+    @pytest.mark.parametrize("m", range(13))
     def test_equals_matrix_route(self, m):
-        p, q = matrix_chain_pair(m, m)
+        p, q = matrix_chain_pairs(m)[m]  # pair 0, which m = 0 closes, is set by hand
         assert rational_form(build_amn_polynomial(m)) == add(mul((0, 1), q), mul((-1,), p))
 
 
